@@ -284,12 +284,8 @@ def _reduce_int_basis(
             le = max(r, key=key)
             lc = r[le]
             out.append(MultiPoly(ring, {e: Fraction(v, lc) for e, v in r.items()}))
-    out.sort(key=lambda g: key(g.leading(order_key_order(key))[0]) if False else key(max(g.terms, key=key)))
+    out.sort(key=lambda g: key(max(g.terms, key=key)))
     return out
-
-
-def order_key_order(key):
-    raise NotImplementedError
 
 
 class MonomialIdeal:

@@ -8,6 +8,7 @@ pyramid superpotentials.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .multipoly import MultiPoly, PolyRing, RingError, Weight
@@ -42,10 +43,11 @@ class HaimanPresentation:
         self.ring = PolyRing([_var_name(v) for v in self.variables])
         self.equations = list(equations)
         self.eliminated = dict(eliminated or {})
+        weights = self.weights
         for eq in self.equations:
             if eq.ring != self.ring:
                 raise RingError("equation outside the presentation ring")
-            _assert_weight_homogeneous(eq, [var_weight(v) for v in self.variables])
+            _assert_weight_homogeneous(eq, weights)
 
     @property
     def weights(self) -> List[Weight]:
@@ -53,9 +55,6 @@ class HaimanPresentation:
 
     def var_index(self, v: HaimanVar) -> int:
         return self.variables.index(v)
-
-    def renumbered_names(self) -> List[str]:
-        return [f"x_{k + 1}" if k < 9 else f"x_{{{k + 1}}}" for k in range(len(self.variables))]
 
 
 def _assert_weight_homogeneous(p: MultiPoly, weights: Sequence[Weight]):
@@ -174,9 +173,13 @@ def _linear_pivot(eq: MultiPoly, var_idx: int):
 def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     """Two elimination passes: deep superscripts first, then everything.
 
-    A variable is eliminated when some equation reads a*x - f with f
+    A variable x is eliminated when some equation reads a*x - f with f
     free of x; pivots are chosen by smallest variable index, then
-    smallest equation index. Purely polynomial: no fractions appear.
+    smallest equation index. The pivot x -> f/a is applied by rewriting
+    only the terms that hold x: a term c*x^k*m becomes c*m*(f/a)^k, with
+    the powers of f/a computed once per pivot, and every other term is
+    copied unchanged. The survivors are then renumbered by re-indexing
+    each exponent tuple. Purely polynomial: no fractions appear.
     """
     lam = pres.lam
     ring = pres.ring
@@ -188,14 +191,37 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     subs: Dict[int, MultiPoly] = {}  # eliminated var index -> expression (full ring)
 
     def substitute_everywhere(x: int, expr: MultiPoly):
-        images = [ring.var(k) for k in range(nvars)]
-        images[x] = expr
+        powers = [ring.const(1)]
+
+        def rewrite(p: MultiPoly) -> MultiPoly:
+            out = {}
+            for e, c in p.terms.items():
+                k = e[x]
+                if not k:
+                    image = ((e, c),)
+                else:
+                    while len(powers) <= k:
+                        powers.append(powers[-1] * expr)
+                    m = e[:x] + (0,) + e[x + 1:]
+                    image = ((tuple(map(add, m, f)), c * d) for f, d in powers[k].terms.items())
+                for f, d in image:
+                    nc = out.get(f)
+                    if nc is None:
+                        out[f] = d
+                    else:
+                        nc += d
+                        if nc:
+                            out[f] = nc
+                        else:
+                            del out[f]
+            return MultiPoly(ring, out)
+
         for k in range(len(eqs)):
-            if eqs[k] and eqs[k].terms and any(e[x] for e in eqs[k].terms):
-                eqs[k] = eqs[k].substitute(images)
-        for v in list(subs):
+            if any(e[x] for e in eqs[k].terms):
+                eqs[k] = rewrite(eqs[k])
+        for v in subs:
             if any(e[x] for e in subs[v].terms):
-                subs[v] = subs[v].substitute(images)
+                subs[v] = rewrite(subs[v])
 
     def run_pass(targets: List[int]):
         while True:
@@ -231,20 +257,15 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     survivors = [k for k in range(nvars) if alive[k]]
     new_vars = [variables[k] for k in survivors]
     new_ring = PolyRing([_var_name(v) for v in new_vars])
-    images = []
-    pos = {k: idx for idx, k in enumerate(survivors)}
-    for k in range(nvars):
-        if alive[k]:
-            images.append(new_ring.var(pos[k]))
-        else:
-            images.append(new_ring.zero())  # placeholder, dead vars are absent below
 
     def project(p: MultiPoly) -> MultiPoly:
-        for e in p.terms:
-            for k, x in enumerate(e):
-                if x and not alive[k]:
-                    raise AssertionError("eliminated variable reappeared")
-        return p.substitute(images)
+        out = {}
+        for e, c in p.terms.items():
+            f = tuple([e[k] for k in survivors])
+            if sum(f) != sum(e):
+                raise AssertionError("eliminated variable reappeared")
+            out[f] = c
+        return MultiPoly(new_ring, out)
 
     new_eqs = []
     seen = set()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import add
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .series import ZERO, ONE, Rat
@@ -74,7 +75,25 @@ class PolyRing:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+def _mul_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> Dict[Monomial, Fraction]:
+    """Product of two term dicts, as one new term dict."""
+    out: Dict[Monomial, Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = _mono_mul(e1, e2)
+            nc = out.get(e)
+            if nc is None:
+                out[e] = c1 * c2
+            else:
+                nc += c1 * c2
+                if nc:
+                    out[e] = nc
+                else:
+                    del out[e]
+    return out
 
 
 def grevlex_key(e: Monomial):
@@ -183,16 +202,7 @@ class MultiPoly:
                 return self.ring.zero()
             return MultiPoly(self.ring, {e: c * c0 for e, c in self.terms.items()})
         self._check(other)
-        out: Dict[Monomial, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _mono_mul(e1, e2)
-                nc = out.get(e, ZERO) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.ring, out)
+        return MultiPoly(self.ring, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -266,19 +276,37 @@ class MultiPoly:
             elif p.ring != target:
                 raise RingError("images live in different rings")
         assert target is not None
-        powers: Dict[int, list] = {i: [target.const(1)] for i in images}
-        result = target.zero()
+        zero = (0,) * target.n
+        powers: Dict[int, list] = {i: [{zero: ONE}] for i in images}
+        out: Dict[Monomial, Fraction] = {}
         for e, c in self.terms.items():
-            term = target.const(c)
+            # a factor with one term scales and shifts every monomial of the
+            # product alike, so it is applied after the multi-term factors
+            term, shift = None, zero
             for i, k in enumerate(e):
                 if not k:
                     continue
                 pw = powers[i]
                 while len(pw) <= k:
-                    pw.append(pw[-1] * images[i])
-                term = term * pw[k]
-            result = result + term
-        return result
+                    pw.append(_mul_terms(pw[-1], images[i].terms))
+                if len(pw[k]) == 1:
+                    (m, d), = pw[k].items()
+                    shift = _mono_mul(shift, m)
+                    c = c * d
+                else:
+                    term = pw[k] if term is None else _mul_terms(term, pw[k])
+            for m, tc in (term if term is not None else {zero: ONE}).items():
+                m = _mono_mul(m, shift)
+                nc = out.get(m)
+                if nc is None:
+                    out[m] = tc * c
+                else:
+                    nc += tc * c
+                    if nc:
+                        out[m] = nc
+                    else:
+                        del out[m]
+        return MultiPoly(target, out)
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) != self.ring.n:
@@ -510,14 +538,6 @@ class LaurentPoly:
     def twist(self, w: Weight) -> "LaurentPoly":
         """Multiply by the character t^w."""
         return LaurentPoly(self.r, {wt + w: c for wt, c in self.terms.items()})
-
-    def evaluate_with(self, value_of_weight: Callable[[Weight], object]):
-        """Sum of coeff * value_of_weight(w); generic coefficient target."""
-        total = None
-        for w, c in sorted(self.terms.items(), key=lambda t: t[0].sort_key()):
-            term = value_of_weight(w) * c
-            total = term if total is None else total + term
-        return total if total is not None else ZERO
 
     def render(self, var: str = "t") -> str:
         if not self.terms:

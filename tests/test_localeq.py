@@ -99,6 +99,21 @@ def test_step0_back_substitution_consistent():
         assert J.contains(eq.substitute(images))
 
 
+def test_step0_131_back_substitution_is_exact():
+    # each raw equation, with the eliminated variables substituted, was a
+    # pivot (and vanishes) or is one of the surviving equations
+    raw = haiman_equations(LAM_131)
+    pres = step0(LAM_131)
+    assert len(pres.variables) + len(pres.eliminated) == len(raw.variables)
+    images = [
+        pres.eliminated[v] if v in pres.eliminated else pres.ring.var(pres.var_index(v))
+        for v in raw.variables
+    ]
+    for eq in raw.equations:
+        b = eq.substitute(images)
+        assert not b or b in pres.equations
+
+
 def test_cotangent_121():
     ws, extra = cotangent_weights(LAM_121)
     assert len(ws) == 18

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilb.multipoly import (
     LaurentPoly,
@@ -75,6 +77,45 @@ def test_substitute_is_homomorphism():
         p, q = rand_poly(), rand_poly()
         assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
         assert (p + q).substitute(images) == p.substitute(images) + q.substitute(images)
+
+
+def polys(ring, max_exp=3, max_terms=5):
+    """Small polynomials over `ring` with integer coefficients."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * ring.n)
+    pairs = st.lists(st.tuples(exps, st.integers(-4, 4)), max_size=max_terms)
+    return pairs.map(lambda ps: poly_from_terms(ring, ps))
+
+
+R3 = PolyRing(["x", "y", "z"])
+S2 = PolyRing(["u", "v"])
+seeded = settings(derandomize=True, max_examples=80, deadline=None)
+
+
+@seeded
+@given(polys(R3), polys(R3, max_exp=2, max_terms=3), st.integers(0, 2))
+def test_substitute_one_variable_matches_term_expansion(p, q, x):
+    # sending x to q and every other variable to itself replaces each term
+    # c * x^k * m by c * m * q^k
+    images = list(R3.gens())
+    images[x] = q
+    expected = R3.zero()
+    for e, c in p.terms.items():
+        m = tuple(0 if i == x else k for i, k in enumerate(e))
+        expected = expected + R3.monomial(m, c) * q ** e[x]
+    assert p.substitute(images) == expected
+
+
+@seeded
+@given(polys(R3), polys(R3), st.lists(polys(S2, max_exp=2, max_terms=3), min_size=3, max_size=3))
+def test_substitute_into_another_ring_is_a_homomorphism(p, q, images):
+    def phi(f):
+        return f.substitute(images)
+
+    assert phi(p * q) == phi(p) * phi(q)
+    assert phi(p + q) == phi(p) + phi(q)
+    assert phi(R3.const(F(5, 3))) == S2.const(F(5, 3))
+    point = (F(2, 3), F(-5, 7))
+    assert phi(p).evaluate(point) == p.evaluate([g.evaluate(point) for g in images])
 
 
 def test_derivative():
