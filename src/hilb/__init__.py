@@ -1,9 +1,10 @@
 """Exact computer algebra for Hilbert schemes of points.
 
-Subpackages cover truncated series arithmetic, multivariate polynomials
-over Q, Groebner bases, r-dimensional partitions, local equations of
-Hilbert schemes at monomial ideals, multigraded Hilbert series, and the
-localization identity checks tying them together.
+Modules cover multivariate and Laurent polynomials over Q (`multipoly`),
+Groebner bases (`groebner`), r-dimensional partitions (`partitions`),
+local equations of Hilbert schemes at monomial ideals (`localeq`), and
+multigraded Hilbert series with exact checks of their identities
+(`kpoly`).
 """
 
 __version__ = "0.1.0"

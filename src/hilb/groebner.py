@@ -16,7 +16,6 @@ from math import gcd
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .multipoly import Monomial, MultiPoly, PolyRing, RingError, order_key
-from .series import ONE
 
 DEFAULT_SPAIR_BUDGET = 200_000
 
@@ -333,11 +332,6 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.nvars}, {list(self.gens)})"
 
 
-def monomial_colon(J: MonomialIdeal, f: Monomial) -> MonomialIdeal:
-    """(J : f), minimal generators."""
-    return J.colon(f)
-
-
 class Ideal:
     """Polynomial ideal with cached reduced Groebner bases per order."""
 
@@ -369,10 +363,6 @@ class Ideal:
         basis = self.groebner(order, budget)
         key = order_key(order)
         return MonomialIdeal(self.ring.n, [max(g.terms, key=key) for g in basis])
-
-
-def initial_ideal(I: Ideal, order="grevlex") -> MonomialIdeal:
-    return I.initial_ideal(order)
 
 
 def ideal_equal(I: Ideal, J: Ideal, order="grevlex") -> bool:

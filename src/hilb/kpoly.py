@@ -2,26 +2,22 @@
 
 Numerators are integer Laurent polynomials in the torus characters;
 denominators stay factored, one (1 - t^w) per ambient variable.
-Equality of rational functions is decided by exact evaluation at
-random rational points, never by symbolic normalization.
+Identities between series, such as equality and self-reciprocity, are
+decided exactly as identities between Laurent polynomials, after
+clearing the factored denominators.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import random
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .groebner import DEFAULT_SPAIR_BUDGET, Ideal, MonomialIdeal
-from .multipoly import LaurentPoly, Monomial, RingError, Weight, laurent_eval
+from .multipoly import LaurentPoly, Monomial, RingError, Weight
 from .partitions import Partition
-from .series import ONE, ZERO
-
-
-class SpecializationError(ValueError):
-    """A denominator factor vanished at the chosen evaluation point."""
 
 
 def monomial_weight(e: Monomial, weights: Sequence[Weight]) -> Weight:
@@ -74,10 +70,6 @@ def monomial_colength(J: MonomialIdeal) -> int:
     return sum(1 for e in itertools.product(*[range(b) for b in bounds]) if not J.contains(e))
 
 
-def _char_value(w: Weight, theta=None, s=None) -> Fraction:
-    return laurent_eval(LaurentPoly.char(w), theta=theta, s=s)
-
-
 def _weight_to_json(w: Weight) -> dict:
     return {"nums": list(w.nums), "scale": w.scale}
 
@@ -104,16 +96,6 @@ class HilbertSeries:
     @property
     def r(self) -> int:
         return self.numerator.r
-
-    def evaluate(self, theta: Sequence[Fraction] | None = None,
-                 s: Sequence[Fraction] | None = None) -> Fraction:
-        den = ONE
-        for w in self.denom_weights:
-            f = ONE - _char_value(w, theta=theta, s=s)
-            if not f:
-                raise SpecializationError("denominator factor vanishes at this point")
-            den *= f
-        return laurent_eval(self.numerator, theta=theta, s=s) / den
 
     def to_json(self) -> str:
         num = [
@@ -309,81 +291,47 @@ def schur_K_G26() -> LaurentPoly:
     return LaurentPoly.one(6) - e4 + L51 - L611 - L55 + L651 - L662 + L666
 
 
-def random_fractions(rng: random.Random, count: int, height: int = 30) -> Tuple[Fraction, ...]:
-    """Nonzero rationals with numerator and denominator up to `height`.
-
-    Values of absolute value 1 are excluded; signs are random.
-    """
-    out: List[Fraction] = []
-    while len(out) < count:
-        num = rng.randint(1, height)
-        den = rng.randint(1, height)
-        if num == den:
-            continue
-        q = Fraction(num, den)
-        out.append(-q if rng.random() < 0.5 else q)
-    return tuple(out)
+def _times_factors(L: LaurentPoly, weights: Iterable[Weight]) -> LaurentPoly:
+    """L times the product of (1 - t^w) over `weights`."""
+    for w in weights:
+        L = L - L.twist(w)
+    return L
 
 
-def series_equal(a, b, rng: Optional[random.Random] = None, trials: int = 3,
-                 height: int = 100, retry_cap: int = 50) -> bool:
-    """Exact agreement of two series at `trials` random specializations.
+def series_equal(a: HilbertSeries, b: HilbertSeries) -> bool:
+    """Whether two series are the same rational function.
 
-    Both arguments need .r and .evaluate(s=...); points where either
-    denominator vanishes are resampled up to the retry cap.
+    The denominator factors the two share, counted with multiplicity,
+    cancel; a's numerator times b's remaining factors is then compared
+    with b's numerator times a's remaining factors.
     """
     if a.r != b.r:
         raise RingError("rank mismatch")
-    rng = rng or random.Random(0)
-    done = attempts = 0
-    while done < trials:
-        if attempts >= retry_cap:
-            raise SpecializationError("could not find enough generic points")
-        attempts += 1
-        s = random_fractions(rng, a.r, height)
-        try:
-            va = a.evaluate(s=s)
-            vb = b.evaluate(s=s)
-        except SpecializationError:
-            continue
-        if va != vb:
-            return False
-        done += 1
-    return True
+    da, db = Counter(a.denom_weights), Counter(b.denom_weights)
+    return _times_factors(a.numerator, (db - da).elements()) == _times_factors(
+        b.numerator, (da - db).elements()
+    )
 
 
-def reciprocity_check(h, lam: Partition, rng: Optional[random.Random] = None,
-                      trials: int = 3, height: int = 30, retry_cap: int = 50) -> bool:
+def reciprocity_check(h: HilbertSeries, lam: Partition, rng=None) -> bool:
     """Self-reciprocity of an equivariant series of a length-|lam| quotient.
 
-    Checks H(theta) = (-1)^n (theta_1..theta_r)^{-n} prod_{i in lam}
-    theta^i H(theta^{-1}) at `trials` random specializations, with
-    theta_j = s_j^2 kept rational through the s variables.
+    The law H(t) = (-1)^n t^(sum_{c in lam} c - n*1) H(t^-1), n = |lam|,
+    becomes an identity between numerators, since 1 - t^-w equals
+    -t^-w (1 - t^w):
+
+        N(t) = (-1)^(n+m) t^(sum_{c in lam} c - n*1 + sum_i w_i) N(t^-1),
+
+    with w_1..w_m the denominator weights. It is decided exactly, so the
+    answer is the same for every `rng`; the argument is accepted for
+    callers that still pass one and is otherwise unused.
     """
-    rng = rng or random.Random(0)
     n = lam.n
-    done = attempts = 0
-    while done < trials:
-        if attempts >= retry_cap:
-            raise SpecializationError("could not find enough generic points")
-        attempts += 1
-        s = random_fractions(rng, lam.r, height)
-        try:
-            left = h.evaluate(s=s)
-            right = h.evaluate(s=tuple(1 / x for x in s))
-        except SpecializationError:
-            continue
-        theta = [x * x for x in s]
-        prod_all = ONE
-        for t in theta:
-            prod_all *= t
-        cell_mono = ONE
-        for cell in lam.cells:
-            for t, k in zip(theta, cell):
-                if k:
-                    cell_mono *= t ** k
-        factor = (Fraction(-1) ** n) * prod_all ** (-n) * cell_mono
-        if left != factor * right:
-            return False
-        done += 1
-    return True
+    shift = Weight((-n,) * lam.r)
+    for cell in lam.cells:
+        shift = shift + Weight(cell)
+    for w in h.denom_weights:
+        shift = shift + w
+    sign = (-1) ** (n + len(h.denom_weights))
+    mirrored = LaurentPoly(h.r, {shift - w: sign * c for w, c in h.numerator.terms.items()})
+    return h.numerator == mirrored

@@ -11,9 +11,8 @@ from __future__ import annotations
 from operator import add
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .multipoly import MultiPoly, PolyRing, RingError, Weight
+from .multipoly import ONE, ZERO, MultiPoly, PolyRing, RingError, Weight
 from .partitions import Cell, Partition, adjacent_pairs, glove, min_generators, pyramid
-from .series import ONE, ZERO
 
 HaimanVar = Tuple[Cell, Cell]  # (sub, sup): i in lambda, j in glove
 
@@ -43,7 +42,7 @@ class HaimanPresentation:
         self.ring = PolyRing([_var_name(v) for v in self.variables])
         self.equations = list(equations)
         self.eliminated = dict(eliminated or {})
-        weights = self.weights
+        weights = [w.nums for w in self.weights]
         for eq in self.equations:
             if eq.ring != self.ring:
                 raise RingError("equation outside the presentation ring")
@@ -57,15 +56,15 @@ class HaimanPresentation:
         return self.variables.index(v)
 
 
-def _assert_weight_homogeneous(p: MultiPoly, weights: Sequence[Weight]):
+def _assert_weight_homogeneous(p: MultiPoly, weights: Sequence[Tuple[int, ...]]):
+    """`weights` holds each variable's weight as an integer tuple."""
+    zero = (0,) * len(weights[0]) if weights else ()
     seen = None
     for e in p.terms:
-        w = None
+        w = zero
         for k, wt in zip(e, weights):
             if k:
-                w = wt * k if w is None else w + wt * k
-        if w is None:
-            w = Weight.of(*(0,) * weights[0].r) if weights else Weight.of()
+                w = tuple(a + k * b for a, b in zip(w, wt))
         if seen is None:
             seen = w
         elif w != seen:
@@ -308,8 +307,8 @@ def _linear_part_relations(lam: Partition):
     hits of its quadratic sums, plus the head variable for an axis
     pair).  Two surviving terms identify a pair of coordinates, a single
     surviving term kills one; a term whose subscript leaves the positive
-    orthant is absent.  Works directly on cell data, so it stays usable
-    past the polynomial-ring variable cap.
+    orthant is absent.  Works directly on cell data, without building
+    the polynomial ring.
     """
     cells = set(lam.cells)
     glo = set(glove(lam))

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over Q and integer Laurent polynomials.
 
-Monomials are plain exponent tuples of fixed length (the ring's variable
-count, at most 64). Laurent exponents live on a scaled lattice (1/D)Z^r
-with D a power of two, so half-integer weights are exact integer data.
+Monomials are plain exponent tuples, one entry per ring variable, and
+coefficients are Fractions. Laurent exponents live on a scaled lattice
+(1/D)Z^r with D a power of two, so half-integer weights are exact
+integer data.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
-from .series import ZERO, ONE, Rat
-
 Monomial = Tuple[int, ...]
 
-MAX_VARS = 64
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class RingError(ValueError):
@@ -30,8 +30,6 @@ class PolyRing:
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
-        if len(names) > MAX_VARS:
-            raise RingError(f"at most {MAX_VARS} variables supported, got {len(names)}")
         if len(set(names)) != len(names):
             raise RingError("duplicate variable names")
         self.names = names
@@ -366,10 +364,6 @@ class MultiPoly:
         return cls(ring, terms)
 
 
-def substitute(p: MultiPoly, images) -> MultiPoly:
-    return p.substitute(images)
-
-
 def poly_from_terms(ring: PolyRing, pairs: Iterable[Tuple[Sequence[int], object]]) -> MultiPoly:
     terms: Dict[Monomial, Fraction] = {}
     for exps, c in pairs:
@@ -571,43 +565,3 @@ class LaurentPoly:
         return out
 
     __repr__ = render
-
-
-def laurent_eval(L: LaurentPoly, theta: Sequence[Fraction] | None = None,
-                 s: Sequence[Fraction] | None = None) -> Fraction:
-    """Exact value of L at theta, or at theta_i = s_i^2 when s is given.
-
-    The doubled-lattice variables s make half-integer exponents exact:
-    t^w evaluates to prod s_i^(2 w_i). With only theta given, all
-    exponents must be integers.
-    """
-    if (theta is None) == (s is None):
-        raise RingError("provide exactly one of theta or s")
-    if s is not None:
-        base = [Fraction(x) for x in s]
-        total = ZERO
-        for w, c in L.terms.items():
-            acc = Fraction(c)
-            for bi, num in zip(base, w.nums):
-                k = 2 * num // w.scale
-                if 2 * num % w.scale:
-                    raise RingError("scale beyond 2 not evaluable via s")
-                if k:
-                    if not bi and k < 0:
-                        raise RingError("zero base with negative exponent")
-                    acc *= bi ** k
-            total += acc
-        return total
-    base = [Fraction(x) for x in theta]
-    total = ZERO
-    for w, c in L.terms.items():
-        if w.scale != 1:
-            raise RingError("half-integer exponents need the s variables")
-        acc = Fraction(c)
-        for bi, k in zip(base, w.nums):
-            if k:
-                if not bi and k < 0:
-                    raise RingError("zero base with negative exponent")
-                acc *= bi ** k
-        total += acc
-    return total

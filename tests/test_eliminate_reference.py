@@ -10,9 +10,8 @@ rewrites only the terms that hold x; both must agree exactly.
 import pytest
 
 from hilb.localeq import _var_name, haiman_equations, simple_eliminate
-from hilb.multipoly import PolyRing
+from hilb.multipoly import ONE, PolyRing
 from hilb.partitions import enumerate_partitions, min_generators
-from hilb.series import ONE
 
 CLASSES = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
 

@@ -8,8 +8,6 @@ from hilb.groebner import (
     MonomialIdeal,
     groebner_basis,
     ideal_equal,
-    initial_ideal,
-    monomial_colon,
     normal_form,
 )
 from hilb.multipoly import PolyRing, poly_from_terms
@@ -82,14 +80,14 @@ def test_initial_ideal_simple():
     R = PolyRing(["x", "y"])
     x, y = R.gens()
     I = Ideal(R, [x * x - y])
-    assert initial_ideal(I, "lex") == MonomialIdeal(2, [(2, 0)])
+    assert I.initial_ideal("lex") == MonomialIdeal(2, [(2, 0)])
 
 
 def test_initial_ideal_of_monomial_ideal_is_itself():
     R = PolyRing(["x", "y", "z"])
     gens = [(2, 0, 0), (1, 1, 0), (0, 0, 3)]
     I = Ideal(R, [R.monomial(e) for e in gens])
-    assert initial_ideal(I) == MonomialIdeal(3, gens)
+    assert I.initial_ideal() == MonomialIdeal(3, gens)
 
 
 def test_initial_ideal_minimality():
@@ -143,10 +141,10 @@ def test_budget_exceeded_is_loud():
 
 
 def test_colon_examples():
-    assert monomial_colon(MonomialIdeal(2, [(2, 0)]), (1, 1)) == MonomialIdeal(2, [(1, 0)])
+    assert MonomialIdeal(2, [(2, 0)]).colon((1, 1)) == MonomialIdeal(2, [(1, 0)])
     J = MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)])
-    assert monomial_colon(J, (0, 0)) == J
-    assert monomial_colon(J, (0, 1)) == MonomialIdeal(2, [(1, 0), (0, 2)])
+    assert J.colon((0, 0)) == J
+    assert J.colon((0, 1)) == MonomialIdeal(2, [(1, 0), (0, 2)])
 
 
 def test_monomial_ideal_minimalizes():

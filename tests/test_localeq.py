@@ -3,9 +3,10 @@ import string
 import pytest
 
 from hilb.groebner import Ideal, ideal_equal
-from hilb.multipoly import RingError, Weight
-from hilb.partitions import Partition, parse_chain, pyramid
+from hilb.multipoly import Weight
+from hilb.partitions import Partition, enumerate_partitions, glove, parse_chain, pyramid
 from hilb.localeq import (
+    HaimanPresentation,
     cotangent_weights,
     extra_dimension,
     haiman_equations,
@@ -51,6 +52,33 @@ def test_equations_weight_homogeneous_on_construction():
     v = ((1, 0, 0), (0, 0, 2))
     assert var_weight(v) == Weight.of(-1, 0, 2)
     assert pres.weights[pres.var_index(v)] == Weight.of(-1, 0, 2)
+
+
+def test_inhomogeneous_equation_is_rejected():
+    pres = haiman_equations(LAM_121)
+    x = pres.ring.gens()
+    assert pres.weights[0] != pres.weights[1]
+    with pytest.raises(AssertionError):
+        HaimanPresentation(LAM_121, pres.variables, [x[0] + x[1]])
+    with pytest.raises(AssertionError):
+        HaimanPresentation(LAM_121, pres.variables, [x[0] + 1])
+
+
+def test_step0_on_a_line_of_six_points():
+    # 78 raw variables: more than a ring capped at 64 could hold
+    lam = Partition(3, [(i, 0, 0) for i in range(6)])
+    assert len(haiman_equations(lam).variables) == 78
+    pres = step0(lam)
+    assert len(pres.variables) == 18 == 3 * lam.n + extra_dimension(lam)
+    assert pres.equations == []
+
+
+def test_haiman_equations_build_for_seven_points():
+    partitions = enumerate_partitions(3, 7)
+    assert len(partitions) == 86
+    for lam in partitions:
+        pres = haiman_equations(lam)
+        assert len(pres.variables) == lam.n * len(glove(lam))
 
 
 def test_step0_121_drops_exactly_the_origin_row():
@@ -133,10 +161,8 @@ def test_cotangent_131_132():
 
 
 def test_cotangent_1321_without_a_ring():
-    # raw ring would need 70 variables, past the cap; the cotangent count
-    # is combinatorial and must still work
-    with pytest.raises(RingError):
-        haiman_equations(LAM_1321)
+    # the cotangent count is combinatorial: it builds no ring for the 70
+    # raw variables
     ws, extra = cotangent_weights(LAM_1321)
     assert len(ws) == 29
     assert extra == 8

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +8,7 @@ from hilb.multipoly import (
     LaurentPoly,
     MultiPoly,
     PolyRing,
-    RingError,
     Weight,
-    laurent_eval,
     monomial_order_cmp,
     poly_from_terms,
 )
@@ -142,60 +139,11 @@ def test_json_roundtrip():
     assert q.terms == p.terms
 
 
-def test_var_limit():
-    with pytest.raises(RingError):
-        PolyRing.make("x", 65)
-
-
 def test_weight_reduction():
     assert Weight((2, 4), 2) == Weight.of(1, 2)
     assert Weight.halves(1, 3).scale == 2
     w = Weight.halves(1, 1) + Weight.halves(1, -1)
     assert w == Weight.of(1, 0)
-
-
-def test_laurent_eval_symmetry():
-    L = LaurentPoly.char(Weight.of(1, 0)) - LaurentPoly.char(Weight.of(0, 1))
-    assert laurent_eval(L, theta=(3, 3)) == 0
-
-
-def test_laurent_eval_half_integer():
-    L = LaurentPoly.char(Weight.halves(1))
-    assert laurent_eval(L, s=(2,)) == 2
-
-
-def test_laurent_eval_kpoly_example():
-    # K-polynomial of k[x,y]/(x^2, xy): 1 - t1^2 - t1 t2 + t1^2 t2
-    K = (
-        LaurentPoly.one(2)
-        - LaurentPoly.char(Weight.of(2, 0))
-        - LaurentPoly.char(Weight.of(1, 1))
-        + LaurentPoly.char(Weight.of(2, 1))
-    )
-    assert laurent_eval(K, theta=(2, 3)) == 1 - 4 - 6 + 12 == 3
-
-
-def test_laurent_eval_multiplicative():
-    rng = random.Random(13)
-    for _ in range(20):
-        L1 = LaurentPoly(
-            2,
-            {
-                Weight.of(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-5, 5)
-                for _ in range(3)
-            },
-        )
-        L2 = LaurentPoly(
-            2,
-            {
-                Weight.of(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-5, 5)
-                for _ in range(3)
-            },
-        )
-        theta = (F(2, 3), F(-5, 7))
-        assert laurent_eval(L1 * L2, theta=theta) == laurent_eval(L1, theta=theta) * laurent_eval(
-            L2, theta=theta
-        )
 
 
 def test_laurent_render():
