@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
+from operator import le
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .multipoly import Monomial, MultiPoly, PolyRing, RingError, order_key
@@ -287,6 +288,21 @@ def _reduce_int_basis(
     return out
 
 
+def minimal_monomials(gens: Iterable[Monomial]) -> Tuple[Monomial, ...]:
+    """Sorted minimal elements under divisibility, duplicates dropped.
+
+    A proper divisor of a nonnegative exponent vector has smaller total
+    degree, so candidates are taken by degree and each is tested only
+    against the generators already kept.
+    """
+    kept: List[Monomial] = []
+    for g in sorted(set(gens), key=sum):
+        # h divides g; inlined, as this is the K-polynomial recursion's inner loop
+        if not any(all(map(le, h, g)) for h in kept):
+            kept.append(g)
+    return tuple(sorted(kept))
+
+
 class MonomialIdeal:
     """Monomial ideal held by its minimal generators (a divisibility antichain)."""
 
@@ -299,12 +315,8 @@ class MonomialIdeal:
                 raise RingError("generator length mismatch")
             if any(x < 0 for x in g):
                 raise RingError("monomial ideal generators must have nonnegative exponents")
-        minimal = []
-        for g in gens:
-            if not any(h != g and _divides(h, g) for h in gens):
-                minimal.append(g)
         self.nvars = nvars
-        self.gens = tuple(sorted(minimal))
+        self.gens = minimal_monomials(gens)
 
     def contains(self, mono: Monomial) -> bool:
         return any(_divides(g, mono) for g in self.gens)

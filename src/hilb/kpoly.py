@@ -1,7 +1,9 @@
 """Multigraded K-polynomials and equivariant Hilbert series.
 
 Numerators are integer Laurent polynomials in the torus characters;
-denominators stay factored, one (1 - t^w) per ambient variable.
+denominators stay factored, one (1 - t^w) per ambient variable. The
+K-polynomial recursion runs on integer numerator tuples over one
+power-of-two scale and builds Weight keys only for its result.
 Identities between series, such as equality and self-reciprocity, are
 decided exactly as identities between Laurent polynomials, after
 clearing the factored denominators.
@@ -13,9 +15,10 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .groebner import DEFAULT_SPAIR_BUDGET, Ideal, MonomialIdeal
+from .groebner import DEFAULT_SPAIR_BUDGET, Ideal, MonomialIdeal, minimal_monomials
 from .multipoly import LaurentPoly, Monomial, RingError, Weight
 from .partitions import Partition
 
@@ -35,28 +38,53 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
 
     K(f_1..f_m) = K(f_1..f_{m-1}) - t^{w(f_m)} K((f_1..f_{m-1}) : f_m),
     memoized on the canonical minimal generator tuples encountered.
+    The weights are first put on their largest power-of-two scale, so
+    the recursion adds integer numerator tuples; Weight keys are built
+    once, for the result.
     """
     if len(weights) != J.nvars:
         raise RingError("weight list does not cover the variables")
+    if not weights:
+        raise RingError("no weights: the torus rank is unknown")
     r = weights[0].r
+    if any(w.r != r for w in weights):
+        raise RingError("weight rank mismatch")
+    scale = max(w.scale for w in weights)
+    nums = [tuple(x * (scale // w.scale) for x in w.nums) for w in weights]
+    one = {(0,) * r: 1}
     unit = ((0,) * J.nvars,)
-    memo: Dict[Tuple[Monomial, ...], LaurentPoly] = {}
+    memo: Dict[Tuple[Monomial, ...], Dict[Tuple[int, ...], int]] = {}
 
-    def run(gens: Tuple[Monomial, ...]) -> LaurentPoly:
+    def run(gens: Tuple[Monomial, ...]) -> Dict[Tuple[int, ...], int]:
         if not gens:
-            return LaurentPoly.one(r)
+            return one
         if gens == unit:
-            return LaurentPoly.zero(r)
+            return {}
         got = memo.get(gens)
         if got is not None:
             return got
         f = gens[-1]
-        rest = MonomialIdeal(J.nvars, gens[:-1])
-        out = run(rest.gens) - run(rest.colon(f).gens).twist(monomial_weight(f, weights))
+        rest = gens[:-1]  # a slice of a sorted antichain is one
+        out = dict(run(rest))
+        colon = minimal_monomials(
+            tuple([x - y if x > y else 0 for x, y in zip(g, f)]) for g in rest
+        )
+        shift = [0] * r
+        for k, w in zip(f, nums):
+            if k:
+                for i in range(r):
+                    shift[i] += k * w[i]
+        for w, c in run(colon).items():
+            w = tuple(map(add, w, shift))
+            c = out.get(w, 0) - c
+            if c:
+                out[w] = c
+            else:
+                del out[w]
         memo[gens] = out
         return out
 
-    return run(J.gens)
+    return LaurentPoly(r, {Weight(w, scale): c for w, c in run(J.gens).items()})
 
 
 def monomial_colength(J: MonomialIdeal) -> int:

@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilb.groebner import (
     BudgetExceeded,
@@ -8,9 +12,10 @@ from hilb.groebner import (
     MonomialIdeal,
     groebner_basis,
     ideal_equal,
+    minimal_monomials,
     normal_form,
 )
-from hilb.multipoly import PolyRing, poly_from_terms
+from hilb.multipoly import PolyRing, order_key, poly_from_terms
 
 
 def test_two_generator_lex_basis():
@@ -150,3 +155,63 @@ def test_colon_examples():
 def test_monomial_ideal_minimalizes():
     J = MonomialIdeal(2, [(1, 0), (2, 0), (1, 1)])
     assert J.gens == ((1, 0),)
+
+
+@st.composite
+def exponent_lists(draw):
+    """Exponent vectors of one length, with repeats and the zero vector."""
+    n = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12))
+    if draw(st.booleans()):
+        vecs.append((0,) * n)
+    if vecs:
+        vecs += draw(st.lists(st.sampled_from(vecs), max_size=4))
+    return vecs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(exponent_lists())
+def test_minimal_monomials_is_the_pairwise_definition(gens):
+    # keep g unless some other h divides it
+    def divides(h, g):
+        return all(a <= b for a, b in zip(h, g))
+
+    expected = sorted({g for g in gens if not any(h != g and divides(h, g) for h in gens)})
+    assert minimal_monomials(gens) == tuple(expected)
+
+
+SYMPY_XYZ = sympy.symbols("x y z")
+
+
+def _sympy_reduced_basis(term_lists, order):
+    """sympy's reduced basis, each element scaled to lead coefficient 1 in `order`.
+
+    Poly.monic() would divide by the lex-leading coefficient, which is not
+    the grevlex one; the lead term is taken with hilb's own order key.
+    """
+    x = SYMPY_XYZ
+    exprs = [sum(c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] for e, c in t) for t in term_lists]
+    key = order_key(order)
+    out = []
+    for p in sympy.groebner(exprs, *x, order=order, domain="QQ").polys:
+        d = {m: Fraction(int(c.p), int(c.q)) for m, c in p.terms()}
+        lc = d[max(d, key=key)]
+        out.append(sorted((m, c / lc) for m, c in d.items()))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_reduced_basis_matches_sympy(order):
+    R = PolyRing(["x", "y", "z"])
+    rng = random.Random(3)
+    for _ in range(20):
+        term_lists = [
+            [
+                (tuple(rng.randint(0, 2) for _ in range(3)), rng.randint(-3, 3))
+                for _ in range(rng.randint(2, 3))
+            ]
+            for _ in range(rng.randint(2, 3))
+        ]
+        gens = [p for p in (poly_from_terms(R, t) for t in term_lists) if p]
+        ours = sorted(sorted(g.terms.items()) for g in groebner_basis(gens, order))
+        assert ours == _sympy_reduced_basis(term_lists, order)

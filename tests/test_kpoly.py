@@ -86,6 +86,7 @@ class TestKpolyMonomial:
         assert kpoly_monomial(MonomialIdeal(2, [(0, 0)]), [Weight.of(1, 0), Weight.of(0, 1)]) == LaurentPoly.zero(2)
 
     def test_matches_taylor_oracle_on_random_ideals(self):
+        # mixed scales: the recursion rescales every weight to the largest one
         rng = random.Random(7)
         for _ in range(40):
             nv = rng.randint(1, 3)
@@ -93,7 +94,7 @@ class TestKpolyMonomial:
             weights = []
             for _ in range(nv):
                 while True:
-                    w = Weight(tuple(rng.randint(-2, 3) for _ in range(2)))
+                    w = Weight(tuple(rng.randint(-2, 3) for _ in range(2)), rng.choice((1, 2, 4)))
                     if not w.is_zero():
                         break
                 weights.append(w)
@@ -112,6 +113,15 @@ class TestKpolyMonomial:
     def test_weight_count_must_cover_variables(self):
         with pytest.raises(RingError):
             kpoly_monomial(MonomialIdeal(2, [(1, 0)]), [Weight.of(1)])
+
+    def test_weight_ranks_must_agree(self):
+        J = MonomialIdeal(2, [(1, 0), (0, 1)])
+        with pytest.raises(RingError, match="rank"):
+            kpoly_monomial(J, [Weight.of(1, 0), Weight.of(1, 0, 0)])
+
+    def test_no_variables_is_a_ring_error(self):
+        with pytest.raises(RingError):
+            kpoly_monomial(MonomialIdeal(0, []), [])
 
 
 class TestColengthAndExpansion:
