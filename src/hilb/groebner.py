@@ -13,10 +13,21 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
-from operator import le
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .multipoly import Monomial, MultiPoly, PolyRing, RingError, order_key
+from .multipoly import (
+    Monomial,
+    MultiPoly,
+    PolyRing,
+    RingError,
+    _mono_colon,
+    _mono_divides,
+    _mono_lcm,
+    _mono_mul,
+    _mono_quot,
+    heap_key,
+    order_key,
+)
 
 DEFAULT_SPAIR_BUDGET = 200_000
 
@@ -28,18 +39,6 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"S-pair budget exceeded: {used} reductions, budget {budget}")
         self.used = used
         self.budget = budget
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _quot(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 IntTerms = Dict[Monomial, int]
@@ -66,26 +65,22 @@ def _int_terms(p: MultiPoly) -> IntTerms:
     )
 
 
-def _invkey(k):
-    """Order key negated componentwise, for min-heaps acting as max-heaps."""
-    return tuple(-x if isinstance(x, int) else tuple(-y for y in x) for x in k)
-
-
 def _divide_int(
     terms: IntTerms,
     basis_lead: Sequence[Tuple[Monomial, int]],
     basis_terms: Sequence[IntTerms],
-    key,
+    hkey,
 ) -> Tuple[IntTerms, int]:
     """Fraction-free full reduction; returns (result, multiplier).
 
     result = multiplier * (input reduced by the basis), multiplier a
-    positive integer. The divisor tried for each term is the first
-    basis element in list order whose leading monomial divides it.
+    positive integer. Terms are visited leading first, by the order's
+    `heap_key`. The divisor tried for each term is the first basis
+    element in list order whose leading monomial divides it.
     """
     work = dict(terms)
     mult = 1
-    heap = [(_invkey(key(e)), e) for e in work]
+    heap = [(hkey(e), e) for e in work]
     heapq.heapify(heap)
     done = set()
     steps = 0
@@ -95,7 +90,7 @@ def _divide_int(
         if not c or e in done:
             continue
         for (ge, gc), gt in zip(basis_lead, basis_terms):
-            if not _divides(ge, e):
+            if not _mono_divides(ge, e):
                 continue
             d = gcd(c, gc)
             a = abs(gc // d)
@@ -104,15 +99,15 @@ def _divide_int(
                 for m in work:
                     work[m] *= a
                 mult *= a
-            shift = _quot(e, ge)
+            shift = _mono_quot(e, ge)
             for f, fc in gt.items():
-                m = tuple(x + y for x, y in zip(f, shift))
+                m = _mono_mul(f, shift)
                 prev = work.get(m)
                 nv = (prev or 0) - b * fc
                 if nv:
                     work[m] = nv
                     if prev is None and m != e:
-                        heapq.heappush(heap, (_invkey(key(m)), m))
+                        heapq.heappush(heap, (hkey(m), m))
                 elif prev is not None:
                     del work[m]
             steps += 1
@@ -148,7 +143,7 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly], order="grevlex") -> Mu
         basis_lead.append((ge, gt[ge]))
         basis_terms.append(gt)
     cont = p.content()
-    work, mult = _divide_int(_int_terms(p), basis_lead, basis_terms, key)
+    work, mult = _divide_int(_int_terms(p), basis_lead, basis_terms, heap_key(order))
     return MultiPoly(p.ring, {e: Fraction(v) * cont / mult for e, v in work.items()})
 
 
@@ -171,6 +166,7 @@ def groebner_basis(
         if g.ring != ring:
             raise RingError("generators live in different rings")
     key = order_key(order)
+    hkey = heap_key(order)
 
     basis_terms: List[IntTerms] = []
     basis_lead: List[Tuple[Monomial, int]] = []
@@ -182,17 +178,17 @@ def groebner_basis(
     def add_int(t: IntTerms, s: int):
         nonlocal counter
         t = _primitive_int(t)
-        le = max(t, key=key)
-        if t[le] < 0:
+        lead = max(t, key=key)
+        if t[lead] < 0:
             t = {e: -v for e, v in t.items()}
         i = len(basis_terms)
         basis_terms.append(t)
-        basis_lead.append((le, t[le]))
+        basis_lead.append((lead, t[lead]))
         sugar.append(s)
         for j in range(i):
             lj = basis_lead[j][0]
-            tt = _lcm(le, lj)
-            pair_sugar = max(sugar[i] + sum(_quot(tt, le)), sugar[j] + sum(_quot(tt, lj)))
+            tt = _mono_lcm(lead, lj)
+            pair_sugar = max(sugar[i] + sum(_mono_quot(tt, lead)), sugar[j] + sum(_mono_quot(tt, lj)))
             heapq.heappush(heap, (pair_sugar, counter, j, i))
             pending[(j, i)] = True
             counter += 1
@@ -207,14 +203,14 @@ def groebner_basis(
             continue
         li, ci = basis_lead[i]
         lj, cj = basis_lead[j]
-        t = _lcm(li, lj)
+        t = _mono_lcm(li, lj)
         # criterion 1: coprime leading monomials
-        if t == tuple(a + b for a, b in zip(li, lj)):
+        if t == _mono_mul(li, lj):
             continue
         # criterion 2 (chain): some k divides the lcm and both cross pairs are done
         skip = False
         for k in range(len(basis_terms)):
-            if k in (i, j) or not _divides(basis_lead[k][0], t):
+            if k in (i, j) or not _mono_divides(basis_lead[k][0], t):
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -227,14 +223,14 @@ def groebner_basis(
         if used > budget:
             raise BudgetExceeded(used, budget)
         d = gcd(ci, cj)
-        fi = _quot(t, li)
-        fj = _quot(t, lj)
+        fi = _mono_quot(t, li)
+        fj = _mono_quot(t, lj)
         s: IntTerms = {}
         for e, c in basis_terms[i].items():
-            m = tuple(x + y for x, y in zip(e, fi))
+            m = _mono_mul(e, fi)
             s[m] = s.get(m, 0) + (cj // d) * c
         for e, c in basis_terms[j].items():
-            m = tuple(x + y for x, y in zip(e, fj))
+            m = _mono_mul(e, fj)
             nv = s.get(m, 0) - (ci // d) * c
             if nv:
                 s[m] = nv
@@ -243,11 +239,11 @@ def groebner_basis(
         s = {e: v for e, v in s.items() if v}
         if not s:
             continue
-        r, _ = _divide_int(s, basis_lead, basis_terms, key)
+        r, _ = _divide_int(s, basis_lead, basis_terms, hkey)
         if r:
             add_int(r, max(sugar[i] + sum(fi), sugar[j] + sum(fj)))
 
-    reduced = _reduce_int_basis(basis_terms, basis_lead, key, ring)
+    reduced = _reduce_int_basis(basis_terms, basis_lead, key, hkey, ring)
     if want_stats:
         return reduced, used
     return reduced
@@ -257,28 +253,25 @@ def _reduce_int_basis(
     basis_terms: List[IntTerms],
     basis_lead: List[Tuple[Monomial, int]],
     key,
+    hkey,
     ring: PolyRing,
 ) -> List[MultiPoly]:
-    # minimalize: drop elements whose leading monomial another one divides
-    keep: List[int] = []
+    # minimalize: keep the elements with minimal leading monomials, the
+    # first in list order where several share one
+    first: Dict[Monomial, int] = {}
     for i, (e, _) in enumerate(basis_lead):
-        dominated = False
-        for j, (f, _) in enumerate(basis_lead):
-            if i != j and _divides(f, e) and (f != e or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
+        first.setdefault(e, i)
+    keep = [first[e] for e in minimal_monomials(first)]
     keep.sort(key=lambda i: key(basis_lead[i][0]))
     # inter-reduce tails against the other minimal elements
     out: List[MultiPoly] = []
-    for pos, i in enumerate(keep):
+    for i in keep:
         others = [k for k in keep if k != i]
         r, _ = _divide_int(
             basis_terms[i],
             [basis_lead[k] for k in others],
             [basis_terms[k] for k in others],
-            key,
+            hkey,
         )
         if r:
             le = max(r, key=key)
@@ -297,8 +290,7 @@ def minimal_monomials(gens: Iterable[Monomial]) -> Tuple[Monomial, ...]:
     """
     kept: List[Monomial] = []
     for g in sorted(set(gens), key=sum):
-        # h divides g; inlined, as this is the K-polynomial recursion's inner loop
-        if not any(all(map(le, h, g)) for h in kept):
+        if not any(_mono_divides(h, g) for h in kept):
             kept.append(g)
     return tuple(sorted(kept))
 
@@ -319,16 +311,11 @@ class MonomialIdeal:
         self.gens = minimal_monomials(gens)
 
     def contains(self, mono: Monomial) -> bool:
-        return any(_divides(g, mono) for g in self.gens)
-
-    def is_zero_ideal(self) -> bool:
-        return not self.gens
+        return any(_mono_divides(g, mono) for g in self.gens)
 
     def colon(self, f: Monomial) -> "MonomialIdeal":
         f = tuple(int(x) for x in f)
-        return MonomialIdeal(
-            self.nvars, [tuple(max(x - y, 0) for x, y in zip(g, f)) for g in self.gens]
-        )
+        return MonomialIdeal(self.nvars, [_mono_colon(g, f) for g in self.gens])
 
     def __eq__(self, other):
         return (
@@ -362,7 +349,7 @@ class Ideal:
         return self._gb[order]
 
     def set_groebner(self, order, basis: List[MultiPoly]):
-        """Install a precomputed reduced basis (e.g. from the disk cache)."""
+        """Install a reduced basis computed elsewhere, such as by `groebner_basis`."""
         self._gb[order] = list(basis)
 
     def normal_form(self, p: MultiPoly, order="grevlex") -> MultiPoly:

@@ -18,19 +18,24 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .groebner import DEFAULT_SPAIR_BUDGET, Ideal, MonomialIdeal, minimal_monomials
-from .multipoly import LaurentPoly, Monomial, RingError, Weight
-from .partitions import Partition
+from .groebner import DEFAULT_SPAIR_BUDGET, MonomialIdeal, minimal_monomials
+from .multipoly import (
+    LaurentPoly,
+    Monomial,
+    RingError,
+    Weight,
+    _mono_colon,
+    _mono_weight,
+    weight_columns,
+)
+from .partitions import Partition, partition_of_ideal
 
 
 def monomial_weight(e: Monomial, weights: Sequence[Weight]) -> Weight:
     if len(e) != len(weights):
         raise RingError("weight list does not cover the variables")
-    total = Weight((0,) * weights[0].r)
-    for k, w in zip(e, weights):
-        if k:
-            total = total + k * w
-    return total
+    scale, columns = weight_columns(weights)
+    return Weight(_mono_weight(e, columns), scale)
 
 
 def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
@@ -47,10 +52,7 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     if not weights:
         raise RingError("no weights: the torus rank is unknown")
     r = weights[0].r
-    if any(w.r != r for w in weights):
-        raise RingError("weight rank mismatch")
-    scale = max(w.scale for w in weights)
-    nums = [tuple(x * (scale // w.scale) for x in w.nums) for w in weights]
+    scale, columns = weight_columns(weights)
     one = {(0,) * r: 1}
     unit = ((0,) * J.nvars,)
     memo: Dict[Tuple[Monomial, ...], Dict[Tuple[int, ...], int]] = {}
@@ -66,14 +68,8 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
         f = gens[-1]
         rest = gens[:-1]  # a slice of a sorted antichain is one
         out = dict(run(rest))
-        colon = minimal_monomials(
-            tuple([x - y if x > y else 0 for x, y in zip(g, f)]) for g in rest
-        )
-        shift = [0] * r
-        for k, w in zip(f, nums):
-            if k:
-                for i in range(r):
-                    shift[i] += k * w[i]
+        colon = minimal_monomials(_mono_colon(g, f) for g in rest)
+        shift = _mono_weight(f, columns)
         for w, c in run(colon).items():
             w = tuple(map(add, w, shift))
             c = out.get(w, 0) - c
@@ -89,13 +85,7 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
 
 def monomial_colength(J: MonomialIdeal) -> int:
     """Number of standard monomials; RingError if the quotient is infinite."""
-    bounds = []
-    for i in range(J.nvars):
-        pure = [g[i] for g in J.gens if all(x == 0 for k, x in enumerate(g) if k != i)]
-        if not pure:
-            raise RingError(f"no pure power of variable {i}: infinite colength")
-        bounds.append(min(pure))
-    return sum(1 for e in itertools.product(*[range(b) for b in bounds]) if not J.contains(e))
+    return partition_of_ideal(J).n
 
 
 def _weight_to_json(w: Weight) -> dict:

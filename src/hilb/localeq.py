@@ -8,11 +8,20 @@ pyramid superpotentials.
 
 from __future__ import annotations
 
-from operator import add
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .multipoly import ONE, ZERO, MultiPoly, PolyRing, RingError, Weight
-from .partitions import Cell, Partition, adjacent_pairs, glove, min_generators, pyramid
+from .multipoly import (
+    ONE,
+    ZERO,
+    MultiPoly,
+    PolyRing,
+    RingError,
+    Weight,
+    _mono_mul,
+    _mono_weight,
+    weight_columns,
+)
+from .partitions import Cell, Partition, adjacent_pairs, glove, min_generators, pyramid, shift_cell
 
 HaimanVar = Tuple[Cell, Cell]  # (sub, sup): i in lambda, j in glove
 
@@ -42,11 +51,11 @@ class HaimanPresentation:
         self.ring = PolyRing([_var_name(v) for v in self.variables])
         self.equations = list(equations)
         self.eliminated = dict(eliminated or {})
-        weights = [w.nums for w in self.weights]
+        _, columns = weight_columns(self.weights)
         for eq in self.equations:
             if eq.ring != self.ring:
                 raise RingError("equation outside the presentation ring")
-            _assert_weight_homogeneous(eq, weights)
+            _assert_weight_homogeneous(eq, columns)
 
     @property
     def weights(self) -> List[Weight]:
@@ -56,23 +65,10 @@ class HaimanPresentation:
         return self.variables.index(v)
 
 
-def _assert_weight_homogeneous(p: MultiPoly, weights: Sequence[Tuple[int, ...]]):
-    """`weights` holds each variable's weight as an integer tuple."""
-    zero = (0,) * len(weights[0]) if weights else ()
-    seen = None
-    for e in p.terms:
-        w = zero
-        for k, wt in zip(e, weights):
-            if k:
-                w = tuple(a + k * b for a, b in zip(w, wt))
-        if seen is None:
-            seen = w
-        elif w != seen:
-            raise AssertionError(f"equation not weight-homogeneous: {p.render()}")
-
-
-def _shift(c: Cell, b: int, delta: int = 1) -> Cell:
-    return tuple(x + (delta if k == b else 0) for k, x in enumerate(c))
+def _assert_weight_homogeneous(p: MultiPoly, columns: Sequence[Tuple[int, ...]]):
+    """`columns` are the variable weights in the form `weight_columns` returns."""
+    if len({_mono_weight(e, columns) for e in p.terms}) > 1:
+        raise AssertionError(f"equation not weight-homogeneous: {p.render()}")
 
 
 def haiman_equations(lam: Partition) -> HaimanPresentation:
@@ -101,7 +97,7 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
     def pair_product_terms(terms: Dict, sup1: Cell, direction: int, l: Cell, sign: int):
         """Accumulate sign * sum_k c_k^{sup1} c_l^{k+e_direction}."""
         for k in cells:
-            m = _shift(k, direction)
+            m = shift_cell(k, direction)
             if m in lam.cells:
                 if m == l:
                     e = unit(index[(k, sup1)])
@@ -109,7 +105,7 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
             elif m in glo_set:
                 e1 = unit(index[(k, sup1)])
                 e2 = unit(index[(l, m)])
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = _mono_mul(e1, e2)
                 terms[e] = terms.get(e, ZERO) + sign
             else:
                 raise AssertionError(f"superscript {m} escapes the glove")
@@ -202,7 +198,7 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
                     while len(powers) <= k:
                         powers.append(powers[-1] * expr)
                     m = e[:x] + (0,) + e[x + 1:]
-                    image = ((tuple(map(add, m, f)), c * d) for f, d in powers[k].terms.items())
+                    image = ((_mono_mul(m, f), c * d) for f, d in powers[k].terms.items())
                 for f, d in image:
                     nc = out.get(f)
                     if nc is None:
@@ -323,7 +319,7 @@ def _linear_part_relations(lam: Partition):
             for l in cells:
                 terms = [(l, p)]
                 if l[b] > 0:
-                    terms.append((_shift(l, b, -1), q))
+                    terms.append((shift_cell(l, b, -1), q))
                 target = edges if len(terms) == 2 else kills
                 target.append(tuple(terms))
         else:
@@ -332,9 +328,9 @@ def _linear_part_relations(lam: Partition):
             for l in cells:
                 terms = []
                 if l[a] > 0:
-                    terms.append((_shift(l, a, -1), q))
+                    terms.append((shift_cell(l, a, -1), q))
                 if l[b] > 0:
-                    terms.append((_shift(l, b, -1), p))
+                    terms.append((shift_cell(l, b, -1), p))
                 if terms:
                     target = edges if len(terms) == 2 else kills
                     target.append(tuple(terms))
@@ -397,12 +393,11 @@ def pyramid_potential(n: int) -> Tuple[MultiPoly, List[HaimanVar]]:
     index = {v: k for k, v in enumerate(variables)}
     ring = PolyRing([_var_name(v) for v in variables])
     tops = sorted({i for i, _ in variables})
-    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
-    def add(t: Dict, i: Cell, j: Cell, k: Cell, d1: Cell, d2: Cell, d3: Cell, sign: int):
-        v1 = (j, tuple(a + b for a, b in zip(i, d1)))
-        v2 = (k, tuple(a + b for a, b in zip(j, d2)))
-        v3 = (i, tuple(a + b for a, b in zip(k, d3)))
+    def add(t: Dict, i: Cell, j: Cell, k: Cell, d1: int, d2: int, d3: int, sign: int):
+        v1 = (j, shift_cell(i, d1))
+        v2 = (k, shift_cell(j, d2))
+        v3 = (i, shift_cell(k, d3))
         e = [0] * len(variables)
         for v in (v1, v2, v3):
             e[index[v]] += 1
@@ -413,8 +408,8 @@ def pyramid_potential(n: int) -> Tuple[MultiPoly, List[HaimanVar]]:
     for i in tops:
         for j in tops:
             for k in tops:
-                add(terms, i, j, k, e3, e1, e2, -1)
-                add(terms, i, j, k, e3, e2, e1, 1)
+                add(terms, i, j, k, 2, 0, 1, -1)
+                add(terms, i, j, k, 2, 1, 0, 1)
     F = MultiPoly(ring, {e: c for e, c in terms.items() if c})
     return F, variables
 

@@ -1,16 +1,20 @@
 """Sparse multivariate polynomials over Q and integer Laurent polynomials.
 
 Monomials are plain exponent tuples, one entry per ring variable, and
-coefficients are Fractions. Laurent exponents live on a scaled lattice
-(1/D)Z^r with D a power of two, so half-integer weights are exact
-integer data.
+coefficients are Fractions. Each operation on monomials (product,
+quotient, lcm, colon, divisibility, torus weight) has one definition,
+among the `_mono_*` functions below, which every module calls. The
+monomial orders are lex and grevlex. Laurent exponents live on a scaled
+lattice (1/D)Z^r with D a power of two, so half-integer weights are
+exact integer data.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import add
+from itertools import compress
+from operator import add, le, mul, neg, sub
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -76,6 +80,31 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
+def _mono_quot(a: Monomial, b: Monomial) -> Monomial:
+    """a / b, for b dividing a."""
+    return tuple(map(sub, a, b))
+
+
+def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
+    # a comprehension: map(max, ...) is twice as slow
+    return tuple([x if x > y else y for x, y in zip(a, b)])
+
+
+def _mono_colon(a: Monomial, b: Monomial) -> Monomial:
+    """The generator of (a) : b, that is lcm(a, b) / b."""
+    return tuple([x - y if x > y else 0 for x, y in zip(a, b)])
+
+
+def _mono_divides(a: Monomial, b: Monomial) -> bool:
+    return all(map(le, a, b))
+
+
+def _mono_weight(e: Monomial, columns: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """Integer weight of e; columns[i] holds the i-th numerator of every variable's weight."""
+    ks = tuple(compress(e, e))  # skips the zero exponents of a sparse monomial
+    return tuple([sum(map(mul, ks, compress(col, e))) for col in columns])
+
+
 def _mul_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> Dict[Monomial, Fraction]:
     """Product of two term dicts, as one new term dict."""
     out: Dict[Monomial, Fraction] = {}
@@ -95,49 +124,67 @@ def _mul_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -
 
 
 def grevlex_key(e: Monomial):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, e[::-1])))
 
 
 def lex_key(e: Monomial):
     return e
 
 
-def order_key(order, weights: Sequence[int] | None = None) -> Callable[[Monomial], object]:
-    """Sort key whose max is the leading monomial for the named order.
+def _grevlex_heap_key(e: Monomial):
+    return (-sum(e), e[::-1])
 
-    `order` is "lex", "grevlex", "weighted" (with a per-variable degree
-    vector in `weights`), or a tuple ("weighted", degrees) carrying its
-    own degrees. Weighted keys break ties by grevlex.
-    """
-    if isinstance(order, tuple):
-        if len(order) != 2 or order[0] != "weighted":
-            raise RingError(f"unknown monomial order {order!r}")
-        order, weights = order
+
+def _lex_heap_key(e: Monomial):
+    return tuple(map(neg, e))
+
+
+def order_key(order: str) -> Callable[[Monomial], object]:
+    """Sort key whose max is the leading monomial; "lex" and "grevlex" are the orders."""
     if order == "lex":
         return lex_key
     if order == "grevlex":
         return grevlex_key
-    if order == "weighted":
-        if weights is None:
-            raise RingError("weighted order needs a weight vector")
-        w = tuple(weights)
-        if any(x <= 0 for x in w):
-            raise RingError("weighted order needs strictly positive degrees")
-        return lambda e: (
-            sum(wi * ei for wi, ei in zip(w, e)),
-            sum(e),
-            tuple(-x for x in reversed(e)),
-        )
     raise RingError(f"unknown monomial order {order!r}")
 
 
-def monomial_order_cmp(order: str, a: Monomial, b: Monomial,
-                       weights: Sequence[int] | None = None) -> int:
+def heap_key(order: str) -> Callable[[Monomial], object]:
+    """Sort key whose min is the leading monomial, for heapq's min-heaps."""
+    if order == "lex":
+        return _lex_heap_key
+    if order == "grevlex":
+        return _grevlex_heap_key
+    raise RingError(f"unknown monomial order {order!r}")
+
+
+def monomial_order_cmp(order: str, a: Monomial, b: Monomial) -> int:
     """-1, 0, or 1 as a is below, equal to, or above b in the order."""
     if len(a) != len(b):
         raise RingError("monomial length mismatch")
-    ka, kb = (order_key(order, weights)(e) for e in (a, b))
+    key = order_key(order)
+    ka, kb = key(a), key(b)
     return (ka > kb) - (ka < kb)
+
+
+def _render_terms(terms: Iterable[Tuple[object, str]]) -> str:
+    """Join (coefficient, monomial text) pairs as "a + b - c"; "0" when there are none."""
+    out = ""
+    for c, mono in terms:
+        if not mono:
+            piece = str(c)
+        elif c == 1:
+            piece = mono
+        elif c == -1:
+            piece = f"-{mono}"
+        else:
+            piece = f"{c} {mono}"
+        if not out:
+            out = piece
+        elif piece.startswith("-"):
+            out += f" - {piece[1:]}"
+        else:
+            out += f" + {piece}"
+    return out or "0"
 
 
 class MultiPoly:
@@ -219,19 +266,16 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def sorted_terms(self, order: str = "grevlex", weights=None):
-        key = order_key(order, weights)
+    def sorted_terms(self, order: str = "grevlex"):
+        key = order_key(order)
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
-    def leading(self, order: str = "grevlex", weights=None) -> Tuple[Monomial, Fraction]:
+    def leading(self, order: str = "grevlex") -> Tuple[Monomial, Fraction]:
         if not self.terms:
             raise RingError("zero polynomial has no leading term")
-        key = order_key(order, weights)
+        key = order_key(order)
         e = max(self.terms, key=key)
         return e, self.terms[e]
-
-    def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), ZERO)
 
     def derivative(self, i: int) -> "MultiPoly":
         out: Dict[Monomial, Fraction] = {}
@@ -254,12 +298,6 @@ class MultiPoly:
             num = gcd(num, abs(c.numerator))
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
-
-    def monic(self, order: str = "grevlex") -> "MultiPoly":
-        if not self.terms:
-            return self
-        _, lc = self.leading(order)
-        return self * (ONE / lc)
 
     def substitute(self, images: Mapping[int, "MultiPoly"] | Sequence["MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending variable i to images[i]."""
@@ -320,29 +358,14 @@ class MultiPoly:
         return total
 
     def render(self, order: str = "grevlex") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms(order):
-            factors = []
-            for name, k in zip(self.ring.names, e):
-                if k == 0:
-                    continue
-                factors.append(name if k == 1 else f"{name}^{k}" if k < 10 else f"{name}^{{{k}}}")
-            mono = " ".join(factors)
-            if not mono:
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c} {mono}"
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+        def mono(e: Monomial) -> str:
+            return " ".join(
+                name if k == 1 else f"{name}^{k}" if k < 10 else f"{name}^{{{k}}}"
+                for name, k in zip(self.ring.names, e)
+                if k
+            )
+
+        return _render_terms((c, mono(e)) for e, c in self.sorted_terms(order))
 
     __repr__ = render
 
@@ -409,14 +432,11 @@ class Weight:
 
     def __add__(self, other):
         scale, a, b = self._align(other)
-        return Weight(tuple(x + y for x, y in zip(a, b)), scale)
+        return Weight(tuple(map(add, a, b)), scale)
 
     def __sub__(self, other):
         scale, a, b = self._align(other)
-        return Weight(tuple(x - y for x, y in zip(a, b)), scale)
-
-    def __neg__(self):
-        return Weight(tuple(-x for x in self.nums), self.scale)
+        return Weight(tuple(map(sub, a, b)), scale)
 
     def __mul__(self, k: int):
         return Weight(tuple(k * x for x in self.nums), self.scale)
@@ -445,6 +465,14 @@ class Weight:
         if self.scale == 1:
             return f"Weight{self.nums}"
         return f"Weight({self.nums}, scale={self.scale})"
+
+
+def weight_columns(weights: Sequence[Weight]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """The weights on their largest scale, as (scale, columns) for `_mono_weight`."""
+    if len({w.r for w in weights}) > 1:
+        raise RingError("weight rank mismatch")
+    scale = max((w.scale for w in weights), default=1)
+    return scale, tuple(zip(*(tuple(x * (scale // w.scale) for x in w.nums) for w in weights)))
 
 
 class LaurentPoly:
@@ -534,10 +562,7 @@ class LaurentPoly:
         return LaurentPoly(self.r, {wt + w: c for wt, c in self.terms.items()})
 
     def render(self, var: str = "t") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in sorted(self.terms.items(), key=lambda t: (-sum(t[0].sort_key()), t[0].sort_key())):
+        def mono(w: Weight) -> str:
             factors = []
             for i, x in enumerate(w.nums):
                 if not x:
@@ -549,19 +574,9 @@ class LaurentPoly:
                     factors.append(f"{var}_{i + 1}^{exp}")
                 else:
                     factors.append(f"{var}_{i + 1}^{{{exp}}}")
-            mono = " ".join(factors)
-            if not mono:
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c} {mono}"
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+            return " ".join(factors)
+
+        terms = sorted(self.terms.items(), key=lambda t: (-sum(t[0].sort_key()), t[0].sort_key()))
+        return _render_terms((c, mono(w)) for w, c in terms)
 
     __repr__ = render

@@ -17,14 +17,13 @@ from .multipoly import RingError
 Cell = Tuple[int, ...]
 
 
-class PartitionError(ValueError):
+class PartitionError(RingError):
     pass
 
 
-def _unit(r: int, b: int) -> Cell:
-    e = [0] * r
-    e[b] = 1
-    return tuple(e)
+def shift_cell(c: Cell, b: int, delta: int = 1) -> Cell:
+    """c + delta * e_b."""
+    return c[:b] + (c[b] + delta,) + c[b + 1 :]
 
 
 class Partition:
@@ -40,10 +39,8 @@ class Partition:
             if any(x < 0 for x in c):
                 raise PartitionError(f"cell {c} has a negative coordinate")
             for b in range(r):
-                if c[b] > 0:
-                    below = tuple(x - (1 if i == b else 0) for i, x in enumerate(c))
-                    if below not in cells_set:
-                        raise PartitionError(f"not downward closed at {c}")
+                if c[b] > 0 and shift_cell(c, b, -1) not in cells_set:
+                    raise PartitionError(f"not downward closed at {c}")
         self.r = r
         self.cells = cells_set
 
@@ -86,7 +83,7 @@ def glove(lam: Partition) -> FrozenSet[Cell]:
     out = set()
     for c in lam.cells:
         for b in range(lam.r):
-            up = tuple(x + (1 if i == b else 0) for i, x in enumerate(c))
+            up = shift_cell(c, b)
             if up not in lam.cells:
                 out.add(up)
     return frozenset(out)
@@ -100,11 +97,9 @@ def min_generators(lam: Partition) -> List[Cell]:
     for g in glove(lam):
         ok = True
         for b in range(lam.r):
-            if g[b] > 0:
-                below = tuple(x - (1 if i == b else 0) for i, x in enumerate(g))
-                if below not in lam.cells:
-                    ok = False
-                    break
+            if g[b] > 0 and shift_cell(g, b, -1) not in lam.cells:
+                ok = False
+                break
         if ok:
             gens.append(g)
     return sorted(gens)
@@ -224,14 +219,9 @@ def is_borel(
                 if not m[j]:
                     continue
                 for i in range(r):
-                    if rank[i] < rank[j]:
-                        ex = tuple(
-                            x - (1 if k == j else 0) + (1 if k == i else 0)
-                            for k, x in enumerate(m)
-                        )
-                        if ex in lam.cells:
-                            ok = False
-                            break
+                    if rank[i] < rank[j] and shift_cell(shift_cell(m, j, -1), i) in lam.cells:
+                        ok = False
+                        break
                 if not ok:
                     break
             if not ok:

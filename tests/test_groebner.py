@@ -32,6 +32,15 @@ def test_principal_ideal_monic():
     assert basis == [x * y - 2 * y]
 
 
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_generators_sharing_a_leading_monomial(order):
+    # both generators lead with x^2, so the minimalization keeps one of them
+    R = PolyRing(["x", "y", "z"])
+    x, y, z = R.gens()
+    basis = groebner_basis([x * x + y, x * x + z], order)
+    assert basis == [y - z, x * x + z]
+
+
 def test_new_element_found():
     R = PolyRing(["x", "y"])
     x, y = R.gens()

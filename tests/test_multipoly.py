@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,8 +9,11 @@ from hilb.multipoly import (
     LaurentPoly,
     MultiPoly,
     PolyRing,
+    RingError,
     Weight,
+    heap_key,
     monomial_order_cmp,
+    order_key,
     poly_from_terms,
 )
 
@@ -41,6 +45,14 @@ def test_order_multiplicative():
             ac = tuple(x + y for x, y in zip(a, c))
             bc = tuple(x + y for x, y in zip(b, c))
             assert monomial_order_cmp(order, ac, bc) == cmp_ab
+
+
+@pytest.mark.parametrize("order", ["weighted", ("weighted", (1, 2)), ("grevlex",)])
+def test_unknown_orders_rejected(order):
+    with pytest.raises(RingError):
+        order_key(order)
+    with pytest.raises(RingError):
+        heap_key(order)
 
 
 def test_substitute_square():
@@ -113,6 +125,17 @@ def test_substitute_into_another_ring_is_a_homomorphism(p, q, images):
     assert phi(R3.const(F(5, 3))) == S2.const(F(5, 3))
     point = (F(2, 3), F(-5, 7))
     assert phi(p).evaluate(point) == p.evaluate([g.evaluate(point) for g in images])
+
+
+monomial_lists = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=15)
+)
+
+
+@seeded
+@given(monomial_lists, st.sampled_from(["lex", "grevlex"]))
+def test_heap_key_sorts_in_reverse_of_order_key(monos, order):
+    assert sorted(monos, key=heap_key(order)) == sorted(monos, key=order_key(order), reverse=True)
 
 
 def test_derivative():
