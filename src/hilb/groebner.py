@@ -3,30 +3,35 @@
 Plain Buchberger with the sugar selection strategy and the two classical
 pair-skipping criteria. Division runs fraction-free over Z on content-
 stripped polynomials, so rational input costs one denominator clearing
-up front and the hot loop is pure integer arithmetic. A hard S-pair
-budget turns blowups into a structured failure instead of an endless
-run.
+up front and the hot loop is pure integer arithmetic. Buchberger and
+division also run on packed monomials (`multipoly.PackedLayout`): terms
+are dicts from packed ints to integer coefficients, products are int
+additions, divisibility is a guard-mask test, and the division heap holds
+plain int keys. Polynomials are packed on entry and unpacked on exit; an
+exponent or degree of 2^15 or more raises RingError. `Ideal` keeps the
+packed basis of each order for its normal forms. A hard S-pair budget
+turns blowups into a structured failure instead of an endless run.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .multipoly import (
     Monomial,
     MultiPoly,
+    PackedLayout,
     PolyRing,
     RingError,
     _mono_colon,
     _mono_divides,
     _mono_lcm,
     _mono_mul,
-    _mono_quot,
-    heap_key,
     order_key,
+    pack_overflow,
 )
 
 DEFAULT_SPAIR_BUDGET = 200_000
@@ -41,56 +46,54 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-IntTerms = Dict[Monomial, int]
+IntTerms = Dict[int, int]  # packed monomial -> integer coefficient
+# a layout with the packed (lead, lead coefficient) and terms of each basis element
+PackedBasis = Tuple[PackedLayout, List[Tuple[int, int]], List[IntTerms]]
 
 
-def _primitive_int(d: IntTerms) -> IntTerms:
-    g = 0
-    for v in d.values():
-        g = gcd(g, v)
-        if g == 1:
-            return d
-    if g > 1:
-        return {e: v // g for e, v in d.items()}
-    return d
+def _primitive_int(d: IntTerms) -> Tuple[IntTerms, int]:
+    """d divided by the gcd g of its coefficients, and g."""
+    g = gcd(*d.values())
+    return ({e: v // g for e, v in d.items()} if g > 1 else d), g
 
 
-def _int_terms(p: MultiPoly) -> IntTerms:
-    """Denominator-cleared, content-stripped copy of p's terms."""
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return _primitive_int(
-        {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    )
+def _int_terms(p: MultiPoly, lay: PackedLayout) -> Tuple[IntTerms, Fraction]:
+    """The packed primitive integer terms of a nonzero p, and the content c of p = c * terms."""
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    pack = lay.pack
+    t, g = _primitive_int({pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()})
+    return t, Fraction(g, den)
 
 
 def _divide_int(
     terms: IntTerms,
-    basis_lead: Sequence[Tuple[Monomial, int]],
+    basis_lead: Sequence[Tuple[int, int]],
     basis_terms: Sequence[IntTerms],
-    hkey,
+    lay: PackedLayout,
 ) -> Tuple[IntTerms, int]:
     """Fraction-free full reduction; returns (result, multiplier).
 
     result = multiplier * (input reduced by the basis), multiplier a
-    positive integer. Terms are visited leading first, by the order's
-    `heap_key`. The divisor tried for each term is the first basis
-    element in list order whose leading monomial divides it.
+    positive integer. Terms are visited leading first, from a heap of
+    min-first int keys. The divisor tried for each term is the first
+    basis element in list order whose leading monomial divides it.
     """
+    guard, flip = lay.guard, lay.flip
     work = dict(terms)
     mult = 1
-    heap = [(hkey(e), e) for e in work]
+    heap = [((e & flip) << 1) - e for e in work]
     heapq.heapify(heap)
     done = set()
     steps = 0
     while heap:
-        _, e = heapq.heappop(heap)
+        h = heapq.heappop(heap)
+        e = ((h & flip) << 1) - h
         c = work.get(e)
         if not c or e in done:
             continue
         for (ge, gc), gt in zip(basis_lead, basis_terms):
-            if not _mono_divides(ge, e):
+            shift = e - ge
+            if shift & guard:
                 continue
             d = gcd(c, gc)
             a = abs(gc // d)
@@ -99,15 +102,16 @@ def _divide_int(
                 for m in work:
                     work[m] *= a
                 mult *= a
-            shift = _mono_quot(e, ge)
             for f, fc in gt.items():
-                m = _mono_mul(f, shift)
+                m = f + shift
+                if m & guard:
+                    raise pack_overflow()
                 prev = work.get(m)
                 nv = (prev or 0) - b * fc
                 if nv:
                     work[m] = nv
                     if prev is None and m != e:
-                        heapq.heappush(heap, (hkey(m), m))
+                        heapq.heappush(heap, ((m & flip) << 1) - m)
                 elif prev is not None:
                     del work[m]
             steps += 1
@@ -126,25 +130,38 @@ def _divide_int(
     return work, mult
 
 
+def _pack_basis(basis: Sequence[MultiPoly], lay: PackedLayout) -> PackedBasis:
+    key = lay.key
+    basis_lead = []
+    basis_terms = []
+    for g in basis:
+        gt, _ = _int_terms(g, lay)
+        ge = max(gt, key=key)
+        basis_lead.append((ge, gt[ge]))
+        basis_terms.append(gt)
+    return lay, basis_lead, basis_terms
+
+
+def _packed_normal_form(p: MultiPoly, packed: PackedBasis) -> MultiPoly:
+    """Remainder of a nonzero p under a packed basis, as a MultiPoly."""
+    lay, basis_lead, basis_terms = packed
+    terms, content = _int_terms(p, lay)
+    work, mult = _divide_int(terms, basis_lead, basis_terms, lay)
+    scale = content / mult
+    unpack = lay.unpack
+    return MultiPoly(p.ring, {unpack(e): v * scale for e, v in work.items()})
+
+
 def normal_form(p: MultiPoly, basis: Sequence[MultiPoly], order="grevlex") -> MultiPoly:
     """Remainder of p under multivariate division by basis (full reduction).
 
     Deterministic: the first basis element (in list order) whose leading
-    monomial divides the current leading monomial is used.
+    monomial divides the current leading monomial is used. The basis is
+    packed on every call; `Ideal.normal_form` keeps it packed instead.
     """
     if not p.terms:
         return p
-    key = order_key(order)
-    basis_lead = []
-    basis_terms = []
-    for g in basis:
-        gt = _int_terms(g)
-        ge = max(gt, key=key)
-        basis_lead.append((ge, gt[ge]))
-        basis_terms.append(gt)
-    cont = p.content()
-    work, mult = _divide_int(_int_terms(p), basis_lead, basis_terms, heap_key(order))
-    return MultiPoly(p.ring, {e: Fraction(v) * cont / mult for e, v in work.items()})
+    return _packed_normal_form(p, _pack_basis(basis, PackedLayout(p.ring.n, order)))
 
 
 def groebner_basis(
@@ -165,11 +182,12 @@ def groebner_basis(
     for g in gens:
         if g.ring != ring:
             raise RingError("generators live in different rings")
-    key = order_key(order)
-    hkey = heap_key(order)
+    lay = PackedLayout(ring.n, order)
+    key, guard = lay.key, lay.guard
 
     basis_terms: List[IntTerms] = []
-    basis_lead: List[Tuple[Monomial, int]] = []
+    basis_lead: List[Tuple[int, int]] = []
+    lead_exps: List[Monomial] = []  # the packed leads as tuples, for pair lcms
     sugar: List[int] = []
     pending: Dict[Tuple[int, int], bool] = {}
     heap: List[Tuple[int, int, int, int]] = []
@@ -177,40 +195,43 @@ def groebner_basis(
 
     def add_int(t: IntTerms, s: int):
         nonlocal counter
-        t = _primitive_int(t)
+        t, _ = _primitive_int(t)
         lead = max(t, key=key)
         if t[lead] < 0:
             t = {e: -v for e, v in t.items()}
         i = len(basis_terms)
         basis_terms.append(t)
         basis_lead.append((lead, t[lead]))
+        le = lay.unpack(lead)
+        lead_exps.append(le)
         sugar.append(s)
         for j in range(i):
-            lj = basis_lead[j][0]
-            tt = _mono_lcm(lead, lj)
-            pair_sugar = max(sugar[i] + sum(_mono_quot(tt, lead)), sugar[j] + sum(_mono_quot(tt, lj)))
+            lj = lead_exps[j]
+            dt = sum(_mono_lcm(le, lj))
+            pair_sugar = max(s + dt - sum(le), sugar[j] + dt - sum(lj))
             heapq.heappush(heap, (pair_sugar, counter, j, i))
             pending[(j, i)] = True
             counter += 1
 
-    for g in sorted(gens, key=lambda p: key(p.leading(order)[0])):
-        add_int(_int_terms(g), g.total_degree())
+    packed = [(_int_terms(g, lay)[0], g.total_degree()) for g in gens]
+    for t, s in sorted(packed, key=lambda ts: key(max(ts[0], key=key))):
+        add_int(t, s)
 
     used = 0
     while heap:
         _, _, i, j = heapq.heappop(heap)
         if not pending.pop((i, j), False):
             continue
-        li, ci = basis_lead[i]
-        lj, cj = basis_lead[j]
-        t = _mono_lcm(li, lj)
+        ei, ej = lead_exps[i], lead_exps[j]
+        te = _mono_lcm(ei, ej)
         # criterion 1: coprime leading monomials
-        if t == _mono_mul(li, lj):
+        if te == _mono_mul(ei, ej):
             continue
+        t = lay.pack(te)
         # criterion 2 (chain): some k divides the lcm and both cross pairs are done
         skip = False
-        for k in range(len(basis_terms)):
-            if k in (i, j) or not _mono_divides(basis_lead[k][0], t):
+        for k, (lk, _) in enumerate(basis_lead):
+            if k == i or k == j or (t - lk) & guard:
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -222,15 +243,21 @@ def groebner_basis(
         used += 1
         if used > budget:
             raise BudgetExceeded(used, budget)
+        li, ci = basis_lead[i]
+        lj, cj = basis_lead[j]
         d = gcd(ci, cj)
-        fi = _mono_quot(t, li)
-        fj = _mono_quot(t, lj)
+        fi = t - li
+        fj = t - lj
         s: IntTerms = {}
         for e, c in basis_terms[i].items():
-            m = _mono_mul(e, fi)
+            m = e + fi
+            if m & guard:
+                raise pack_overflow()
             s[m] = s.get(m, 0) + (cj // d) * c
         for e, c in basis_terms[j].items():
-            m = _mono_mul(e, fj)
+            m = e + fj
+            if m & guard:
+                raise pack_overflow()
             nv = s.get(m, 0) - (ci // d) * c
             if nv:
                 s[m] = nv
@@ -239,11 +266,12 @@ def groebner_basis(
         s = {e: v for e, v in s.items() if v}
         if not s:
             continue
-        r, _ = _divide_int(s, basis_lead, basis_terms, hkey)
+        r, _ = _divide_int(s, basis_lead, basis_terms, lay)
         if r:
-            add_int(r, max(sugar[i] + sum(fi), sugar[j] + sum(fj)))
+            dt = sum(te)
+            add_int(r, max(sugar[i] + dt - sum(ei), sugar[j] + dt - sum(ej)))
 
-    reduced = _reduce_int_basis(basis_terms, basis_lead, key, hkey, ring)
+    reduced = _reduce_int_basis(basis_terms, basis_lead, lead_exps, lay, ring)
     if want_stats:
         return reduced, used
     return reduced
@@ -251,19 +279,23 @@ def groebner_basis(
 
 def _reduce_int_basis(
     basis_terms: List[IntTerms],
-    basis_lead: List[Tuple[Monomial, int]],
-    key,
-    hkey,
+    basis_lead: List[Tuple[int, int]],
+    lead_exps: List[Monomial],
+    lay: PackedLayout,
     ring: PolyRing,
 ) -> List[MultiPoly]:
     # minimalize: keep the elements with minimal leading monomials, the
     # first in list order where several share one
     first: Dict[Monomial, int] = {}
-    for i, (e, _) in enumerate(basis_lead):
+    for i, e in enumerate(lead_exps):
         first.setdefault(e, i)
     keep = [first[e] for e in minimal_monomials(first)]
+    key = lay.key
     keep.sort(key=lambda i: key(basis_lead[i][0]))
-    # inter-reduce tails against the other minimal elements
+    # inter-reduce tails against the other minimal elements; a tail term
+    # sorts below its lead, which no other minimal lead divides, so the
+    # output keeps the leads and their order
+    unpack = lay.unpack
     out: List[MultiPoly] = []
     for i in keep:
         others = [k for k in keep if k != i]
@@ -271,13 +303,10 @@ def _reduce_int_basis(
             basis_terms[i],
             [basis_lead[k] for k in others],
             [basis_terms[k] for k in others],
-            hkey,
+            lay,
         )
-        if r:
-            le = max(r, key=key)
-            lc = r[le]
-            out.append(MultiPoly(ring, {e: Fraction(v, lc) for e, v in r.items()}))
-    out.sort(key=lambda g: key(max(g.terms, key=key)))
+        lc = r[basis_lead[i][0]]
+        out.append(MultiPoly(ring, {unpack(e): Fraction(v, lc) for e, v in r.items()}))
     return out
 
 
@@ -332,7 +361,11 @@ class MonomialIdeal:
 
 
 class Ideal:
-    """Polynomial ideal with cached reduced Groebner bases per order."""
+    """Polynomial ideal with cached reduced Groebner bases per order.
+
+    Next to each cached basis it keeps, once a normal form asks for it,
+    the packed basis (`PackedBasis`) that division reads.
+    """
 
     def __init__(self, ring: PolyRing, gens: Iterable[MultiPoly]):
         gens = [g for g in gens if g]
@@ -342,18 +375,31 @@ class Ideal:
         self.ring = ring
         self.gens = list(gens)
         self._gb: Dict[object, List[MultiPoly]] = {}
+        self._packed: Dict[object, PackedBasis] = {}
 
     def groebner(self, order="grevlex", budget: int = DEFAULT_SPAIR_BUDGET) -> List[MultiPoly]:
+        order_key(order)  # RingError for an unknown order, before the cache lookup
         if order not in self._gb:
             self._gb[order] = groebner_basis(self.gens, order, budget)
         return self._gb[order]
 
     def set_groebner(self, order, basis: List[MultiPoly]):
         """Install a reduced basis computed elsewhere, such as by `groebner_basis`."""
+        order_key(order)
         self._gb[order] = list(basis)
+        self._packed.pop(order, None)
 
     def normal_form(self, p: MultiPoly, order="grevlex") -> MultiPoly:
-        return normal_form(p, self.groebner(order), order)
+        order_key(order)
+        if p.ring != self.ring:
+            raise RingError("polynomial outside the ring")
+        packed = self._packed.get(order)
+        if packed is None:
+            packed = _pack_basis(self.groebner(order), PackedLayout(self.ring.n, order))
+            self._packed[order] = packed
+        if not p.terms:
+            return p
+        return _packed_normal_form(p, packed)
 
     def contains(self, p: MultiPoly, order="grevlex") -> bool:
         return not self.normal_form(p, order)

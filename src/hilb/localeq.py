@@ -153,7 +153,6 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
 def _linear_pivot(eq: MultiPoly, var_idx: int):
     """Coefficient a if eq == a*x + (terms without x), else None."""
     a = None
-    nvars = eq.ring.n
     for e, c in eq.terms.items():
         if e[var_idx]:
             only_x = e[var_idx] == 1 and all(

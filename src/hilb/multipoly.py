@@ -7,13 +7,23 @@ among the `_mono_*` functions below, which every module calls. The
 monomial orders are lex and grevlex. Laurent exponents live on a scaled
 lattice (1/D)Z^r with D a power of two, so half-integer weights are
 exact integer data.
+
+Division and Buchberger (`groebner`) work on packed monomials instead:
+a `PackedLayout` stores an exponent vector and its total degree as one
+int of 16-bit fields whose top bits are guards (Bachmann & Schoenemann,
+"Monomial representations for Groebner bases computations", ISSAC 1998).
+Product is `+`, quotient is `-`, divisibility is one subtraction and a
+mask test, and the order compares one int key.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 from operator import add, le, mul, neg, sub
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -166,6 +176,61 @@ def monomial_order_cmp(order: str, a: Monomial, b: Monomial) -> int:
     return (ka > kb) - (ka < kb)
 
 
+PACK_LIMIT = 1 << 15  # every exponent and every total degree stays below this
+
+
+def pack_overflow() -> RingError:
+    return RingError(f"an exponent or degree reaches {PACK_LIMIT}, the packed field limit")
+
+
+class PackedLayout:
+    """Monomials of one (nvars, order) pair packed into ints.
+
+    Each exponent and the total degree get one 16-bit field whose top
+    bit is a guard, clear in every valid monomial. Under grevlex,
+    variable i sits in field i and the degree field is on top; under lex,
+    variable 0 is the most significant field and the degree field is at
+    the bottom. Product is `+` and quotient is `-`; a divides b iff
+    `(b - a) & guard == 0`, because a field that goes negative borrows
+    and sets its guard. A product sets a guard iff its degree reaches
+    PACK_LIMIT, so callers test each new monomial against `guard`.
+
+    The max-first key is `m - ((m & flip) << 1)`, with `flip` the
+    variable fields under grevlex (degree first, then the reversed
+    exponents negated) and 0 under lex (the key is m itself). Its
+    negation `((m & flip) << 1) - m` is the min-first heap key, and the
+    same map sends a heap key back to m.
+    """
+
+    __slots__ = ("order", "guard", "flip", "_nbytes", "_vars")
+
+    def __init__(self, nvars: int, order: str):
+        order_key(order)  # RingError for an unknown order
+        self.order = order
+        self.guard = int.from_bytes(b"\x00\x80" * (nvars + 1), "little")
+        grevlex = order == "grevlex"
+        self.flip = (1 << 16 * nvars) - 1 if grevlex else 0
+        self._nbytes = 2 * (nvars + 1)
+        self._vars = slice(0, nvars) if grevlex else slice(nvars, 0, -1)
+
+    def pack(self, e: Monomial) -> int:
+        deg = sum(e)
+        if deg >= PACK_LIMIT:
+            raise pack_overflow()
+        try:
+            fields = array("H", (*e, deg) if self.order == "grevlex" else (deg, *e[::-1]))
+        except OverflowError:  # a negative exponent
+            raise RingError("packed monomials have nonnegative exponents") from None
+        return int.from_bytes(fields.tobytes(), sys.byteorder)
+
+    def unpack(self, m: int) -> Monomial:
+        return tuple(array("H", m.to_bytes(self._nbytes, sys.byteorder))[self._vars])
+
+    def key(self, m: int) -> int:
+        """Sort key whose max is the leading monomial, as `order_key` on the unpacked tuples."""
+        return m - ((m & self.flip) << 1)
+
+
 def _render_terms(terms: Iterable[Tuple[object, str]]) -> str:
     """Join (coefficient, monomial text) pairs as "a + b - c"; "0" when there are none."""
     out = ""
@@ -290,8 +355,6 @@ class MultiPoly:
         """Positive rational c with self/c integer-primitive; 0 for the zero poly."""
         if not self.terms:
             return ZERO
-        from math import gcd
-
         num = 0
         den = 1
         for c in self.terms.values():

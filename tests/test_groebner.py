@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hilb.groebner import (
     BudgetExceeded,
+    _int_terms,
     Ideal,
     MonomialIdeal,
     groebner_basis,
@@ -15,7 +17,25 @@ from hilb.groebner import (
     minimal_monomials,
     normal_form,
 )
-from hilb.multipoly import PolyRing, order_key, poly_from_terms
+from hilb.localeq import jacobian_ideal, pyramid_potential
+from hilb.multipoly import (
+    PACK_LIMIT,
+    MultiPoly,
+    PackedLayout,
+    PolyRing,
+    RingError,
+    order_key,
+    poly_from_terms,
+)
+
+
+@pytest.mark.parametrize("order, size, reductions", [("grevlex", 20, 68), ("lex", 23, 83)])
+def test_pair_criteria_skip_the_same_pairs(order, size, reductions):
+    # the n=2 Jacobian ideal in 18 variables; a change to the pair criteria
+    # or the selection strategy moves the number of S-pairs reduced
+    F, _ = pyramid_potential(2)
+    basis, used = groebner_basis(jacobian_ideal(F), order, want_stats=True)
+    assert (len(basis), used) == (size, reductions)
 
 
 def test_two_generator_lex_basis():
@@ -88,6 +108,75 @@ def test_monomial_membership_matches_divisibility():
         for _ in range(20):
             m = tuple(rng.randint(0, 4) for _ in range(3))
             assert I.contains(R.monomial(m)) == J.contains(m)
+
+
+@pytest.mark.parametrize("order", [["lex"], {"grevlex": 1}, "weighted"])
+def test_ideal_rejects_an_unknown_order_before_the_cache(order):
+    R = PolyRing(["x", "y"])
+    x, y = R.gens()
+    I = Ideal(R, [x * x - y])
+    for call in (I.groebner, I.initial_ideal, lambda o: I.normal_form(x, o), lambda o: I.contains(x, o)):
+        with pytest.raises(RingError):
+            call(order)
+    with pytest.raises(RingError):
+        I.set_groebner(order, [x])
+
+
+def test_ideal_normal_form_follows_set_groebner():
+    R = PolyRing(["x", "y", "z"])
+    x, y, z = R.gens()
+    I = Ideal(R, [x * x - z, y * y - z * z])
+    rng = random.Random(29)
+    for order in ("grevlex", "lex"):
+        for _ in range(20):
+            p = poly_from_terms(
+                R, [(tuple(rng.randint(0, 3) for _ in range(3)), rng.randint(-5, 5)) for _ in range(4)]
+            )
+            assert I.normal_form(p, order) == normal_form(p, I.groebner(order), order)
+    # the packed basis of an order already queried is replaced with the basis
+    assert I.normal_form(x * x * y, "grevlex") == y * z
+    I.set_groebner("grevlex", [x - 2])
+    assert I.normal_form(x * x * y, "grevlex") == 4 * y
+    assert I.contains(x - 2, "grevlex")
+    assert I.normal_form(x * x * y, "lex") == y * z
+    with pytest.raises(RingError):
+        I.normal_form(PolyRing(["x", "y"]).var(0))
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_int_terms_split_off_the_content(order):
+    R = PolyRing(["x", "y", "z"])
+    lay = PackedLayout(3, order)
+    rng = random.Random(31)
+    for _ in range(30):
+        p = poly_from_terms(
+            R,
+            [
+                (tuple(rng.randint(0, 4) for _ in range(3)), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 5))
+            ],
+        )
+        if not p:
+            continue
+        terms, content = _int_terms(p, lay)
+        assert content == p.content()
+        assert gcd(*terms.values()) == 1
+        assert MultiPoly(R, {lay.unpack(e): content * v for e, v in terms.items()}) == p
+
+
+def test_degree_beyond_the_packed_range_raises():
+    R = PolyRing(["x", "y"])
+    x, y = R.gens()
+    half = PACK_LIMIT // 2
+    # the pair lcm x^half y^half has degree PACK_LIMIT
+    with pytest.raises(RingError):
+        groebner_basis([R.monomial((half, 1)) - 1, R.monomial((1, half)) - 1])
+    # dividing by x - y^3 under lex triples the degree of x^12000
+    with pytest.raises(RingError):
+        normal_form(R.monomial((12000, 0)), [x - y ** 3], "lex")
+    assert normal_form(R.monomial((10000, 0)), [x - y ** 3], "lex") == R.monomial((0, 30000))
+    with pytest.raises(RingError):
+        normal_form(R.monomial((PACK_LIMIT, 0)), [y], "grevlex")
 
 
 def test_initial_ideal_simple():
@@ -189,17 +278,14 @@ def test_minimal_monomials_is_the_pairwise_definition(gens):
     assert minimal_monomials(gens) == tuple(expected)
 
 
-SYMPY_XYZ = sympy.symbols("x y z")
-
-
-def _sympy_reduced_basis(term_lists, order):
+def _sympy_reduced_basis(term_lists, nvars, order):
     """sympy's reduced basis, each element scaled to lead coefficient 1 in `order`.
 
     Poly.monic() would divide by the lex-leading coefficient, which is not
     the grevlex one; the lead term is taken with hilb's own order key.
     """
-    x = SYMPY_XYZ
-    exprs = [sum(c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2] for e, c in t) for t in term_lists]
+    x = sympy.symbols(f"x0:{nvars}")
+    exprs = [sum(c * sympy.Mul(*[v ** k for v, k in zip(x, e)]) for e, c in t) for t in term_lists]
     key = order_key(order)
     out = []
     for p in sympy.groebner(exprs, *x, order=order, domain="QQ").polys:
@@ -223,4 +309,26 @@ def test_reduced_basis_matches_sympy(order):
         ]
         gens = [p for p in (poly_from_terms(R, t) for t in term_lists) if p]
         ours = sorted(sorted(g.terms.items()) for g in groebner_basis(gens, order))
-        assert ours == _sympy_reduced_basis(term_lists, order)
+        assert ours == _sympy_reduced_basis(term_lists, 3, order)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_reduced_basis_matches_sympy_in_many_variables(order):
+    # six binomials in 6-10 variables: every divisibility test and order
+    # comparison spans many packed fields, and most divisibility tests
+    # fail by a borrow out of some field
+    rng = random.Random(1)
+    for _ in range(8):
+        n = rng.randint(6, 10)
+        R = PolyRing.make("x", n)
+
+        def monomial():
+            e = [0] * n
+            for _ in range(rng.randint(1, 2)):
+                e[rng.randrange(n)] += rng.randint(1, 2)
+            return tuple(e)
+
+        term_lists = [[(monomial(), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(2)] for _ in range(6)]
+        gens = [p for p in (poly_from_terms(R, t) for t in term_lists) if p]
+        ours = sorted(sorted(g.terms.items()) for g in groebner_basis(gens, order))
+        assert ours == _sympy_reduced_basis(term_lists, n, order)

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilb.multipoly import (
+    PACK_LIMIT,
     LaurentPoly,
     MultiPoly,
+    PackedLayout,
     PolyRing,
     RingError,
     Weight,
+    _mono_divides,
+    _mono_mul,
     heap_key,
     monomial_order_cmp,
     order_key,
@@ -88,10 +92,10 @@ def test_substitute_is_homomorphism():
         assert (p + q).substitute(images) == p.substitute(images) + q.substitute(images)
 
 
-def polys(ring, max_exp=3, max_terms=5):
-    """Small polynomials over `ring` with integer coefficients."""
+def polys(ring, max_exp=3, max_terms=5, coeffs=st.integers(-4, 4)):
+    """Small polynomials over `ring`, with integer coefficients unless `coeffs` says otherwise."""
     exps = st.tuples(*[st.integers(0, max_exp)] * ring.n)
-    pairs = st.lists(st.tuples(exps, st.integers(-4, 4)), max_size=max_terms)
+    pairs = st.lists(st.tuples(exps, coeffs), max_size=max_terms)
     return pairs.map(lambda ps: poly_from_terms(ring, ps))
 
 
@@ -136,6 +140,64 @@ monomial_lists = st.integers(1, 4).flatmap(
 @given(monomial_lists, st.sampled_from(["lex", "grevlex"]))
 def test_heap_key_sorts_in_reverse_of_order_key(monos, order):
     assert sorted(monos, key=heap_key(order)) == sorted(monos, key=order_key(order), reverse=True)
+
+
+rational_polys = polys(R3, coeffs=st.fractions(-4, 4, max_denominator=6))
+
+
+@seeded
+@given(rational_polys, rational_polys, rational_polys)
+def test_ring_axioms(p, q, r):
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p - p).is_zero()
+    assert p - p == R3.zero()
+
+
+# entries near 2^12 make packed subtraction borrow across fields; n = 8
+# such entries stay below PACK_LIMIT, and two of them can reach it
+packed_entries = st.one_of(st.integers(0, 3), st.integers(4000, 4095))
+packed_cases = st.tuples(
+    st.integers(0, 8).flatmap(
+        lambda n: st.lists(st.tuples(*[packed_entries] * n), min_size=2, max_size=6)
+    ),
+    st.sampled_from(["lex", "grevlex"]),
+)
+
+
+@seeded
+@given(packed_cases)
+def test_packed_layout_matches_the_tuple_operations(case):
+    monos, order = case
+    lay = PackedLayout(len(monos[0]), order)
+    key = order_key(order)
+    packed = [lay.pack(e) for e in monos]
+    assert [lay.unpack(m) for m in packed] == monos
+    assert sorted(monos, key=lambda e: lay.key(lay.pack(e))) == sorted(monos, key=key)
+    for a, pa in zip(monos, packed):
+        for b, pb in zip(monos, packed):
+            assert ((pb - pa) & lay.guard == 0) == _mono_divides(a, b)
+            assert (lay.key(pa) < lay.key(pb)) == (key(a) < key(b))
+            product = pa + pb
+            if sum(a) + sum(b) < PACK_LIMIT:
+                assert product & lay.guard == 0
+                assert product == lay.pack(_mono_mul(a, b))
+            else:
+                assert product & lay.guard
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_packing_rejects_what_a_field_cannot_hold(order):
+    lay = PackedLayout(3, order)
+    assert lay.unpack(lay.pack((PACK_LIMIT - 1, 0, 0))) == (PACK_LIMIT - 1, 0, 0)
+    for e in [(PACK_LIMIT, 0, 0), (0, 0, PACK_LIMIT), (PACK_LIMIT // 2, PACK_LIMIT // 2, 0), (1, -1, 0)]:
+        with pytest.raises(RingError):
+            lay.pack(e)
+    with pytest.raises(RingError):
+        PackedLayout(3, ["lex"])
 
 
 def test_derivative():
