@@ -377,10 +377,10 @@ class Ideal:
         self._gb: Dict[object, List[MultiPoly]] = {}
         self._packed: Dict[object, PackedBasis] = {}
 
-    def groebner(self, order="grevlex", budget: int = DEFAULT_SPAIR_BUDGET) -> List[MultiPoly]:
+    def groebner(self, order="grevlex") -> List[MultiPoly]:
         order_key(order)  # RingError for an unknown order, before the cache lookup
         if order not in self._gb:
-            self._gb[order] = groebner_basis(self.gens, order, budget)
+            self._gb[order] = groebner_basis(self.gens, order)
         return self._gb[order]
 
     def set_groebner(self, order, basis: List[MultiPoly]):
@@ -404,8 +404,8 @@ class Ideal:
     def contains(self, p: MultiPoly, order="grevlex") -> bool:
         return not self.normal_form(p, order)
 
-    def initial_ideal(self, order="grevlex", budget: int = DEFAULT_SPAIR_BUDGET) -> MonomialIdeal:
-        basis = self.groebner(order, budget)
+    def initial_ideal(self, order="grevlex") -> MonomialIdeal:
+        basis = self.groebner(order)
         key = order_key(order)
         return MonomialIdeal(self.ring.n, [max(g.terms, key=key) for g in basis])
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .groebner import DEFAULT_SPAIR_BUDGET, MonomialIdeal, minimal_monomials
+from .groebner import MonomialIdeal, minimal_monomials
 from .multipoly import (
     LaurentPoly,
     Monomial,
@@ -152,17 +152,12 @@ class HilbertSeries:
     __repr__ = render
 
 
-def hilbert_series(
-    I,
-    weights: Sequence[Weight],
-    order: str = "grevlex",
-    budget: int = DEFAULT_SPAIR_BUDGET,
-) -> HilbertSeries:
+def hilbert_series(I, weights: Sequence[Weight], order: str = "grevlex") -> HilbertSeries:
     """Series of S/I: K of the initial ideal over the ambient factors."""
     if isinstance(I, MonomialIdeal):
         J = I
     elif I.gens:
-        J = I.initial_ideal(order, budget)
+        J = I.initial_ideal(order)
     else:
         J = MonomialIdeal(I.ring.n, [])
     return HilbertSeries(kpoly_monomial(J, weights), weights)

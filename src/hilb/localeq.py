@@ -18,10 +18,12 @@ from .multipoly import (
     RingError,
     Weight,
     _mono_mul,
+    _mono_quot,
+    _mono_shift,
     _mono_weight,
     weight_columns,
 )
-from .partitions import Cell, Partition, adjacent_pairs, glove, min_generators, pyramid, shift_cell
+from .partitions import Cell, Partition, adjacent_pairs, glove, min_generators, pyramid
 
 HaimanVar = Tuple[Cell, Cell]  # (sub, sup): i in lambda, j in glove
 
@@ -33,7 +35,7 @@ def _var_name(v: HaimanVar) -> str:
 
 def var_weight(v: HaimanVar) -> Weight:
     i, j = v
-    return Weight.of(*(a - b for a, b in zip(j, i)))
+    return Weight(_mono_quot(j, i))
 
 
 class HaimanPresentation:
@@ -80,7 +82,6 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
     """
     if not lam.cells:
         raise RingError("need a nonempty partition")
-    r = lam.r
     cells = sorted(lam.cells)
     glo = sorted(glove(lam))
     glo_set = set(glo)
@@ -97,7 +98,7 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
     def pair_product_terms(terms: Dict, sup1: Cell, direction: int, l: Cell, sign: int):
         """Accumulate sign * sum_k c_k^{sup1} c_l^{k+e_direction}."""
         for k in cells:
-            m = shift_cell(k, direction)
+            m = _mono_shift(k, direction)
             if m in lam.cells:
                 if m == l:
                     e = unit(index[(k, sup1)])
@@ -111,41 +112,20 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
                 raise AssertionError(f"superscript {m} escapes the glove")
 
     equations: List[MultiPoly] = []
-    for p, q in adjacent_pairs(glo):
-        d = tuple(x - y for x, y in zip(p, q))
-        pos = [k for k, x in enumerate(d) if x > 0]
-        neg = [k for k, x in enumerate(d) if x < 0]
-        if len(pos) == 1 and not neg:
-            # p = q + e_b: c_l^p = sum_k c_k^q c_l^{k+e_b}
-            b = pos[0]
-            for l in cells:
-                terms: Dict = {}
-                e = unit(index[(l, p)])
-                terms[e] = terms.get(e, ZERO) + 1
-                pair_product_terms(terms, q, b, l, -1)
-                eq = MultiPoly(ring, {k: v for k, v in terms.items() if v})
-                if eq:
-                    equations.append(eq)
-        elif len(neg) == 1 and not pos:
-            b = neg[0]
-            for l in cells:
-                terms = {}
-                e = unit(index[(l, q)])
-                terms[e] = terms.get(e, ZERO) + 1
-                pair_product_terms(terms, p, b, l, -1)
-                eq = MultiPoly(ring, {k: v for k, v in terms.items() if v})
-                if eq:
-                    equations.append(eq)
-        else:
-            # p - q = e_a - e_b: both expansions of c_l^{q+e_a} = c_l^{p+e_b} agree
-            a, b = pos[0], neg[0]
-            for l in cells:
+    for p, q, a, b in adjacent_pairs(glo):
+        for l in cells:
+            if b is None:
+                # p = q + e_a: c_l^p = sum_k c_k^q c_l^{k+e_a}
+                terms: Dict = {unit(index[(l, p)]): ONE}
+                pair_product_terms(terms, q, a, l, -1)
+            else:
+                # p = q + e_a - e_b: both expansions of c_l^{q+e_a} = c_l^{p+e_b} agree
                 terms = {}
                 pair_product_terms(terms, q, a, l, 1)
                 pair_product_terms(terms, p, b, l, -1)
-                eq = MultiPoly(ring, {k: v for k, v in terms.items() if v})
-                if eq:
-                    equations.append(eq)
+            eq = MultiPoly(ring, terms)
+            if eq:
+                equations.append(eq)
 
     return HaimanPresentation(lam, variables, equations)
 
@@ -303,36 +283,21 @@ def _linear_part_relations(lam: Partition):
     pair).  Two surviving terms identify a pair of coordinates, a single
     surviving term kills one; a term whose subscript leaves the positive
     orthant is absent.  Works directly on cell data, without building
-    the polynomial ring.
+    the polynomial ring, but reads the same oriented pairs (p, q, a, b)
+    of `adjacent_pairs` as `haiman_equations`.
     """
-    cells = set(lam.cells)
-    glo = set(glove(lam))
     edges = []
     kills = []
-    for p, q in adjacent_pairs(sorted(glo)):
-        diff = tuple(x - y for x, y in zip(p, q))
-        if sum(abs(x) for x in diff) == 1:
-            if sum(diff) < 0:
-                p, q, diff = q, p, tuple(-x for x in diff)
-            b = diff.index(1)
-            for l in cells:
-                terms = [(l, p)]
-                if l[b] > 0:
-                    terms.append((shift_cell(l, b, -1), q))
+    for p, q, a, b in adjacent_pairs(glove(lam)):
+        for l in lam.cells:
+            terms = [(l, p)] if b is None else []
+            if l[a] > 0:
+                terms.append((_mono_shift(l, a, -1), q))
+            if b is not None and l[b] > 0:
+                terms.append((_mono_shift(l, b, -1), p))
+            if terms:
                 target = edges if len(terms) == 2 else kills
                 target.append(tuple(terms))
-        else:
-            a = diff.index(1)
-            b = diff.index(-1)
-            for l in cells:
-                terms = []
-                if l[a] > 0:
-                    terms.append((shift_cell(l, a, -1), q))
-                if l[b] > 0:
-                    terms.append((shift_cell(l, b, -1), p))
-                if terms:
-                    target = edges if len(terms) == 2 else kills
-                    target.append(tuple(terms))
     return edges, kills
 
 
@@ -342,7 +307,8 @@ def cotangent_weights(lam: Partition) -> Tuple[List[Weight], int]:
     Coordinates c_i^j are identified along two-term linear parts of the
     adjacency equations and whole classes containing a one-term linear
     part are deleted; each surviving class contributes its common weight
-    j - i. Extra dimension is the count minus r * |lambda|.
+    j - i, kept as an integer cell difference until the sorted result is
+    returned as `Weight`s. Extra dimension is the count minus r * |lambda|.
     """
     if not lam.cells:
         return [], 0
@@ -355,18 +321,15 @@ def cotangent_weights(lam: Partition) -> Tuple[List[Weight], int]:
         uf.union(u, v)
     killed = {uf.find(t[0]) for t in kills}
     classes = {}
-    for (i, j) in pairs:
+    for i, j in pairs:
         root = uf.find((i, j))
         if root in killed:
             continue
-        w = var_weight((i, j))
-        if root in classes:
-            if classes[root] != w:
-                raise AssertionError("weight not constant on an equivalence class")
-        else:
-            classes[root] = w
-    weights = sorted(classes.values(), key=lambda w: w.sort_key())
-    return weights, len(weights) - r * lam.n
+        w = _mono_quot(j, i)
+        if classes.setdefault(root, w) != w:
+            raise AssertionError("weight not constant on an equivalence class")
+    weights = sorted(classes.values())
+    return [Weight(w) for w in weights], len(weights) - r * lam.n
 
 
 def extra_dimension(lam: Partition) -> int:
@@ -394,9 +357,9 @@ def pyramid_potential(n: int) -> Tuple[MultiPoly, List[HaimanVar]]:
     tops = sorted({i for i, _ in variables})
 
     def add(t: Dict, i: Cell, j: Cell, k: Cell, d1: int, d2: int, d3: int, sign: int):
-        v1 = (j, shift_cell(i, d1))
-        v2 = (k, shift_cell(j, d2))
-        v3 = (i, shift_cell(k, d3))
+        v1 = (j, _mono_shift(i, d1))
+        v2 = (k, _mono_shift(j, d2))
+        v3 = (i, _mono_shift(k, d3))
         e = [0] * len(variables)
         for v in (v1, v2, v3):
             e[index[v]] += 1

@@ -2,11 +2,12 @@
 
 Monomials are plain exponent tuples, one entry per ring variable, and
 coefficients are Fractions. Each operation on monomials (product,
-quotient, lcm, colon, divisibility, torus weight) has one definition,
-among the `_mono_*` functions below, which every module calls. The
-monomial orders are lex and grevlex. Laurent exponents live on a scaled
-lattice (1/D)Z^r with D a power of two, so half-integer weights are
-exact integer data.
+quotient, shift, lcm, colon, divisibility, torus weight) has one
+definition, among the `_mono_*` functions below, which every module
+calls; the cells of a partition are the same tuples. The monomial
+orders are lex and grevlex. Laurent exponents live on a scaled lattice
+(1/D)Z^r with D a power of two, so half-integer weights are exact
+integer data.
 
 Division and Buchberger (`groebner`) work on packed monomials instead:
 a `PackedLayout` stores an exponent vector and its total degree as one
@@ -91,8 +92,14 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _mono_quot(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, for b dividing a."""
+    """a - b entrywise: the quotient a / b when b divides a, and otherwise
+    a difference of cells, such as the torus weight j - i of c_i^j."""
     return tuple(map(sub, a, b))
+
+
+def _mono_shift(e: Monomial, i: int, delta: int = 1) -> Monomial:
+    """e + delta * e_i, for a monomial or a cell alike."""
+    return e[:i] + (e[i] + delta,) + e[i + 1 :]
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -141,29 +148,12 @@ def lex_key(e: Monomial):
     return e
 
 
-def _grevlex_heap_key(e: Monomial):
-    return (-sum(e), e[::-1])
-
-
-def _lex_heap_key(e: Monomial):
-    return tuple(map(neg, e))
-
-
 def order_key(order: str) -> Callable[[Monomial], object]:
     """Sort key whose max is the leading monomial; "lex" and "grevlex" are the orders."""
     if order == "lex":
         return lex_key
     if order == "grevlex":
         return grevlex_key
-    raise RingError(f"unknown monomial order {order!r}")
-
-
-def heap_key(order: str) -> Callable[[Monomial], object]:
-    """Sort key whose min is the leading monomial, for heapq's min-heaps."""
-    if order == "lex":
-        return _lex_heap_key
-    if order == "grevlex":
-        return _grevlex_heap_key
     raise RingError(f"unknown monomial order {order!r}")
 
 
@@ -335,21 +325,9 @@ class MultiPoly:
         key = order_key(order)
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
-    def leading(self, order: str = "grevlex") -> Tuple[Monomial, Fraction]:
-        if not self.terms:
-            raise RingError("zero polynomial has no leading term")
-        key = order_key(order)
-        e = max(self.terms, key=key)
-        return e, self.terms[e]
-
     def derivative(self, i: int) -> "MultiPoly":
-        out: Dict[Monomial, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = c * e[i]
-        return MultiPoly(self.ring, out)
+        terms = self.terms.items()
+        return MultiPoly(self.ring, {_mono_shift(e, i, -1): c * e[i] for e, c in terms if e[i]})
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer-primitive; 0 for the zero poly."""

@@ -12,18 +12,14 @@ import json
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import MonomialIdeal
-from .multipoly import RingError
+from .multipoly import RingError, _mono_shift
 
 Cell = Tuple[int, ...]
+AdjacentPair = Tuple[Cell, Cell, int, Optional[int]]  # (p, q, a, b), see adjacent_pairs
 
 
 class PartitionError(RingError):
     pass
-
-
-def shift_cell(c: Cell, b: int, delta: int = 1) -> Cell:
-    """c + delta * e_b."""
-    return c[:b] + (c[b] + delta,) + c[b + 1 :]
 
 
 class Partition:
@@ -39,7 +35,7 @@ class Partition:
             if any(x < 0 for x in c):
                 raise PartitionError(f"cell {c} has a negative coordinate")
             for b in range(r):
-                if c[b] > 0 and shift_cell(c, b, -1) not in cells_set:
+                if c[b] > 0 and _mono_shift(c, b, -1) not in cells_set:
                     raise PartitionError(f"not downward closed at {c}")
         self.r = r
         self.cells = cells_set
@@ -83,7 +79,7 @@ def glove(lam: Partition) -> FrozenSet[Cell]:
     out = set()
     for c in lam.cells:
         for b in range(lam.r):
-            up = shift_cell(c, b)
+            up = _mono_shift(c, b)
             if up not in lam.cells:
                 out.add(up)
     return frozenset(out)
@@ -97,7 +93,7 @@ def min_generators(lam: Partition) -> List[Cell]:
     for g in glove(lam):
         ok = True
         for b in range(lam.r):
-            if g[b] > 0 and shift_cell(g, b, -1) not in lam.cells:
+            if g[b] > 0 and _mono_shift(g, b, -1) not in lam.cells:
                 ok = False
                 break
         if ok:
@@ -125,18 +121,29 @@ def partition_of_ideal(I: MonomialIdeal) -> Partition:
     return Partition(r, cells)
 
 
-def adjacent_pairs(points: Iterable[Cell]) -> List[Tuple[Cell, Cell]]:
-    """Unordered pairs with difference e_b or e_a - e_b."""
+def adjacent_pairs(points: Iterable[Cell]) -> List[AdjacentPair]:
+    """Pairs of points that differ by e_a (axis pairs) or e_a - e_b (exchange pairs).
+
+    Each pair comes oriented as (p, q, a, b): p = q + e_a - e_b for an
+    exchange pair, and p = q + e_a with b = None for an axis pair. Pairs
+    are listed by their lex-smaller point, then by the larger one; the
+    smaller point is q for an axis pair and p for an exchange pair.
+    """
     pts = sorted(set(points))
-    out = []
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            d = [x - y for x, y in zip(p, q)]
-            nz = [x for x in d if x]
-            if not all(abs(x) == 1 for x in nz):
-                continue
-            if len(nz) == 1 or (len(nz) == 2 and sum(nz) == 0):
-                out.append((p, q))
+    have = set(pts)
+    r = len(pts[0]) if pts else 0
+    out: List[AdjacentPair] = []
+    for p in pts:
+        # the neighbours above p in lex order, listed in that order: the
+        # first coordinate that grows runs downwards, and under it each
+        # exchange p + e_i - e_a comes before the axis neighbour p + e_i
+        for i in reversed(range(r)):
+            up = _mono_shift(p, i)
+            for a in range(i + 1, r):
+                if (q := _mono_shift(up, a, -1)) in have:
+                    out.append((p, q, a, i))
+            if up in have:
+                out.append((up, p, i, None))
     return out
 
 
@@ -219,7 +226,7 @@ def is_borel(
                 if not m[j]:
                     continue
                 for i in range(r):
-                    if rank[i] < rank[j] and shift_cell(shift_cell(m, j, -1), i) in lam.cells:
+                    if rank[i] < rank[j] and _mono_shift(_mono_shift(m, j, -1), i) in lam.cells:
                         ok = False
                         break
                 if not ok:

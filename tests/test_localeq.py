@@ -1,19 +1,20 @@
 import string
+from collections import Counter
 
 import pytest
 
 from hilb.groebner import Ideal, ideal_equal
 from hilb.multipoly import Weight
-from hilb.partitions import Partition, enumerate_partitions, glove, parse_chain, pyramid
+from hilb.partitions import Partition, enumerate_partitions, glove, parse_chain
 from hilb.localeq import (
     HaimanPresentation,
+    _linear_part_relations,
     cotangent_weights,
     extra_dimension,
     haiman_equations,
     jacobian_ideal,
     pyramid_layer_vars,
     pyramid_potential,
-    simple_eliminate,
     step0,
     var_weight,
 )
@@ -264,3 +265,19 @@ def test_singular_census_colength_5():
         canonicalize_S3(LAM_121)[0].cells,
         canonicalize_S3(LAM_131)[0].cells,
     }
+
+
+def test_haiman_linear_parts_are_the_cotangent_relations():
+    """Census and eliminate read one glove-pair rule: the degree-1 parts of
+    the Haiman equations are the edges and kills behind the extra dimension."""
+    for r, top in ((3, 5), (4, 3)):
+        for n in range(1, top + 1):
+            for lam in enumerate_partitions(r, n):
+                pres = haiman_equations(lam)
+                linear = Counter()
+                for eq in pres.equations:
+                    vs = frozenset(pres.variables[e.index(1)] for e in eq.terms if sum(e) == 1)
+                    if vs:
+                        linear[vs] += 1
+                edges, kills = _linear_part_relations(lam)
+                assert linear == Counter(frozenset(t) for t in edges + kills)

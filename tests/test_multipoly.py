@@ -15,7 +15,6 @@ from hilb.multipoly import (
     Weight,
     _mono_divides,
     _mono_mul,
-    heap_key,
     monomial_order_cmp,
     order_key,
     poly_from_terms,
@@ -55,8 +54,6 @@ def test_order_multiplicative():
 def test_unknown_orders_rejected(order):
     with pytest.raises(RingError):
         order_key(order)
-    with pytest.raises(RingError):
-        heap_key(order)
 
 
 def test_substitute_square():
@@ -129,17 +126,6 @@ def test_substitute_into_another_ring_is_a_homomorphism(p, q, images):
     assert phi(R3.const(F(5, 3))) == S2.const(F(5, 3))
     point = (F(2, 3), F(-5, 7))
     assert phi(p).evaluate(point) == p.evaluate([g.evaluate(point) for g in images])
-
-
-monomial_lists = st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=15)
-)
-
-
-@seeded
-@given(monomial_lists, st.sampled_from(["lex", "grevlex"]))
-def test_heap_key_sorts_in_reverse_of_order_key(monos, order):
-    assert sorted(monos, key=heap_key(order)) == sorted(monos, key=order_key(order), reverse=True)
 
 
 rational_polys = polys(R3, coeffs=st.fractions(-4, 4, max_denominator=6))

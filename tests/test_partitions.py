@@ -126,6 +126,34 @@ def test_adjacent_pairs_examples():
     assert len(adjacent_pairs(glove(lam))) == 3
 
 
+def all_pairs_reference(points):
+    """The all-pairs definition: pairs p < q of points whose difference is
+    e_b or e_a - e_b up to sign, listed in lex order of (p, q)."""
+    pts = sorted(set(points))
+    out = []
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            nz = [x - y for x, y in zip(p, q) if x != y]
+            if all(abs(x) == 1 for x in nz) and (len(nz) == 1 or (len(nz) == 2 and sum(nz) == 0)):
+                out.append((p, q))
+    return out
+
+
+def test_adjacent_pairs_match_the_all_pairs_definition_and_are_oriented():
+    for r, top in ((3, 5), (4, 3)):
+        for n in range(1, top + 1):
+            for lam in enumerate_partitions(r, n):
+                points = glove(lam)
+                pairs = adjacent_pairs(points)
+                assert [tuple(sorted((p, q))) for p, q, _, _ in pairs] == all_pairs_reference(points)
+                for p, q, a, b in pairs:
+                    step = [0] * r
+                    step[a] += 1
+                    if b is not None:
+                        step[b] -= 1
+                    assert a != b and p == tuple(x + y for x, y in zip(q, step))
+
+
 def test_borel_examples():
     assert is_borel(parse_chain("(1) ⊂ (3,2)"))[0] is True
     borel, order = is_borel(parse_chain("(1) ⊂ (3,1,1)"))
