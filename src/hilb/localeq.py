@@ -4,16 +4,25 @@ Haiman coordinates c_i^j (i a partition cell, j a glove point), the
 quadratic equations attached to adjacent glove pairs, linear-pivot
 elimination, cotangent-space weights with the extra dimension, and the
 pyramid superpotentials.
+
+The Haiman equations have `int` coefficients. Elimination runs on
+packed monomials (`multipoly.PackedLayout`) with the coefficients kept
+as they are, in the `groebner.IntTerms` shape; its pivots on these
+equations are all units, so the local equations and the eliminated
+expressions stay integer. A non-unit pivot divides exactly through
+`Fraction`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .groebner import IntTerms
 from .multipoly import (
-    ONE,
     ZERO,
     MultiPoly,
+    PackedLayout,
     PolyRing,
     RingError,
     Weight,
@@ -21,6 +30,7 @@ from .multipoly import (
     _mono_quot,
     _mono_shift,
     _mono_weight,
+    pack_overflow,
     weight_columns,
 )
 from .partitions import Cell, Partition, adjacent_pairs, glove, min_generators, pyramid
@@ -102,12 +112,12 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
             if m in lam.cells:
                 if m == l:
                     e = unit(index[(k, sup1)])
-                    terms[e] = terms.get(e, ZERO) + sign
+                    terms[e] = terms.get(e, 0) + sign
             elif m in glo_set:
                 e1 = unit(index[(k, sup1)])
                 e2 = unit(index[(l, m)])
                 e = _mono_mul(e1, e2)
-                terms[e] = terms.get(e, ZERO) + sign
+                terms[e] = terms.get(e, 0) + sign
             else:
                 raise AssertionError(f"superscript {m} escapes the glove")
 
@@ -116,7 +126,7 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
         for l in cells:
             if b is None:
                 # p = q + e_a: c_l^p = sum_k c_k^q c_l^{k+e_a}
-                terms: Dict = {unit(index[(l, p)]): ONE}
+                terms: Dict = {unit(index[(l, p)]): 1}
                 pair_product_terms(terms, q, a, l, -1)
             else:
                 # p = q + e_a - e_b: both expansions of c_l^{q+e_a} = c_l^{p+e_b} agree
@@ -130,18 +140,24 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
     return HaimanPresentation(lam, variables, equations)
 
 
-def _linear_pivot(eq: MultiPoly, var_idx: int):
-    """Coefficient a if eq == a*x + (terms without x), else None."""
-    a = None
-    for e, c in eq.terms.items():
-        if e[var_idx]:
-            only_x = e[var_idx] == 1 and all(
-                x == 0 for k, x in enumerate(e) if k != var_idx
-            )
-            if not only_x or a is not None:
-                return None
-            a = c
-    return a
+def _mul_packed(a: IntTerms, b: IntTerms, guard: int) -> IntTerms:
+    """Product of two packed term dicts; RingError when a degree reaches the field limit."""
+    out: IntTerms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if e & guard:
+                raise pack_overflow()
+            nc = out.get(e)
+            if nc is None:
+                out[e] = c1 * c2
+            else:
+                nc += c1 * c2
+                if nc:
+                    out[e] = nc
+                else:
+                    del out[e]
+    return out
 
 
 def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
@@ -149,36 +165,45 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
 
     A variable x is eliminated when some equation reads a*x - f with f
     free of x; pivots are chosen by smallest variable index, then
-    smallest equation index. The pivot x -> f/a is applied by rewriting
+    smallest equation index. The equations are packed on entry into
+    `PackedLayout(nvars, "grevlex")` ints with their exact coefficients,
+    so x's exponent is a shift and a mask, the pivot test is a lookup of
+    the packed x, and a product is an int add with a guard test: a degree
+    of 2^15 or more raises RingError. A unit pivot a = +-1 sends x to a*f
+    with no division, so integer equations stay integer; any other pivot
+    divides exactly through Fraction. The pivot is applied by rewriting
     only the terms that hold x: a term c*x^k*m becomes c*m*(f/a)^k, with
     the powers of f/a computed once per pivot, and every other term is
-    copied unchanged. The survivors are then renumbered by re-indexing
-    each exponent tuple. Purely polynomial: no fractions appear.
+    copied unchanged. The survivors are unpacked and renumbered at the end.
     """
     lam = pres.lam
-    ring = pres.ring
     variables = pres.variables
     nvars = len(variables)
     min_glo = set(min_generators(lam))
+    lay = PackedLayout(nvars, "grevlex")
+    guard, pack = lay.guard, lay.pack
     alive = [True] * nvars
-    eqs: List[MultiPoly] = list(pres.equations)
-    subs: Dict[int, MultiPoly] = {}  # eliminated var index -> expression (full ring)
+    eqs: List[IntTerms] = [{pack(e): c for e, c in eq.terms.items()} for eq in pres.equations]
+    subs: Dict[int, IntTerms] = {}  # eliminated var index -> expression (full ring)
 
-    def substitute_everywhere(x: int, expr: MultiPoly):
-        powers = [ring.const(1)]
+    def substitute_everywhere(x: int, expr: IntTerms):
+        unit_x, xmask, shift = lay.field(x)
+        powers: List[IntTerms] = [{0: 1}]  # the packed monomial 1 is 0
 
-        def rewrite(p: MultiPoly) -> MultiPoly:
-            out = {}
-            for e, c in p.terms.items():
-                k = e[x]
+        def rewrite(p: IntTerms) -> IntTerms:
+            out: IntTerms = {}
+            for e, c in p.items():
+                k = (e & xmask) >> shift
                 if not k:
                     image = ((e, c),)
                 else:
                     while len(powers) <= k:
-                        powers.append(powers[-1] * expr)
-                    m = e[:x] + (0,) + e[x + 1:]
-                    image = ((_mono_mul(m, f), c * d) for f, d in powers[k].terms.items())
+                        powers.append(_mul_packed(powers[-1], expr, guard))
+                    m = e - k * unit_x
+                    image = ((m + f, c * d) for f, d in powers[k].items())
                 for f, d in image:
+                    if f & guard:
+                        raise pack_overflow()
                     nc = out.get(f)
                     if nc is None:
                         out[f] = d
@@ -188,13 +213,13 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
                             out[f] = nc
                         else:
                             del out[f]
-            return MultiPoly(ring, out)
+            return out
 
         for k in range(len(eqs)):
-            if any(e[x] for e in eqs[k].terms):
+            if any(e & xmask for e in eqs[k]):
                 eqs[k] = rewrite(eqs[k])
         for v in subs:
-            if any(e[x] for e in subs[v].terms):
+            if any(e & xmask for e in subs[v]):
                 subs[v] = rewrite(subs[v])
 
     def run_pass(targets: List[int]):
@@ -203,23 +228,21 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
             for x in targets:
                 if not alive[x]:
                     continue
+                unit_x, xmask, _ = lay.field(x)
                 for qi, eq in enumerate(eqs):
-                    if not eq:
-                        continue
-                    a = _linear_pivot(eq, x)
-                    if a is not None:
-                        found = (x, qi, a)
+                    a = eq.get(unit_x)
+                    if a is not None and not any(e & xmask for e in eq if e != unit_x):
+                        found = (x, unit_x, qi, a)
                         break
                 if found:
                     break
             if not found:
                 return
-            x, qi, a = found
-            eq = eqs[qi]
-            expr = (ring.monomial(tuple(1 if k == x else 0 for k in range(nvars))) * a - eq) * (
-                ONE / a
-            )
-            eqs[qi] = ring.zero()
+            x, unit_x, qi, a = found
+            # x = f/a with f = a*x - eq; 1/a = a for a unit
+            inv = a if a == 1 or a == -1 else Fraction(1, a)
+            expr = {e: -c * inv for e, c in eqs[qi].items() if e != unit_x}
+            eqs[qi] = {}
             alive[x] = False
             subs[x] = expr
             substitute_everywhere(x, expr)
@@ -231,10 +254,12 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     survivors = [k for k in range(nvars) if alive[k]]
     new_vars = [variables[k] for k in survivors]
     new_ring = PolyRing([_var_name(v) for v in new_vars])
+    unpack = lay.unpack
 
-    def project(p: MultiPoly) -> MultiPoly:
+    def project(p: IntTerms) -> MultiPoly:
         out = {}
-        for e, c in p.terms.items():
+        for m, c in p.items():
+            e = unpack(m)
             f = tuple([e[k] for k in survivors])
             if sum(f) != sum(e):
                 raise AssertionError("eliminated variable reappeared")
@@ -275,7 +300,7 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def _linear_part_relations(lam: Partition):
+def _linear_part_relations(lam: Partition, glo: Iterable[Cell]):
     """Linear parts of the adjacency equations, as merge edges and kills.
 
     Each equation contributes at most two linear monomials (the delta
@@ -284,11 +309,12 @@ def _linear_part_relations(lam: Partition):
     surviving term kills one; a term whose subscript leaves the positive
     orthant is absent.  Works directly on cell data, without building
     the polynomial ring, but reads the same oriented pairs (p, q, a, b)
-    of `adjacent_pairs` as `haiman_equations`.
+    of `adjacent_pairs` as `haiman_equations`. `glo` is the glove of lam,
+    which the caller has at hand.
     """
     edges = []
     kills = []
-    for p, q, a, b in adjacent_pairs(glove(lam)):
+    for p, q, a, b in adjacent_pairs(glo):
         for l in lam.cells:
             terms = [(l, p)] if b is None else []
             if l[a] > 0:
@@ -316,7 +342,7 @@ def cotangent_weights(lam: Partition) -> Tuple[List[Weight], int]:
     glo = glove(lam)
     pairs = [(i, j) for i in sorted(lam.cells) for j in sorted(glo)]
     uf = _UnionFind(pairs)
-    edges, kills = _linear_part_relations(lam)
+    edges, kills = _linear_part_relations(lam, glo)
     for u, v in edges:
         uf.union(u, v)
     killed = {uf.find(t[0]) for t in kills}

@@ -1,15 +1,19 @@
 """Sparse multivariate polynomials over Q and integer Laurent polynomials.
 
 Monomials are plain exponent tuples, one entry per ring variable, and
-coefficients are Fractions. Each operation on monomials (product,
-quotient, shift, lcm, colon, divisibility, torus weight) has one
-definition, among the `_mono_*` functions below, which every module
-calls; the cells of a partition are the same tuples. The monomial
-orders are lex and grevlex. Laurent exponents live on a scaled lattice
+coefficients are exact rationals, `int` or `Fraction`. The two compare
+and hash alike (`hash(2) == hash(Fraction(2))`), so equality and term
+sets do not see the type; sums, products and substitution keep `int`
+coefficients `int`. Each operation on monomials (product, quotient,
+shift, lcm, colon, divisibility, torus weight) has one definition,
+among the `_mono_*` functions below, which every module calls; the
+cells of a partition are the same tuples. The monomial orders are lex
+and grevlex. Laurent exponents live on a scaled lattice
 (1/D)Z^r with D a power of two, so half-integer weights are exact
 integer data.
 
-Division and Buchberger (`groebner`) work on packed monomials instead:
+Division and Buchberger (`groebner`) and linear elimination
+(`localeq.simple_eliminate`) work on packed monomials instead:
 a `PackedLayout` stores an exponent vector and its total degree as one
 int of 16-bit fields whose top bits are guards (Bachmann & Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998).
@@ -31,7 +35,6 @@ from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 Monomial = Tuple[int, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class RingError(ValueError):
@@ -75,7 +78,7 @@ class PolyRing:
     def var(self, i: int) -> "MultiPoly":
         e = [0] * self.n
         e[i] = 1
-        return MultiPoly(self, {tuple(e): ONE})
+        return MultiPoly(self, {tuple(e): 1})
 
     def gens(self) -> Tuple["MultiPoly", ...]:
         return tuple(self.var(i) for i in range(self.n))
@@ -220,6 +223,16 @@ class PackedLayout:
         """Sort key whose max is the leading monomial, as `order_key` on the unpacked tuples."""
         return m - ((m & self.flip) << 1)
 
+    def field(self, i: int) -> Tuple[int, int, int]:
+        """(unit, mask, shift) of variable i: unit is the packed e_i, and the
+        exponent of variable i in a packed m is `(m & mask) >> shift`."""
+        nvars = self._nbytes // 2 - 1
+        if self.order == "grevlex":
+            shift, degree = 16 * i, 1 << 16 * nvars
+        else:
+            shift, degree = 16 * (nvars - i), 1
+        return (1 << shift) + degree, 0xFFFF << shift, shift
+
 
 def _render_terms(terms: Iterable[Tuple[object, str]]) -> str:
     """Join (coefficient, monomial text) pairs as "a + b - c"; "0" when there are none."""
@@ -243,7 +256,7 @@ def _render_terms(terms: Iterable[Tuple[object, str]]) -> str:
 
 
 class MultiPoly:
-    """Polynomial as a map from exponent tuples to nonzero Fractions."""
+    """Polynomial as a map from exponent tuples to nonzero `int` or `Fraction` coefficients."""
 
     __slots__ = ("ring", "terms")
 
@@ -275,7 +288,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            nc = out.get(e, ZERO) + c
+            nc = out.get(e, 0) + c
             if nc:
                 out[e] = nc
             else:
@@ -297,10 +310,9 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
-            if not c0:
+            if not other:
                 return self.ring.zero()
-            return MultiPoly(self.ring, {e: c * c0 for e, c in self.terms.items()})
+            return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         return MultiPoly(self.ring, _mul_terms(self.terms, other.terms))
 
@@ -346,23 +358,19 @@ class MultiPoly:
             images = {i: p for i, p in enumerate(images)}
         if len(images) != self.ring.n:
             raise RingError("every variable needs an image")
-        target = None
-        for p in images.values():
-            if target is None:
-                target = p.ring
-            elif p.ring != target:
-                raise RingError("images live in different rings")
-        assert target is not None
+        rings = list({id(p.ring): p.ring for p in images.values()}.values())  # one per object
+        assert rings
+        target = rings[0]
+        if any(R != target for R in rings[1:]):
+            raise RingError("images live in different rings")
         zero = (0,) * target.n
-        powers: Dict[int, list] = {i: [{zero: ONE}] for i in images}
+        powers: Dict[int, list] = {i: [{zero: 1}] for i in images}
         out: Dict[Monomial, Fraction] = {}
         for e, c in self.terms.items():
             # a factor with one term scales and shifts every monomial of the
             # product alike, so it is applied after the multi-term factors
             term, shift = None, zero
-            for i, k in enumerate(e):
-                if not k:
-                    continue
+            for i, k in compress(enumerate(e), e):
                 pw = powers[i]
                 while len(pw) <= k:
                     pw.append(_mul_terms(pw[-1], images[i].terms))
@@ -372,7 +380,7 @@ class MultiPoly:
                     c = c * d
                 else:
                     term = pw[k] if term is None else _mul_terms(term, pw[k])
-            for m, tc in (term if term is not None else {zero: ONE}).items():
+            for m, tc in (term if term is not None else {zero: 1}).items():
                 m = _mono_mul(m, shift)
                 nc = out.get(m)
                 if nc is None:

@@ -2,16 +2,23 @@
 
 `reference_eliminate` applies each pivot x -> expr through the ring
 homomorphism `MultiPoly.substitute`, with every other variable sent to
-itself, and renumbers the survivors by substituting them into a smaller
-ring with zero placeholders for the eliminated variables. The library
-rewrites only the terms that hold x; both must agree exactly.
+itself, dividing by the pivot coefficient through Fraction, and renumbers
+the survivors by substituting them into a smaller ring with zero
+placeholders for the eliminated variables. The library works on packed
+monomials, rewrites only the terms that hold x, and divides only at a
+pivot other than +-1; both must agree exactly. On the Haiman equations
+every pivot is a unit, so every coefficient stays an int; hand-built
+presentations cover the other pivots, and packed degrees of 2^15 raise
+RingError.
 """
+
+from fractions import Fraction
 
 import pytest
 
-from hilb.localeq import _var_name, haiman_equations, simple_eliminate
-from hilb.multipoly import ONE, PolyRing
-from hilb.partitions import enumerate_partitions, min_generators
+from hilb.localeq import HaimanPresentation, _var_name, haiman_equations, simple_eliminate, step0
+from hilb.multipoly import MultiPoly, PolyRing, RingError
+from hilb.partitions import Partition, enumerate_partitions, min_generators
 
 CLASSES = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
 
@@ -47,7 +54,7 @@ def reference_eliminate(pres):
     def run_pass(targets):
         while (found := find_pivot(targets)) is not None:
             x, qi, a = found
-            expr = (ring.var(x) * a - eqs[qi]) * (ONE / a)
+            expr = (ring.var(x) * a - eqs[qi]) * Fraction(1, a)
             eqs[qi] = ring.zero()
             alive[x] = False
             subs[x] = expr
@@ -82,12 +89,95 @@ def reference_eliminate(pres):
     return [variables[k] for k in survivors], new_eqs, eliminated
 
 
+def _assert_matches_reference(pres, out):
+    variables, equations, eliminated = reference_eliminate(pres)
+    assert out.variables == variables
+    assert out.equations == equations
+    assert list(out.eliminated.items()) == eliminated
+
+
 @pytest.mark.parametrize("r,n", CLASSES)
 def test_simple_eliminate_matches_full_homomorphism_reference(r, n):
     for lam in enumerate_partitions(r, n):
         raw = haiman_equations(lam)
-        pres = simple_eliminate(raw)
-        variables, equations, eliminated = reference_eliminate(raw)
-        assert pres.variables == variables
-        assert pres.equations == equations
-        assert list(pres.eliminated.items()) == eliminated
+        _assert_matches_reference(raw, simple_eliminate(raw))
+
+
+def _coefficients(pres):
+    for eq in pres.equations:
+        yield from eq.terms.values()
+    for expr in pres.eliminated.values():
+        yield from expr.terms.values()
+
+
+@pytest.mark.parametrize("r,n", CLASSES)
+def test_haiman_and_step0_coefficients_are_ints(r, n):
+    """Every pivot of the Haiman equations is +-1, so no Fraction appears."""
+    for lam in enumerate_partitions(r, n):
+        for pres in (haiman_equations(lam), step0(lam)):
+            assert all(type(c) is int for c in _coefficients(pres))
+
+
+# A hand-built presentation on the one-cell partition of r=2: the
+# variables are cell pairs whose superscripts are not minimal generators,
+# so the first pass takes them in list order; each has weight (1, 0).
+BOX = Partition(2, [(0, 0)])
+C, CP, CPP = ((1, 0), (2, 0)), ((0, 1), (1, 1)), ((2, 0), (3, 0))
+
+
+def _presentation(variables, make_equations):
+    ring = PolyRing([_var_name(v) for v in variables])
+    return HaimanPresentation(BOX, variables, make_equations(*ring.gens()))
+
+
+def test_non_unit_pivot_divides_exactly():
+    # 2c - c' pivots on c with coefficient 2: c = c'/2, then c^2 - c'^2 = -3/4 c'^2
+    pres = _presentation([C, CP], lambda c, cp: [2 * c - cp, c * c - cp * cp])
+    out = simple_eliminate(pres)
+    ring = out.ring
+    assert out.variables == [CP]
+    assert out.equations == [MultiPoly(ring, {(2,): Fraction(-3, 4)})]
+    assert out.eliminated == {C: MultiPoly(ring, {(1,): Fraction(1, 2)})}
+    assert all(type(c) is Fraction for c in _coefficients(out))
+    _assert_matches_reference(pres, out)
+
+
+def test_fraction_pivot_after_a_non_unit_pivot():
+    # c = c'/2 turns c - 3c'' into c'/2 - 3c'', a pivot on c' with coefficient 1/2
+    pres = _presentation(
+        [C, CP, CPP], lambda c, cp, cpp: [2 * c - cp, c - 3 * cpp, c * c - cp * cp]
+    )
+    out = simple_eliminate(pres)
+    ring = out.ring
+    assert out.variables == [CPP]
+    assert out.equations == [MultiPoly(ring, {(2,): -27})]
+    assert out.eliminated == {
+        C: MultiPoly(ring, {(1,): 3}),
+        CP: MultiPoly(ring, {(1,): 6}),
+    }
+    _assert_matches_reference(pres, out)
+
+
+@pytest.mark.parametrize("degree", [2**15 - 1, 2**15])
+def test_input_degree_at_the_packed_limit(degree):
+    pres = _presentation([C], lambda c: [c**degree])
+    if degree < 2**15:
+        out = simple_eliminate(pres)
+        assert out.equations == [MultiPoly(out.ring, {(degree,): 1})]
+    else:
+        with pytest.raises(RingError):
+            simple_eliminate(pres)
+
+
+@pytest.mark.parametrize("k", [2**14 - 1, 2**14])
+def test_substitution_reaching_the_packed_limit(k):
+    # x = y^2 turns x^k into y^(2k): degree 2^15 at k = 2^14
+    x, y = ((0, 0), (2, 0)), C  # weights (2, 0) and (1, 0); x comes first
+    pres = _presentation([x, y], lambda x, y: [x - y * y, x**k])
+    if 2 * k < 2**15:
+        out = simple_eliminate(pres)
+        assert out.variables == [y]
+        assert out.equations == [MultiPoly(out.ring, {(2 * k,): 1})]
+    else:
+        with pytest.raises(RingError):
+            simple_eliminate(pres)

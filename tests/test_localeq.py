@@ -279,5 +279,5 @@ def test_haiman_linear_parts_are_the_cotangent_relations():
                     vs = frozenset(pres.variables[e.index(1)] for e in eq.terms if sum(e) == 1)
                     if vs:
                         linear[vs] += 1
-                edges, kills = _linear_part_relations(lam)
+                edges, kills = _linear_part_relations(lam, glove(lam))
                 assert linear == Counter(frozenset(t) for t in edges + kills)

@@ -162,6 +162,10 @@ def test_packed_layout_matches_the_tuple_operations(case):
     key = order_key(order)
     packed = [lay.pack(e) for e in monos]
     assert [lay.unpack(m) for m in packed] == monos
+    for i in range(len(monos[0])):
+        unit, mask, shift = lay.field(i)
+        assert unit == lay.pack(tuple(int(k == i) for k in range(len(monos[0]))))
+        assert [(m & mask) >> shift for m in packed] == [e[i] for e in monos]
     assert sorted(monos, key=lambda e: lay.key(lay.pack(e))) == sorted(monos, key=key)
     for a, pa in zip(monos, packed):
         for b, pb in zip(monos, packed):
