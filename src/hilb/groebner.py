@@ -4,9 +4,11 @@ Plain Buchberger with the sugar selection strategy and the two classical
 pair-skipping criteria. Division runs fraction-free over Z on content-
 stripped polynomials, so rational input costs one denominator clearing
 up front and the hot loop is pure integer arithmetic. Buchberger and
-division also run on packed monomials (`multipoly.PackedLayout`): terms
-are dicts from packed ints to integer coefficients, products are int
-additions, divisibility is a guard-mask test, and the division heap holds
+division also run on the packed term format of `multipoly`
+(`PackedLayout`, `IntTerms`), which elimination and back-substitution
+share: terms are dicts from packed ints to integer coefficients,
+products are int additions, an S-polynomial is two `_add_shifted`
+calls, divisibility is a guard-mask test, and the division heap holds
 plain int keys. Polynomials are packed on entry and unpacked on exit; an
 exponent or degree of 2^15 or more raises RingError. `Ideal` keeps the
 packed basis of each order for its normal forms. A hard S-pair budget
@@ -21,11 +23,13 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .multipoly import (
+    IntTerms,
     Monomial,
     MultiPoly,
     PackedLayout,
     PolyRing,
     RingError,
+    _add_shifted,
     _mono_colon,
     _mono_divides,
     _mono_lcm,
@@ -46,7 +50,6 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-IntTerms = Dict[int, int]  # packed monomial -> integer coefficient
 # a layout with the packed (lead, lead coefficient) and terms of each basis element
 PackedBasis = Tuple[PackedLayout, List[Tuple[int, int]], List[IntTerms]]
 
@@ -249,21 +252,8 @@ def groebner_basis(
         fi = t - li
         fj = t - lj
         s: IntTerms = {}
-        for e, c in basis_terms[i].items():
-            m = e + fi
-            if m & guard:
-                raise pack_overflow()
-            s[m] = s.get(m, 0) + (cj // d) * c
-        for e, c in basis_terms[j].items():
-            m = e + fj
-            if m & guard:
-                raise pack_overflow()
-            nv = s.get(m, 0) - (ci // d) * c
-            if nv:
-                s[m] = nv
-            else:
-                s.pop(m, None)
-        s = {e: v for e, v in s.items() if v}
+        _add_shifted(s, basis_terms[i], fi, cj // d, guard)
+        _add_shifted(s, basis_terms[j], fj, -(ci // d), guard)
         if not s:
             continue
         r, _ = _divide_int(s, basis_lead, basis_terms, lay)

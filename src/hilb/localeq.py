@@ -5,12 +5,11 @@ quadratic equations attached to adjacent glove pairs, linear-pivot
 elimination, cotangent-space weights with the extra dimension, and the
 pyramid superpotentials.
 
-The Haiman equations have `int` coefficients. Elimination runs on
-packed monomials (`multipoly.PackedLayout`) with the coefficients kept
-as they are, in the `groebner.IntTerms` shape; its pivots on these
-equations are all units, so the local equations and the eliminated
-expressions stay integer. A non-unit pivot divides exactly through
-`Fraction`.
+The Haiman equations have `int` coefficients. Elimination runs on the
+packed term format of `multipoly` (`PackedLayout`, `IntTerms`), with
+the coefficients kept as they are; its pivots on these equations are
+all units, so the local equations and the eliminated expressions stay
+integer. A non-unit pivot divides exactly through `Fraction`.
 """
 
 from __future__ import annotations
@@ -18,19 +17,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .groebner import IntTerms
 from .multipoly import (
-    ZERO,
+    IntTerms,
     MultiPoly,
     PackedLayout,
     PolyRing,
     RingError,
     Weight,
+    _add_shifted,
     _mono_mul,
     _mono_quot,
     _mono_shift,
     _mono_weight,
-    pack_overflow,
+    _mul_packed,
     weight_columns,
 )
 from .partitions import Cell, Partition, adjacent_pairs, glove, min_generators, pyramid
@@ -140,26 +139,6 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
     return HaimanPresentation(lam, variables, equations)
 
 
-def _mul_packed(a: IntTerms, b: IntTerms, guard: int) -> IntTerms:
-    """Product of two packed term dicts; RingError when a degree reaches the field limit."""
-    out: IntTerms = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e & guard:
-                raise pack_overflow()
-            nc = out.get(e)
-            if nc is None:
-                out[e] = c1 * c2
-            else:
-                nc += c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    del out[e]
-    return out
-
-
 def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     """Two elimination passes: deep superscripts first, then everything.
 
@@ -188,31 +167,15 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
 
     def substitute_everywhere(x: int, expr: IntTerms):
         unit_x, xmask, shift = lay.field(x)
-        powers: List[IntTerms] = [{0: 1}]  # the packed monomial 1 is 0
+        powers: List[IntTerms] = [{0: 1}]  # the packed monomial 1 is 0, so k = 0 copies a term
 
         def rewrite(p: IntTerms) -> IntTerms:
             out: IntTerms = {}
             for e, c in p.items():
                 k = (e & xmask) >> shift
-                if not k:
-                    image = ((e, c),)
-                else:
-                    while len(powers) <= k:
-                        powers.append(_mul_packed(powers[-1], expr, guard))
-                    m = e - k * unit_x
-                    image = ((m + f, c * d) for f, d in powers[k].items())
-                for f, d in image:
-                    if f & guard:
-                        raise pack_overflow()
-                    nc = out.get(f)
-                    if nc is None:
-                        out[f] = d
-                    else:
-                        nc += d
-                        if nc:
-                            out[f] = nc
-                        else:
-                            del out[f]
+                while len(powers) <= k:
+                    powers.append(_mul_packed(powers[-1], expr, guard))
+                _add_shifted(out, powers[k], e - k * unit_x, c, guard)
             return out
 
         for k in range(len(eqs)):
@@ -390,7 +353,7 @@ def pyramid_potential(n: int) -> Tuple[MultiPoly, List[HaimanVar]]:
         for v in (v1, v2, v3):
             e[index[v]] += 1
         e = tuple(e)
-        t[e] = t.get(e, ZERO) + sign
+        t[e] = t.get(e, 0) + sign
 
     terms: Dict = {}
     for i in tops:

@@ -12,13 +12,17 @@ and grevlex. Laurent exponents live on a scaled lattice
 (1/D)Z^r with D a power of two, so half-integer weights are exact
 integer data.
 
-Division and Buchberger (`groebner`) and linear elimination
-(`localeq.simple_eliminate`) work on packed monomials instead:
-a `PackedLayout` stores an exponent vector and its total degree as one
-int of 16-bit fields whose top bits are guards (Bachmann & Schoenemann,
-"Monomial representations for Groebner bases computations", ISSAC 1998).
-Product is `+`, quotient is `-`, divisibility is one subtraction and a
-mask test, and the order compares one int key.
+This module is also the home of the packed term format, which division
+and Buchberger (`groebner`), linear elimination
+(`localeq.simple_eliminate`) and back-substitution (`substitute`) work
+on: a `PackedLayout` stores an exponent vector and its total degree as
+one int of 16-bit fields whose top bits are guards (Bachmann &
+Schoenemann, "Monomial representations for Groebner bases
+computations", ISSAC 1998), and `IntTerms` maps packed monomials to
+coefficients. Product is `+`, quotient is `-`, divisibility is one
+subtraction and a mask test, and the order compares one int key. Every
+packed sum of shifted terms (S-polynomials, products, elimination and
+back-substitution) is one call of `_add_shifted`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd
 from operator import add, le, mul, neg, sub
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -73,7 +77,7 @@ class PolyRing:
         return MultiPoly(self, {})
 
     def const(self, c) -> "MultiPoly":
-        return MultiPoly(self, {(0,) * self.n: Fraction(c)})
+        return MultiPoly(self, {(0,) * self.n: _coeff(c)})
 
     def var(self, i: int) -> "MultiPoly":
         e = [0] * self.n
@@ -87,7 +91,12 @@ class PolyRing:
         exps = tuple(int(e) for e in exps)
         if len(exps) != self.n:
             raise RingError("exponent length mismatch")
-        return MultiPoly(self, {exps: Fraction(coeff)})
+        return MultiPoly(self, {exps: _coeff(coeff)})
+
+
+def _coeff(c):
+    """An `int` stays an `int`; any other exact value becomes a `Fraction`."""
+    return c if type(c) is int else Fraction(c)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -125,24 +134,6 @@ def _mono_weight(e: Monomial, columns: Sequence[Tuple[int, ...]]) -> Tuple[int, 
     return tuple([sum(map(mul, ks, compress(col, e))) for col in columns])
 
 
-def _mul_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> Dict[Monomial, Fraction]:
-    """Product of two term dicts, as one new term dict."""
-    out: Dict[Monomial, Fraction] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = _mono_mul(e1, e2)
-            nc = out.get(e)
-            if nc is None:
-                out[e] = c1 * c2
-            else:
-                nc += c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    del out[e]
-    return out
-
-
 def grevlex_key(e: Monomial):
     return (sum(e), tuple(map(neg, e[::-1])))
 
@@ -158,15 +149,6 @@ def order_key(order: str) -> Callable[[Monomial], object]:
     if order == "grevlex":
         return grevlex_key
     raise RingError(f"unknown monomial order {order!r}")
-
-
-def monomial_order_cmp(order: str, a: Monomial, b: Monomial) -> int:
-    """-1, 0, or 1 as a is below, equal to, or above b in the order."""
-    if len(a) != len(b):
-        raise RingError("monomial length mismatch")
-    key = order_key(order)
-    ka, kb = key(a), key(b)
-    return (ka > kb) - (ka < kb)
 
 
 PACK_LIMIT = 1 << 15  # every exponent and every total degree stays below this
@@ -232,6 +214,35 @@ class PackedLayout:
         else:
             shift, degree = 16 * (nvars - i), 1
         return (1 << shift) + degree, 0xFFFF << shift, shift
+
+
+IntTerms = Dict[int, int]  # packed monomial -> coefficient; elimination also holds Fractions
+
+
+def _add_shifted(out: IntTerms, terms: IntTerms, shift: int, c, guard: int) -> None:
+    """out += c * x^shift * terms on packed terms, dropping the sums that cancel;
+    RingError when a shifted monomial sets a `guard` bit."""
+    for e, d in terms.items():
+        m = e + shift
+        if m & guard:
+            raise pack_overflow()
+        nc = out.get(m)
+        if nc is None:
+            out[m] = c * d
+        else:
+            nc += c * d
+            if nc:
+                out[m] = nc
+            else:
+                del out[m]
+
+
+def _mul_packed(a: IntTerms, b: IntTerms, guard: int) -> IntTerms:
+    """Product of two packed term dicts; RingError when a degree reaches PACK_LIMIT."""
+    out: IntTerms = {}
+    for e, c in a.items():
+        _add_shifted(out, b, e, c, guard)
+    return out
 
 
 def _render_terms(terms: Iterable[Tuple[object, str]]) -> str:
@@ -314,7 +325,20 @@ class MultiPoly:
                 return self.ring.zero()
             return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        return MultiPoly(self.ring, _mul_terms(self.terms, other.terms))
+        out: Dict[Monomial, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = _mono_mul(e1, e2)
+                nc = out.get(e)
+                if nc is None:
+                    out[e] = c1 * c2
+                else:
+                    nc += c1 * c2
+                    if nc:
+                        out[e] = nc
+                    else:
+                        del out[e]
+        return MultiPoly(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -353,7 +377,11 @@ class MultiPoly:
         return Fraction(num, den)
 
     def substitute(self, images: Mapping[int, "MultiPoly"] | Sequence["MultiPoly"]) -> "MultiPoly":
-        """Ring homomorphism sending variable i to images[i]."""
+        """Ring homomorphism sending variable i to images[i].
+
+        Runs on packed monomials of the target ring: each image is packed
+        once per call, and a degree of PACK_LIMIT or more raises RingError.
+        """
         if not isinstance(images, Mapping):
             images = {i: p for i, p in enumerate(images)}
         if len(images) != self.ring.n:
@@ -363,35 +391,32 @@ class MultiPoly:
         target = rings[0]
         if any(R != target for R in rings[1:]):
             raise RingError("images live in different rings")
-        zero = (0,) * target.n
-        powers: Dict[int, list] = {i: [{zero: 1}] for i in images}
-        out: Dict[Monomial, Fraction] = {}
+        lay = PackedLayout(target.n, "grevlex")
+        guard, pack = lay.guard, lay.pack
+        powers: Dict[int, List[IntTerms]] = {}  # i -> [1, images[i], images[i]^2, ...], packed
+        out: IntTerms = {}
         for e, c in self.terms.items():
             # a factor with one term scales and shifts every monomial of the
             # product alike, so it is applied after the multi-term factors
-            term, shift = None, zero
+            term, shift = None, 0
             for i, k in compress(enumerate(e), e):
-                pw = powers[i]
+                pw = powers.get(i)
+                if pw is None:
+                    pw = powers[i] = [{0: 1}, {pack(m): d for m, d in images[i].terms.items()}]
                 while len(pw) <= k:
-                    pw.append(_mul_terms(pw[-1], images[i].terms))
+                    pw.append(_mul_packed(pw[-1], pw[1], guard))
                 if len(pw[k]) == 1:
                     (m, d), = pw[k].items()
-                    shift = _mono_mul(shift, m)
+                    # tested at each step: three valid shifts can carry out of the top field
+                    shift += m
+                    if shift & guard:
+                        raise pack_overflow()
                     c = c * d
                 else:
-                    term = pw[k] if term is None else _mul_terms(term, pw[k])
-            for m, tc in (term if term is not None else {zero: 1}).items():
-                m = _mono_mul(m, shift)
-                nc = out.get(m)
-                if nc is None:
-                    out[m] = tc * c
-                else:
-                    nc += tc * c
-                    if nc:
-                        out[m] = nc
-                    else:
-                        del out[m]
-        return MultiPoly(target, out)
+                    term = pw[k] if term is None else _mul_packed(term, pw[k], guard)
+            _add_shifted(out, {0: 1} if term is None else term, shift, c, guard)
+        unpack = lay.unpack
+        return MultiPoly(target, {unpack(m): c for m, c in out.items()})
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) != self.ring.n:
@@ -440,7 +465,7 @@ def poly_from_terms(ring: PolyRing, pairs: Iterable[Tuple[Sequence[int], object]
     terms: Dict[Monomial, Fraction] = {}
     for exps, c in pairs:
         e = tuple(int(x) for x in exps)
-        terms[e] = terms.get(e, ZERO) + Fraction(c)
+        terms[e] = terms.get(e, 0) + _coeff(c)
     return MultiPoly(ring, terms)
 
 

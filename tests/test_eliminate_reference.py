@@ -1,18 +1,19 @@
 """simple_eliminate against the full-homomorphism elimination it replaced.
 
-`reference_eliminate` applies each pivot x -> expr through the ring
-homomorphism `MultiPoly.substitute`, with every other variable sent to
-itself, dividing by the pivot coefficient through Fraction, and renumbers
-the survivors by substituting them into a smaller ring with zero
-placeholders for the eliminated variables. The library works on packed
-monomials, rewrites only the terms that hold x, and divides only at a
-pivot other than +-1; both must agree exactly. On the Haiman equations
-every pivot is a unit, so every coefficient stays an int; hand-built
-presentations cover the other pivots, and packed degrees of 2^15 raise
-RingError.
+`reference_eliminate` applies each pivot x -> expr through a ring
+homomorphism on exponent tuples, `tuple_substitute`, with every other
+variable sent to itself, dividing by the pivot coefficient through
+Fraction, and renumbers the survivors by substituting them into a smaller
+ring with zero placeholders for the eliminated variables. It shares no
+packed code with the library, which works on packed monomials, rewrites
+only the terms that hold x, and divides only at a pivot other than +-1;
+both must agree exactly. On the Haiman equations every pivot is a unit,
+so every coefficient stays an int; hand-built presentations cover the
+other pivots, and packed degrees of 2^15 raise RingError.
 """
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -32,6 +33,34 @@ def linear_coefficient(eq, x):
                 return None
             a = c
     return a
+
+
+def tuple_substitute(p, images):
+    """The ring homomorphism sending variable i to images[i], on exponent
+    tuples with `MultiPoly` products: powers of each image are cached, and
+    a one-term factor scales and shifts the product of the others."""
+    target = images[0].ring
+    one = target.const(1)
+    powers = [[one] for _ in images]
+    out = {}
+    for e, c in p.terms.items():
+        term, shift = one, (0,) * target.n
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            pw = powers[i]
+            while len(pw) <= k:
+                pw.append(pw[-1] * images[i])
+            if len(pw[k].terms) == 1:
+                ((m, d),) = pw[k].terms.items()
+                shift = tuple(map(add, shift, m))
+                c = c * d
+            else:
+                term = term * pw[k]
+        for m, tc in term.terms.items():
+            m = tuple(map(add, m, shift))
+            out[m] = out.get(m, 0) + tc * c
+    return MultiPoly(target, out)
 
 
 def reference_eliminate(pres):
@@ -62,10 +91,10 @@ def reference_eliminate(pres):
             images[x] = expr
             for k, eq in enumerate(eqs):
                 if any(e[x] for e in eq.terms):
-                    eqs[k] = eq.substitute(images)
+                    eqs[k] = tuple_substitute(eq, images)
             for v, p in subs.items():
                 if any(e[x] for e in p.terms):
-                    subs[v] = p.substitute(images)
+                    subs[v] = tuple_substitute(p, images)
 
     run_pass([k for k, (i, j) in enumerate(variables) if j not in min_glo])
     run_pass(list(range(nvars)))
@@ -77,7 +106,7 @@ def reference_eliminate(pres):
 
     def project(p):
         assert not any(e[k] for e in p.terms for k in range(nvars) if not alive[k])
-        return p.substitute(images)
+        return tuple_substitute(p, images)
 
     new_eqs, seen = [], set()
     for eq in eqs:

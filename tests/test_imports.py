@@ -1,8 +1,12 @@
-"""Every module of the library and of its tests uses each name that it imports.
+"""Every module of the library and of its tests uses each name that it
+imports, and every definition of the library is referenced somewhere.
 
-A stdlib `ast` check, so the tier-1 run catches an unused import without a
-linter. A name counts as used when it appears anywhere in the module as a
-plain name, which includes the base of an attribute access.
+Stdlib `ast` checks, so the tier-1 run catches an unused import or a dead
+definition without a linter. An import counts as used when the name
+appears anywhere in the module as a plain name, which includes the base of
+an attribute access. A top-level function, class or non-dunder method of
+`src/hilb` counts as used when its name appears as a plain name or an
+attribute anywhere in `src/hilb`, `tests` or `perfbench`.
 """
 
 import ast
@@ -11,7 +15,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "hilb").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+LIBRARY = sorted((ROOT / "src" / "hilb").glob("*.py"))
+MODULES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py")])
+SCANNED = sorted([*MODULES, *(ROOT / "perfbench").rglob("*.py")])
 
 
 def unused_imports(source: str):
@@ -37,3 +43,53 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source: str):
+    """(line, name) of each top-level function and class, and of each
+    method of a top-level class whose name is not a dunder."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in ast.parse(source).body:
+        if isinstance(node, kinds):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.lineno, item.name
+
+
+def references(sources):
+    """Every name used as a plain name or as an attribute in the sources."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def dead_definitions(source: str, used):
+    return [(line, name) for line, name in definitions(source) if name not in used]
+
+
+def test_the_check_finds_a_dead_definition():
+    source = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "class K:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): pass\n"
+        "    def dead(self): pass\n"
+        "class Dead: pass\n"
+        "used()\n"
+        "K().method()\n"
+    )
+    assert dead_definitions(source, references([source])) == [(2, "unused"), (6, "dead"), (7, "Dead")]
+
+
+def test_no_dead_definitions():
+    used = references(path.read_text() for path in SCANNED)
+    dead = {str(path.relative_to(ROOT)): dead_definitions(path.read_text(), used) for path in LIBRARY}
+    assert {path: found for path, found in dead.items() if found} == {}

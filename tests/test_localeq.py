@@ -248,6 +248,7 @@ def test_jacobian_matches_step0_at_n2():
     jac = jacobian_ideal(F)
     assert len(jac) == 18
     assert all(g.total_degree() == 2 for g in jac)
+    assert all(type(c) is int for g in jac for c in g.terms.values())
     pres = step0(LAM_121)
     assert tuple(F.ring.names) == tuple(pres.ring.names)
     assert ideal_equal(Ideal(F.ring, jac), Ideal(pres.ring, pres.equations))

@@ -15,7 +15,7 @@ from hilb.multipoly import (
     Weight,
     _mono_divides,
     _mono_mul,
-    monomial_order_cmp,
+    _mul_packed,
     order_key,
     poly_from_terms,
 )
@@ -25,29 +25,32 @@ F = Fraction
 
 def test_lex_basic():
     # x^2 vs x y with x before y
-    assert monomial_order_cmp("lex", (2, 0), (1, 1)) == 1
+    key = order_key("lex")
+    assert key((2, 0)) > key((1, 1))
 
 
 def test_grevlex_degree_first():
-    assert monomial_order_cmp("grevlex", (1, 1, 1), (3, 0, 0)) == -1
+    key = order_key("grevlex")
+    assert key((1, 1, 1)) < key((3, 0, 0))
 
 
 def test_grevlex_tiebreak():
     # x^2 y beats x y^2: the last nonzero exponent of the difference is negative
-    assert monomial_order_cmp("grevlex", (2, 1), (1, 2)) == 1
+    key = order_key("grevlex")
+    assert key((2, 1)) > key((1, 2))
 
 
 def test_order_multiplicative():
     rng = random.Random(5)
     for order in ("lex", "grevlex"):
+        key = order_key(order)
         for _ in range(100):
             a = tuple(rng.randint(0, 4) for _ in range(3))
             b = tuple(rng.randint(0, 4) for _ in range(3))
             c = tuple(rng.randint(0, 4) for _ in range(3))
-            cmp_ab = monomial_order_cmp(order, a, b)
             ac = tuple(x + y for x, y in zip(a, c))
             bc = tuple(x + y for x, y in zip(b, c))
-            assert monomial_order_cmp(order, ac, bc) == cmp_ab
+            assert (key(ac) > key(bc), key(ac) == key(bc)) == (key(a) > key(b), key(a) == key(b))
 
 
 @pytest.mark.parametrize("order", ["weighted", ("weighted", (1, 2)), ("grevlex",)])
@@ -188,6 +191,75 @@ def test_packing_rejects_what_a_field_cannot_hold(order):
             lay.pack(e)
     with pytest.raises(RingError):
         PackedLayout(3, ["lex"])
+
+
+def packable_terms(n):
+    """Up to four terms, a base monomial times small ones: each packs, small
+    parts let product terms cancel, and two bases can reach PACK_LIMIT."""
+    top = PACK_LIMIT // max(n, 1) - 4
+    base = st.tuples(*[st.sampled_from([0, top // 2, top])] * n)
+    small = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(-3, 3)), max_size=4)
+    return st.tuples(base, small).map(lambda bs: [(_mono_mul(bs[0], e), c) for e, c in bs[1]])
+
+
+packed_products = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), packable_terms(n), packable_terms(n), st.sampled_from(["lex", "grevlex"]))
+)
+
+
+@seeded
+@given(packed_products)
+def test_packed_product_matches_the_tuple_product(case):
+    n, terms_a, terms_b, order = case
+    R = PolyRing.make("x", n)
+    a, b = poly_from_terms(R, terms_a), poly_from_terms(R, terms_b)
+    lay = PackedLayout(n, order)
+    # (a + b) * (a - b) cancels its cross terms
+    for f, g in ((a, b), (a + b, a - b)):
+        pf, pg = ({lay.pack(e): c for e, c in p.terms.items()} for p in (f, g))
+        if f and g and f.total_degree() + g.total_degree() >= PACK_LIMIT:
+            with pytest.raises(RingError):
+                _mul_packed(pf, pg, lay.guard)
+        else:
+            expected = [(lay.pack(e), c) for e, c in (f * g).terms.items()]
+            assert list(_mul_packed(pf, pg, lay.guard).items()) == expected
+
+
+@pytest.mark.parametrize("k", [2**14 - 1, 2**14])
+def test_substitute_power_at_the_packed_limit(k):
+    # x -> u^k + v sends x^2 to a polynomial of degree 2k
+    (x,) = PolyRing(["x"]).gens()
+    u, v = S2.gens()
+    image = u**k + v
+    if 2 * k < PACK_LIMIT:
+        assert (x * x).substitute([image]) == image * image
+    else:
+        with pytest.raises(RingError):
+            (x * x).substitute([image])
+
+
+def test_substitute_tests_every_one_term_shift():
+    # each image packs, but their product has degree 3 * (2^15 - 1): tested
+    # only at the end, the degree field would carry out with its guard clear
+    x, y, z = R3.gens()
+    k = PACK_LIMIT - 1
+    with pytest.raises(RingError):
+        (x * y * z).substitute([x**k, y**k, z**k])
+
+
+def test_integer_input_keeps_int_coefficients():
+    R = PolyRing(["x", "y"])
+    x, y = R.gens()
+    integer = [
+        (x + 2 * y) ** 3,
+        R.const(3),
+        R.monomial((1, 2), 2),
+        poly_from_terms(R, [((1, 0), 2), ((0, 1), -1), ((1, 0), 3)]),
+    ]
+    assert all(type(c) is int for p in integer for c in p.terms.values())
+    assert integer[0] == x**3 + 6 * x * x * y + 12 * x * y * y + 8 * y**3
+    rational = [R.const(F(3)), R.monomial((1, 2), F(1, 2)), poly_from_terms(R, [((1, 0), 0.5)])]
+    assert all(type(c) is Fraction for p in rational for c in p.terms.values())
 
 
 def test_derivative():
