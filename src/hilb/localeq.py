@@ -15,7 +15,7 @@ integer. A non-unit pivot divides exactly through `Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .multipoly import (
     IntTerms,
@@ -247,78 +247,78 @@ def step0(lam: Partition) -> HaimanPresentation:
     return simple_eliminate(haiman_equations(lam))
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _linear_part_relations(lam: Partition, glo: Iterable[Cell]):
+def _linear_part_relations(cells: Sequence[Cell], glo: Sequence[Cell]):
     """Linear parts of the adjacency equations, as merge edges and kills.
 
-    Each equation contributes at most two linear monomials (the delta
-    hits of its quadratic sums, plus the head variable for an axis
-    pair).  Two surviving terms identify a pair of coordinates, a single
-    surviving term kills one; a term whose subscript leaves the positive
-    orthant is absent.  Works directly on cell data, without building
-    the polynomial ring, but reads the same oriented pairs (p, q, a, b)
-    of `adjacent_pairs` as `haiman_equations`. `glo` is the glove of lam,
-    which the caller has at hand.
+    Coordinate c_i^j is node k * len(glo) + g, for i = cells[k] and
+    j = glo[g] in the sorted cells and glove of a partition. Each
+    equation contributes at most two linear monomials (the delta hits of
+    its quadratic sums, plus the head variable for an axis pair): two
+    surviving terms are an edge of nodes to identify, one kills its node,
+    and a term whose subscript leaves the positive orthant is absent.
+    Works on cell data, without the polynomial ring, but reads the same
+    oriented pairs (p, q, a, b) of `adjacent_pairs` as `haiman_equations`.
     """
-    edges = []
-    kills = []
+    size = len(glo)
+    col = {j: g for g, j in enumerate(glo)}
+    row = {i: k * size for k, i in enumerate(cells)}
+    # below[a][k]: the node id of (cells[k] - e_a, glo[0]), or -1 outside the orthant
+    below = [[row.get(_mono_shift(i, a, -1), -1) for i in cells] for a in range(len(glo[0]))]
+    edges, kills = [], []
     for p, q, a, b in adjacent_pairs(glo):
-        for l in lam.cells:
-            terms = [(l, p)] if b is None else []
-            if l[a] > 0:
-                terms.append((_mono_shift(l, a, -1), q))
-            if b is not None and l[b] > 0:
-                terms.append((_mono_shift(l, b, -1), p))
-            if terms:
-                target = edges if len(terms) == 2 else kills
-                target.append(tuple(terms))
+        gp, gq = col[p], col[q]
+        if b is None:
+            for k, u in enumerate(below[a]):
+                if u < 0:
+                    kills.append(k * size + gp)
+                else:
+                    edges.append((k * size + gp, u + gq))
+        else:
+            for u, v in zip(below[a], below[b]):
+                if u >= 0 and v >= 0:
+                    edges.append((u + gq, v + gp))
+                elif u >= 0 or v >= 0:
+                    kills.append(u + gq if u >= 0 else v + gp)
     return edges, kills
 
 
 def cotangent_weights(lam: Partition) -> Tuple[List[Weight], int]:
     """Weights of a cotangent basis at the monomial ideal, plus extra dimension.
 
-    Coordinates c_i^j are identified along two-term linear parts of the
-    adjacency equations and whole classes containing a one-term linear
-    part are deleted; each surviving class contributes its common weight
-    j - i, kept as an integer cell difference until the sorted result is
-    returned as `Weight`s. Extra dimension is the count minus r * |lambda|.
+    The node ids of `_linear_part_relations` are identified along its
+    edges by a union-find on a parent list with path halving, and whole
+    classes holding a killed node are deleted; each surviving class gives
+    its common weight j - i, an integer cell difference until the sorted
+    result is returned as `Weight`s. Extra dimension is the count minus r * |lambda|.
     """
     if not lam.cells:
         return [], 0
-    r = lam.r
-    glo = glove(lam)
-    pairs = [(i, j) for i in sorted(lam.cells) for j in sorted(glo)]
-    uf = _UnionFind(pairs)
-    edges, kills = _linear_part_relations(lam, glo)
+    cells = sorted(lam.cells)
+    glo = sorted(glove(lam))
+    pairs = [(i, j) for i in cells for j in glo]
+    parent = list(range(len(pairs)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    edges, kills = _linear_part_relations(cells, glo)
     for u, v in edges:
-        uf.union(u, v)
-    killed = {uf.find(t[0]) for t in kills}
+        u, v = find(u), find(v)
+        if u != v:
+            parent[u] = v
+    killed = {find(x) for x in kills}
     classes = {}
-    for i, j in pairs:
-        root = uf.find((i, j))
+    for x, (i, j) in enumerate(pairs):
+        root = find(x)
         if root in killed:
             continue
         w = _mono_quot(j, i)
         if classes.setdefault(root, w) != w:
             raise AssertionError("weight not constant on an equivalence class")
     weights = sorted(classes.values())
-    return [Weight(w) for w in weights], len(weights) - r * lam.n
+    return [Weight(w) for w in weights], len(weights) - lam.r * lam.n
 
 
 def extra_dimension(lam: Partition) -> int:

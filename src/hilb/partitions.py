@@ -63,6 +63,8 @@ class Partition:
 
     def permuted(self, perm: Sequence[int]) -> "Partition":
         """Coordinate permutation: new cell k-th entry is old entry perm[k]."""
+        if sorted(perm) != list(range(self.r)):
+            raise PartitionError(f"{tuple(perm)} is not a permutation of range({self.r})")
         return Partition(self.r, [tuple(c[p] for p in perm) for c in self.cells])
 
     def to_json(self) -> str:
@@ -239,18 +241,15 @@ def is_borel(
 
 
 def canonicalize_S3(lam: Partition) -> Tuple[Partition, Tuple[int, ...]]:
-    """Lex-smallest cell set among the 6 coordinate permutations (r=3)."""
+    """Lex-smallest cell set among the 6 coordinate permutations (r=3),
+    with the first permutation in lex order that gives it."""
     if lam.r != 3:
         raise PartitionError("canonicalize_S3 needs r=3")
-    best = None
-    best_perm = None
-    for perm in itertools.permutations(range(3)):
-        cand = lam.permuted(perm)
-        key = cand.sorted_cells()
-        if best is None or key < best.sorted_cells():
-            best = cand
-            best_perm = perm
-    return best, best_perm
+    cells, perm = min(
+        (sorted([(c[i], c[j], c[k]) for c in lam.cells]), (i, j, k))
+        for i, j, k in itertools.permutations(range(3))
+    )
+    return Partition(3, cells), perm
 
 
 def pyramid(r: int, n: int) -> Partition:

@@ -1,0 +1,147 @@
+"""The census functions against independent references.
+
+`reference_cotangent` is the tuple union-find that `cotangent_weights`
+replaced: its coordinates are (cell, glove point) pairs in a dict of
+parents, and its linear relations are built as tuples of such pairs
+from the same oriented glove pairs. The library numbers the coordinates
+as ints instead; both must give the same weights, in order, and the same
+extra dimension. `reference_canonical` is a plain lex-min over the six
+coordinate permutations of r=3. Random partitions come from a
+`hypothesis` strategy that grows downward-closed sets cell by cell, past
+the sizes the census enumerates.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hilb.localeq import cotangent_weights
+from hilb.partitions import Partition, adjacent_pairs, canonicalize_S3, enumerate_partitions, glove
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def down(cell, a):
+    return tuple(x - (i == a) for i, x in enumerate(cell))
+
+
+def reference_relations(lam, glo):
+    """Merge edges and kills as tuples of (cell, glove point) coordinates."""
+    edges = []
+    kills = []
+    for p, q, a, b in adjacent_pairs(glo):
+        for l in lam.cells:
+            terms = [(l, p)] if b is None else []
+            if l[a] > 0:
+                terms.append((down(l, a), q))
+            if b is not None and l[b] > 0:
+                terms.append((down(l, b), p))
+            if terms:
+                target = edges if len(terms) == 2 else kills
+                target.append(tuple(terms))
+    return edges, kills
+
+
+def reference_cotangent(lam):
+    """(sorted weight tuples, extra dimension) by a union-find on coordinate pairs."""
+    if not lam.cells:
+        return [], 0
+    glo = glove(lam)
+    pairs = [(i, j) for i in sorted(lam.cells) for j in sorted(glo)]
+    uf = _UnionFind(pairs)
+    edges, kills = reference_relations(lam, glo)
+    for u, v in edges:
+        uf.union(u, v)
+    killed = {uf.find(t[0]) for t in kills}
+    classes = {}
+    for i, j in pairs:
+        root = uf.find((i, j))
+        if root in killed:
+            continue
+        w = tuple(y - x for x, y in zip(i, j))
+        if classes.setdefault(root, w) != w:
+            raise AssertionError("weight not constant on an equivalence class")
+    weights = sorted(classes.values())
+    return weights, len(weights) - lam.r * lam.n
+
+
+def reference_canonical(lam):
+    """The lex-smallest sorted cell list over all coordinate permutations,
+    with the first permutation that reaches it."""
+    perms = list(itertools.permutations(range(lam.r)))
+    keys = [sorted(tuple(c[p] for p in perm) for c in lam.cells) for perm in perms]
+    best = min(keys)
+    return best, perms[keys.index(best)]
+
+
+@st.composite
+def partitions(draw, dims=(2, 3, 4), max_cells=12):
+    """A partition grown from the empty set by adding one addable cell at a time."""
+    r = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, max_cells))
+    cells = set()
+    for _ in range(n):
+        candidates = {(0,) * r} | {
+            tuple(x + (i == b) for i, x in enumerate(c)) for c in cells for b in range(r)
+        }
+        addable = sorted(
+            c
+            for c in candidates - cells
+            if all(c[b] == 0 or down(c, b) in cells for b in range(r))
+        )
+        cells.add(draw(st.sampled_from(addable)))
+    return Partition(r, cells)
+
+
+seeded = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def test_cotangent_weights_match_the_tuple_union_find():
+    classes = [(2, n) for n in range(9)] + [(3, n) for n in range(8)] + [(4, n) for n in range(6)]
+    count = 0
+    for r, n in classes:
+        for lam in enumerate_partitions(r, n):
+            ws, extra = cotangent_weights(lam)
+            ref, ref_extra = reference_cotangent(lam)
+            assert [(w.nums, w.scale) for w in ws] == [(w, 1) for w in ref]
+            assert extra == ref_extra
+            count += 1
+    assert count == 67 + 182 + 101
+
+
+@seeded
+@given(partitions())
+def test_cotangent_weights_are_S_r_equivariant(lam):
+    ws, extra = cotangent_weights(lam)
+    assert all(w.scale == 1 for w in ws)
+    nums = [w.nums for w in ws]
+    assert (nums, extra) == reference_cotangent(lam)
+    for perm in itertools.permutations(range(lam.r)):
+        pws, pextra = cotangent_weights(lam.permuted(perm))
+        assert pextra == extra
+        assert [w.nums for w in pws] == sorted(tuple(w[p] for p in perm) for w in nums)
+
+
+@seeded
+@given(partitions(dims=(3,)))
+def test_canonicalize_S3_is_the_lex_min_over_the_six_permutations(lam):
+    canon, perm = canonicalize_S3(lam)
+    cells, ref_perm = reference_canonical(lam)
+    assert canon.sorted_cells() == cells
+    assert perm == ref_perm
+    assert lam.permuted(perm) == canon

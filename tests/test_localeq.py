@@ -268,6 +268,12 @@ def test_singular_census_colength_5():
     }
 
 
+def coordinate(node, cells, glo):
+    """The Haiman variable (cell, glove point) that a cotangent node id numbers."""
+    k, g = divmod(node, len(glo))
+    return cells[k], glo[g]
+
+
 def test_haiman_linear_parts_are_the_cotangent_relations():
     """Census and eliminate read one glove-pair rule: the degree-1 parts of
     the Haiman equations are the edges and kills behind the extra dimension."""
@@ -280,5 +286,9 @@ def test_haiman_linear_parts_are_the_cotangent_relations():
                     vs = frozenset(pres.variables[e.index(1)] for e in eq.terms if sum(e) == 1)
                     if vs:
                         linear[vs] += 1
-                edges, kills = _linear_part_relations(lam, glove(lam))
-                assert linear == Counter(frozenset(t) for t in edges + kills)
+                cells, glo = sorted(lam.cells), sorted(glove(lam))
+                edges, kills = _linear_part_relations(cells, glo)
+                relations = [frozenset(coordinate(x, cells, glo) for x in e) for e in edges]
+                relations += [frozenset([coordinate(x, cells, glo)]) for x in kills]
+                assert all(len(t) == 2 for t in relations[: len(edges)])
+                assert linear == Counter(relations)

@@ -196,6 +196,14 @@ def test_canonicalize_swap():
     assert c1 == c2
 
 
+def test_permuted_rejects_what_is_not_a_permutation():
+    lam = Partition(3, [(0, 0, 0)])
+    for bad in [(2, 2, 2), (0, 1, 5), (0, 1), (0, 1, 2, 3)]:
+        with pytest.raises(PartitionError):
+            lam.permuted(bad)
+    assert lam.permuted([2, 0, 1]) == lam
+
+
 def test_canonicalize_permutation_is_witness():
     for lam in enumerate_partitions(3, 5):
         canon, perm = canonicalize_S3(lam)
