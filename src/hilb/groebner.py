@@ -10,8 +10,9 @@ share: terms are dicts from packed ints to integer coefficients,
 products are int additions, an S-polynomial is two `_add_shifted`
 calls, divisibility is a guard-mask test, and the division heap holds
 plain int keys. Polynomials are packed on entry and unpacked on exit; an
-exponent or degree of 2^15 or more raises RingError. `Ideal` keeps the
-packed basis of each order for its normal forms. A hard S-pair budget
+exponent or degree of 2^15 or more raises RingError. Division by a
+basis has one entry point, `Ideal.normal_form`, which packs the basis of
+each order once and keeps it. A hard S-pair budget
 turns blowups into a structured failure instead of an endless run.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .multipoly import (
     IntTerms,
@@ -133,40 +134,6 @@ def _divide_int(
     return work, mult
 
 
-def _pack_basis(basis: Sequence[MultiPoly], lay: PackedLayout) -> PackedBasis:
-    key = lay.key
-    basis_lead = []
-    basis_terms = []
-    for g in basis:
-        gt, _ = _int_terms(g, lay)
-        ge = max(gt, key=key)
-        basis_lead.append((ge, gt[ge]))
-        basis_terms.append(gt)
-    return lay, basis_lead, basis_terms
-
-
-def _packed_normal_form(p: MultiPoly, packed: PackedBasis) -> MultiPoly:
-    """Remainder of a nonzero p under a packed basis, as a MultiPoly."""
-    lay, basis_lead, basis_terms = packed
-    terms, content = _int_terms(p, lay)
-    work, mult = _divide_int(terms, basis_lead, basis_terms, lay)
-    scale = content / mult
-    unpack = lay.unpack
-    return MultiPoly(p.ring, {unpack(e): v * scale for e, v in work.items()})
-
-
-def normal_form(p: MultiPoly, basis: Sequence[MultiPoly], order="grevlex") -> MultiPoly:
-    """Remainder of p under multivariate division by basis (full reduction).
-
-    Deterministic: the first basis element (in list order) whose leading
-    monomial divides the current leading monomial is used. The basis is
-    packed on every call; `Ideal.normal_form` keeps it packed instead.
-    """
-    if not p.terms:
-        return p
-    return _packed_normal_form(p, _pack_basis(basis, PackedLayout(p.ring.n, order)))
-
-
 def groebner_basis(
     gens: Iterable[MultiPoly],
     order="grevlex",
@@ -192,12 +159,10 @@ def groebner_basis(
     basis_lead: List[Tuple[int, int]] = []
     lead_exps: List[Monomial] = []  # the packed leads as tuples, for pair lcms
     sugar: List[int] = []
-    pending: Dict[Tuple[int, int], bool] = {}
-    heap: List[Tuple[int, int, int, int]] = []
-    counter = 0
+    pending: Set[Tuple[int, int]] = set()  # the (old, new) index pairs on the heap
+    heap: List[Tuple[int, int, int]] = []  # (sugar, new, old): ties pop in creation order
 
     def add_int(t: IntTerms, s: int):
-        nonlocal counter
         t, _ = _primitive_int(t)
         lead = max(t, key=key)
         if t[lead] < 0:
@@ -212,9 +177,8 @@ def groebner_basis(
             lj = lead_exps[j]
             dt = sum(_mono_lcm(le, lj))
             pair_sugar = max(s + dt - sum(le), sugar[j] + dt - sum(lj))
-            heapq.heappush(heap, (pair_sugar, counter, j, i))
-            pending[(j, i)] = True
-            counter += 1
+            heapq.heappush(heap, (pair_sugar, i, j))
+            pending.add((j, i))
 
     packed = [(_int_terms(g, lay)[0], g.total_degree()) for g in gens]
     for t, s in sorted(packed, key=lambda ts: key(max(ts[0], key=key))):
@@ -222,9 +186,8 @@ def groebner_basis(
 
     used = 0
     while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if not pending.pop((i, j), False):
-            continue
+        _, j, i = heapq.heappop(heap)
+        pending.remove((i, j))
         ei, ej = lead_exps[i], lead_exps[j]
         te = _mono_lcm(ei, ej)
         # criterion 1: coprime leading monomials
@@ -330,10 +293,14 @@ class MonomialIdeal:
         self.gens = minimal_monomials(gens)
 
     def contains(self, mono: Monomial) -> bool:
+        if len(mono) != self.nvars:
+            raise RingError("monomial length mismatch")
         return any(_mono_divides(g, mono) for g in self.gens)
 
     def colon(self, f: Monomial) -> "MonomialIdeal":
         f = tuple(int(x) for x in f)
+        if len(f) != self.nvars:
+            raise RingError("monomial length mismatch")
         return MonomialIdeal(self.nvars, [_mono_colon(g, f) for g in self.gens])
 
     def __eq__(self, other):
@@ -376,20 +343,41 @@ class Ideal:
     def set_groebner(self, order, basis: List[MultiPoly]):
         """Install a reduced basis computed elsewhere, such as by `groebner_basis`."""
         order_key(order)
-        self._gb[order] = list(basis)
+        basis = list(basis)
+        if any(g.ring != self.ring for g in basis):
+            raise RingError("basis element outside the ring")
+        self._gb[order] = basis
         self._packed.pop(order, None)
 
     def normal_form(self, p: MultiPoly, order="grevlex") -> MultiPoly:
+        """Remainder of p under full division by the reduced basis of `order`.
+
+        Deterministic: each term is divided by the first basis element, in
+        list order, whose leading monomial divides it. The basis is packed
+        on the first call for an order and kept.
+        """
         order_key(order)
         if p.ring != self.ring:
             raise RingError("polynomial outside the ring")
         packed = self._packed.get(order)
         if packed is None:
-            packed = _pack_basis(self.groebner(order), PackedLayout(self.ring.n, order))
-            self._packed[order] = packed
+            lay = PackedLayout(self.ring.n, order)
+            basis_lead = []
+            basis_terms = []
+            for g in self.groebner(order):
+                gt, _ = _int_terms(g, lay)
+                ge = max(gt, key=lay.key)
+                basis_lead.append((ge, gt[ge]))
+                basis_terms.append(gt)
+            packed = self._packed[order] = (lay, basis_lead, basis_terms)
         if not p.terms:
             return p
-        return _packed_normal_form(p, packed)
+        lay, basis_lead, basis_terms = packed
+        terms, content = _int_terms(p, lay)
+        work, mult = _divide_int(terms, basis_lead, basis_terms, lay)
+        scale = content / mult
+        unpack = lay.unpack
+        return MultiPoly(p.ring, {unpack(e): v * scale for e, v in work.items()})
 
     def contains(self, p: MultiPoly, order="grevlex") -> bool:
         return not self.normal_form(p, order)

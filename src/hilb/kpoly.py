@@ -2,8 +2,11 @@
 
 Numerators are integer Laurent polynomials in the torus characters;
 denominators stay factored, one (1 - t^w) per ambient variable. The
-K-polynomial recursion runs on integer numerator tuples over one
-power-of-two scale and builds Weight keys only for its result.
+series of a monomial ideal is its K-polynomial (`kpoly_monomial`) over
+those factors, and `hilbert_series` takes a polynomial `Ideal` to the
+K-polynomial of its initial ideal. The K-polynomial recursion runs on
+integer numerator tuples over one power-of-two scale and builds Weight
+keys only for its result.
 Identities between series, such as equality and self-reciprocity, are
 decided exactly as identities between Laurent polynomials, after
 clearing the factored denominators.
@@ -12,13 +15,12 @@ clearing the factored denominators.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .groebner import MonomialIdeal, minimal_monomials
+from .groebner import Ideal, MonomialIdeal, minimal_monomials
 from .multipoly import (
     LaurentPoly,
     Monomial,
@@ -45,7 +47,8 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     memoized on the canonical minimal generator tuples encountered.
     The weights are first put on their largest power-of-two scale, so
     the recursion adds integer numerator tuples; Weight keys are built
-    once, for the result.
+    once, for the result. The unit ideal needs no special case: its one
+    generator 1 gives K = 1 - t^0 = 0.
     """
     if len(weights) != J.nvars:
         raise RingError("weight list does not cover the variables")
@@ -54,14 +57,11 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     r = weights[0].r
     scale, columns = weight_columns(weights)
     one = {(0,) * r: 1}
-    unit = ((0,) * J.nvars,)
     memo: Dict[Tuple[Monomial, ...], Dict[Tuple[int, ...], int]] = {}
 
     def run(gens: Tuple[Monomial, ...]) -> Dict[Tuple[int, ...], int]:
         if not gens:
             return one
-        if gens == unit:
-            return {}
         got = memo.get(gens)
         if got is not None:
             return got
@@ -88,14 +88,6 @@ def monomial_colength(J: MonomialIdeal) -> int:
     return partition_of_ideal(J).n
 
 
-def _weight_to_json(w: Weight) -> dict:
-    return {"nums": list(w.nums), "scale": w.scale}
-
-
-def _weight_from_json(d: dict) -> Weight:
-    return Weight(tuple(int(x) for x in d["nums"]), int(d["scale"]))
-
-
 class HilbertSeries:
     """K-polynomial numerator over a product of (1 - t^w) factors."""
 
@@ -115,30 +107,6 @@ class HilbertSeries:
     def r(self) -> int:
         return self.numerator.r
 
-    def to_json(self) -> str:
-        num = [
-            {"w": _weight_to_json(w), "c": c}
-            for w, c in sorted(self.numerator.terms.items(), key=lambda t: t[0].sort_key())
-        ]
-        return json.dumps(
-            {
-                "schema": "hilbert-series/1",
-                "rank": self.r,
-                "numerator": num,
-                "denom_weights": [_weight_to_json(w) for w in self.denom_weights],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "HilbertSeries":
-        data = json.loads(text)
-        if data.get("schema") != "hilbert-series/1":
-            raise RingError(f"unsupported series schema {data.get('schema')!r}")
-        r = int(data["rank"])
-        terms = {_weight_from_json(t["w"]): int(t["c"]) for t in data["numerator"]}
-        denom = [_weight_from_json(d) for d in data["denom_weights"]]
-        return cls(LaurentPoly(r, terms), denom)
-
     def render(self, var: str = "t") -> str:
         mult: Dict[Weight, int] = {}
         for w in self.denom_weights:
@@ -152,14 +120,14 @@ class HilbertSeries:
     __repr__ = render
 
 
-def hilbert_series(I, weights: Sequence[Weight], order: str = "grevlex") -> HilbertSeries:
-    """Series of S/I: K of the initial ideal over the ambient factors."""
-    if isinstance(I, MonomialIdeal):
-        J = I
-    elif I.gens:
-        J = I.initial_ideal(order)
-    else:
-        J = MonomialIdeal(I.ring.n, [])
+def hilbert_series(I: Ideal, weights: Sequence[Weight], order: str = "grevlex") -> HilbertSeries:
+    """Series of S/I: K of the initial ideal under `order` over one factor
+    (1 - t^w) per ambient variable.
+
+    For a monomial ideal J the series is
+    `HilbertSeries(kpoly_monomial(J, weights), weights)`.
+    """
+    J = I.initial_ideal(order) if I.gens else MonomialIdeal(I.ring.n, [])
     return HilbertSeries(kpoly_monomial(J, weights), weights)
 
 

@@ -10,7 +10,9 @@ among the `_mono_*` functions below, which every module calls; the
 cells of a partition are the same tuples. The monomial orders are lex
 and grevlex. Laurent exponents live on a scaled lattice
 (1/D)Z^r with D a power of two, so half-integer weights are exact
-integer data.
+integer data: a weight's numerators and a Laurent coefficient are
+integers, and anything else raises RingError rather than being
+truncated.
 
 This module is also the home of the packed term format, which division
 and Buchberger (`groebner`), linear elimination
@@ -27,13 +29,12 @@ back-substitution) is one call of `_add_shifted`.
 
 from __future__ import annotations
 
-import json
 import sys
 from array import array
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from operator import add, le, mul, neg, sub
+from operator import add, index, le, mul, neg, sub
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -279,9 +280,6 @@ class MultiPoly:
         if self.ring != other.ring:
             raise RingError("ring context mismatch")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -376,18 +374,20 @@ class MultiPoly:
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
 
-    def substitute(self, images: Mapping[int, "MultiPoly"] | Sequence["MultiPoly"]) -> "MultiPoly":
+    def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending variable i to images[i].
 
-        Runs on packed monomials of the target ring: each image is packed
-        once per call, and a degree of PACK_LIMIT or more raises RingError.
+        The images all live in one target ring, which may differ from this
+        one; RingError when they do not, or when there is no image to take
+        the target from. Runs on packed monomials of the target ring: each
+        image is packed once per call, and a degree of PACK_LIMIT or more
+        raises RingError.
         """
-        if not isinstance(images, Mapping):
-            images = {i: p for i, p in enumerate(images)}
         if len(images) != self.ring.n:
             raise RingError("every variable needs an image")
-        rings = list({id(p.ring): p.ring for p in images.values()}.values())  # one per object
-        assert rings
+        rings = list({id(p.ring): p.ring for p in images}.values())  # one per object
+        if not rings:
+            raise RingError("no image to take the target ring from")
         target = rings[0]
         if any(R != target for R in rings[1:]):
             raise RingError("images live in different rings")
@@ -443,23 +443,6 @@ class MultiPoly:
 
     __repr__ = render
 
-    def to_json(self) -> str:
-        terms = [
-            {"exp": list(e), "coeff": f"{c.numerator}/{c.denominator}"}
-            for e, c in self.sorted_terms("grevlex")
-        ]
-        return json.dumps({"vars": list(self.ring.names), "terms": terms})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultiPoly":
-        data = json.loads(text)
-        ring = PolyRing(data["vars"])
-        terms = {}
-        for t in data["terms"]:
-            e = tuple(int(x) for x in t["exp"])
-            terms[e] = Fraction(t["coeff"])
-        return cls(ring, terms)
-
 
 def poly_from_terms(ring: PolyRing, pairs: Iterable[Tuple[Sequence[int], object]]) -> MultiPoly:
     terms: Dict[Monomial, Fraction] = {}
@@ -475,7 +458,10 @@ class Weight:
     __slots__ = ("nums", "scale")
 
     def __init__(self, nums: Sequence[int], scale: int = 1):
-        nums = tuple(int(x) for x in nums)
+        try:
+            nums = tuple(map(index, nums))
+        except TypeError:
+            raise RingError(f"weight entries must be integers: {nums!r}") from None
         if scale < 1 or scale & (scale - 1):
             raise RingError("scale must be a power of two")
         while scale > 1 and all(x % 2 == 0 for x in nums):
@@ -561,7 +547,10 @@ class LaurentPoly:
             if w.r != r:
                 raise RingError("weight rank mismatch")
             if c:
-                out[w] = int(c)
+                try:
+                    out[w] = index(c)
+                except TypeError:
+                    raise RingError(f"Laurent coefficients must be integers: {c!r}") from None
         self.terms = out
 
     @classmethod

@@ -8,7 +8,6 @@ axis give the ascending-chain notation (1) < (2,1) used for display.
 from __future__ import annotations
 
 import itertools
-import json
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import MonomialIdeal
@@ -66,14 +65,6 @@ class Partition:
         if sorted(perm) != list(range(self.r)):
             raise PartitionError(f"{tuple(perm)} is not a permutation of range({self.r})")
         return Partition(self.r, [tuple(c[p] for p in perm) for c in self.cells])
-
-    def to_json(self) -> str:
-        return json.dumps({"dim": self.r, "cells": [list(c) for c in self.sorted_cells()]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Partition":
-        data = json.loads(text)
-        return cls(int(data["dim"]), [tuple(c) for c in data["cells"]])
 
 
 def glove(lam: Partition) -> FrozenSet[Cell]:
@@ -197,47 +188,6 @@ def enumerate_partitions(r: int, n: int) -> List[Partition]:
 
     results.sort(key=lambda p: p.sorted_cells())
     return results
-
-
-def is_borel(
-    lam: Partition,
-    orders: Optional[Iterable[Tuple[int, ...]]] = None,
-) -> Tuple[bool, Tuple[int, ...] | None]:
-    """Borel test over variable orders; returns a witness order.
-
-    By default all r! orders are tried. The witness (i_1, ..., i_r)
-    lists 0-based variable indices from smallest to largest; moving a
-    factor to a smaller variable must stay in the ideal. Exchanges are
-    checked on all monomials of I_λ up to the maximal generator degree.
-    """
-    r = lam.r
-    gens = min_generators(lam)
-    maxdeg = max((sum(g) for g in gens), default=0)
-    monomials = [
-        m
-        for m in itertools.product(*(range(maxdeg + 1) for _ in range(r)))
-        if sum(m) <= maxdeg and m not in lam.cells
-    ]
-    if orders is None:
-        orders = itertools.permutations(range(r))
-    for order in orders:
-        rank = {v: k for k, v in enumerate(order)}
-        ok = True
-        for m in monomials:
-            for j in range(r):
-                if not m[j]:
-                    continue
-                for i in range(r):
-                    if rank[i] < rank[j] and _mono_shift(_mono_shift(m, j, -1), i) in lam.cells:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return True, order
-    return False, None
 
 
 def canonicalize_S3(lam: Partition) -> Tuple[Partition, Tuple[int, ...]]:

@@ -15,7 +15,6 @@ from hilb.groebner import (
     groebner_basis,
     ideal_equal,
     minimal_monomials,
-    normal_form,
 )
 from hilb.localeq import jacobian_ideal, pyramid_potential
 from hilb.multipoly import (
@@ -71,7 +70,7 @@ def test_new_element_found():
 def test_normal_form_projection_and_additivity():
     R = PolyRing(["x", "y", "z"])
     x, y, z = R.gens()
-    basis = groebner_basis([x * x - z, y * y - z * z])
+    I = Ideal(R, [x * x - z, y * y - z * z])
     rng = random.Random(17)
 
     def rand_poly():
@@ -88,9 +87,9 @@ def test_normal_form_projection_and_additivity():
 
     for _ in range(15):
         p, q = rand_poly(), rand_poly()
-        np_, nq = normal_form(p, basis), normal_form(q, basis)
-        assert normal_form(np_, basis) == np_
-        assert normal_form(p + q, basis) == np_ + nq
+        np_, nq = I.normal_form(p), I.normal_form(q)
+        assert I.normal_form(np_) == np_
+        assert I.normal_form(p + q) == np_ + nq
 
 
 def test_monomial_membership_matches_divisibility():
@@ -122,17 +121,41 @@ def test_ideal_rejects_an_unknown_order_before_the_cache(order):
         I.set_groebner(order, [x])
 
 
+def _sympy_expr(terms, x):
+    """The sympy expression of (exponent tuple, coefficient) pairs in the symbols x."""
+    return sum(c * sympy.Mul(*[v ** k for v, k in zip(x, e)]) for e, c in terms)
+
+
+def _sympy_normal_form(p, gens, order):
+    """The remainder of p modulo sympy's own Groebner basis of gens, as a term dict.
+
+    The remainder modulo a Groebner basis is unique, so it is the normal
+    form whatever basis and division strategy produce it.
+    """
+    x = sympy.symbols(f"x0:{p.ring.n}")
+    exprs = [_sympy_expr(g.terms.items(), x) for g in gens]
+    basis = sympy.groebner(exprs, *x, order=order, domain="QQ").exprs
+    _, r = sympy.reduced(_sympy_expr(p.terms.items(), x), basis, *x, order=order)
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(r, *x, domain="QQ").terms() if c}
+
+
 def test_ideal_normal_form_follows_set_groebner():
     R = PolyRing(["x", "y", "z"])
     x, y, z = R.gens()
     I = Ideal(R, [x * x - z, y * y - z * z])
     rng = random.Random(29)
+
+    def rand_poly(nterms, max_exp):
+        return poly_from_terms(
+            R, [(tuple(rng.randint(0, max_exp) for _ in range(3)), rng.randint(-5, 5)) for _ in range(nterms)]
+        )
+
+    ideals = [I] + [Ideal(R, [rand_poly(3, 2) for _ in range(rng.randint(2, 3))]) for _ in range(4)]
     for order in ("grevlex", "lex"):
-        for _ in range(20):
-            p = poly_from_terms(
-                R, [(tuple(rng.randint(0, 3) for _ in range(3)), rng.randint(-5, 5)) for _ in range(4)]
-            )
-            assert I.normal_form(p, order) == normal_form(p, I.groebner(order), order)
+        for J in ideals:
+            for _ in range(5):
+                p = rand_poly(4, 3)
+                assert J.normal_form(p, order).terms == _sympy_normal_form(p, J.gens, order)
     # the packed basis of an order already queried is replaced with the basis
     assert I.normal_form(x * x * y, "grevlex") == y * z
     I.set_groebner("grevlex", [x - 2])
@@ -141,6 +164,15 @@ def test_ideal_normal_form_follows_set_groebner():
     assert I.normal_form(x * x * y, "lex") == y * z
     with pytest.raises(RingError):
         I.normal_form(PolyRing(["x", "y"]).var(0))
+
+
+def test_set_groebner_rejects_a_basis_from_another_ring():
+    a = PolyRing(["a", "b", "c"]).var(0)
+    x = PolyRing(["x", "y"]).var(0)
+    I = Ideal(a.ring, [a])
+    with pytest.raises(RingError):
+        I.set_groebner("grevlex", [x])
+    assert I.contains(a)
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
@@ -172,11 +204,12 @@ def test_degree_beyond_the_packed_range_raises():
     with pytest.raises(RingError):
         groebner_basis([R.monomial((half, 1)) - 1, R.monomial((1, half)) - 1])
     # dividing by x - y^3 under lex triples the degree of x^12000
+    I = Ideal(R, [x - y ** 3])
     with pytest.raises(RingError):
-        normal_form(R.monomial((12000, 0)), [x - y ** 3], "lex")
-    assert normal_form(R.monomial((10000, 0)), [x - y ** 3], "lex") == R.monomial((0, 30000))
+        I.normal_form(R.monomial((12000, 0)), "lex")
+    assert I.normal_form(R.monomial((10000, 0)), "lex") == R.monomial((0, 30000))
     with pytest.raises(RingError):
-        normal_form(R.monomial((PACK_LIMIT, 0)), [y], "grevlex")
+        Ideal(R, [y]).normal_form(R.monomial((PACK_LIMIT, 0)), "grevlex")
 
 
 def test_initial_ideal_simple():
@@ -250,6 +283,14 @@ def test_colon_examples():
     assert J.colon((0, 1)) == MonomialIdeal(2, [(1, 0), (0, 2)])
 
 
+def test_monomial_ideal_rejects_a_monomial_of_the_wrong_length():
+    J = MonomialIdeal(2, [(1, 1)])
+    with pytest.raises(RingError):
+        J.contains((1,))
+    with pytest.raises(RingError):
+        J.colon((1, 0, 5))
+
+
 def test_monomial_ideal_minimalizes():
     J = MonomialIdeal(2, [(1, 0), (2, 0), (1, 1)])
     assert J.gens == ((1, 0),)
@@ -285,7 +326,7 @@ def _sympy_reduced_basis(term_lists, nvars, order):
     the grevlex one; the lead term is taken with hilb's own order key.
     """
     x = sympy.symbols(f"x0:{nvars}")
-    exprs = [sum(c * sympy.Mul(*[v ** k for v, k in zip(x, e)]) for e, c in t) for t in term_lists]
+    exprs = [_sympy_expr(t, x) for t in term_lists]
     key = order_key(order)
     out = []
     for p in sympy.groebner(exprs, *x, order=order, domain="QQ").polys:

@@ -1,12 +1,15 @@
 """Every module of the library and of its tests uses each name that it
-imports, and every definition of the library is referenced somewhere.
+imports, every definition of the library is referenced somewhere, and the
+library holds no `assert` statement.
 
 Stdlib `ast` checks, so the tier-1 run catches an unused import or a dead
 definition without a linter. An import counts as used when the name
 appears anywhere in the module as a plain name, which includes the base of
 an attribute access. A top-level function, class or non-dunder method of
 `src/hilb` counts as used when its name appears as a plain name or an
-attribute anywhere in `src/hilb`, `tests` or `perfbench`.
+attribute anywhere in `src/hilb`, `tests` or `perfbench`. An `assert`
+vanishes under `python -O`, so a condition the library must check raises
+an error instead.
 """
 
 import ast
@@ -93,3 +96,18 @@ def test_no_dead_definitions():
     used = references(path.read_text() for path in SCANNED)
     dead = {str(path.relative_to(ROOT)): dead_definitions(path.read_text(), used) for path in LIBRARY}
     assert {path: found for path, found in dead.items() if found} == {}
+
+
+def assert_lines(source: str):
+    """Line of each `assert` statement, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_the_check_finds_an_assert():
+    source = "def f(x):\n    assert x\n    return x\n\nassert f(1), 'message'\n"
+    assert assert_lines(source) == [2, 5]
+
+
+def test_no_asserts_in_the_library():
+    found = {str(path.relative_to(ROOT)): assert_lines(path.read_text()) for path in LIBRARY}
+    assert {path: lines for path, lines in found.items() if lines} == {}

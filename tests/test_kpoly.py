@@ -169,14 +169,6 @@ class TestHilbertSeries:
         h2 = hilbert_series(Ideal(ring, I_gens), w, order="lex")
         assert series_equal(h1, h2)
 
-    def test_json_roundtrip(self):
-        K = LaurentPoly.one(2) - LaurentPoly.char(Weight.of(1, 1))
-        h = HilbertSeries(K, [Weight.of(1, 0), Weight.halves(1, 1)])
-        h2 = HilbertSeries.from_json(h.to_json())
-        assert h2.numerator == h.numerator
-        assert h2.denom_weights == h.denom_weights
-        assert h.to_json() == h2.to_json()
-
     def test_render_groups_factors(self):
         h = HilbertSeries(LaurentPoly.one(2), [Weight.of(1, 0), Weight.of(1, 0), Weight.of(0, 1)])
         text = h.render()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hilb.multipoly import (
     PACK_LIMIT,
     LaurentPoly,
-    MultiPoly,
     PackedLayout,
     PolyRing,
     RingError,
@@ -63,7 +62,7 @@ def test_substitute_square():
     R = PolyRing(["x", "y"])
     x, y = R.gens()
     p = x * x
-    q = p.substitute({0: x + y, 1: y})
+    q = p.substitute([x + y, y])
     assert q == x * x + 2 * x * y + y * y
 
 
@@ -72,6 +71,11 @@ def test_substitute_identity():
     x, y, z = R.gens()
     p = 3 * x * y * z - z * z + 7
     assert p.substitute(list(R.gens())) == p
+
+
+def test_substitute_needs_an_image_to_take_the_target_ring_from():
+    with pytest.raises(RingError):
+        PolyRing([]).const(3).substitute([])
 
 
 def test_substitute_is_homomorphism():
@@ -85,7 +89,7 @@ def test_substitute_is_homomorphism():
             [((rng.randint(0, 3), rng.randint(0, 3)), rng.randint(-4, 4)) for _ in range(4)],
         )
 
-    images = {0: x - 2 * y, 1: x * y + 1}
+    images = [x - 2 * y, x * y + 1]
     for _ in range(20):
         p, q = rand_poly(), rand_poly()
         assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
@@ -142,7 +146,7 @@ def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
-    assert (p - p).is_zero()
+    assert not p - p
     assert p - p == R3.zero()
 
 
@@ -277,20 +281,19 @@ def test_poly_render():
     assert p.render() == "x_1^2 - 3/2 x_2"
 
 
-def test_json_roundtrip():
-    R = PolyRing.make("x", 12)
-    g = R.gens()
-    p = g[0] * g[11] - F(7, 3) * g[4] ** 2 + 1
-    q = MultiPoly.from_json(p.to_json())
-    assert q.ring.names == R.names
-    assert q.terms == p.terms
-
-
 def test_weight_reduction():
     assert Weight((2, 4), 2) == Weight.of(1, 2)
     assert Weight.halves(1, 3).scale == 2
     w = Weight.halves(1, 1) + Weight.halves(1, -1)
     assert w == Weight.of(1, 0)
+
+
+def test_weights_and_laurent_coefficients_must_be_integers():
+    with pytest.raises(RingError):
+        LaurentPoly(1, {Weight.of(1): F(1, 2)})
+    with pytest.raises(RingError):
+        Weight.of(1, 3) * F(1, 2)
+    assert Weight.of(1, 3) * 2 == Weight.of(2, 6)
 
 
 def test_laurent_render():

@@ -12,7 +12,6 @@ from hilb.partitions import (
     enumerate_partitions,
     glove,
     ideal_of_partition,
-    is_borel,
     min_generators,
     parse_chain,
     partition_of_ideal,
@@ -154,13 +153,6 @@ def test_adjacent_pairs_match_the_all_pairs_definition_and_are_oriented():
                     assert a != b and p == tuple(x + y for x, y in zip(q, step))
 
 
-def test_borel_examples():
-    assert is_borel(parse_chain("(1) ⊂ (3,2)"))[0] is True
-    borel, order = is_borel(parse_chain("(1) ⊂ (3,1,1)"))
-    assert borel is False and order is None
-    assert is_borel(Partition(3, [(0, 0, 0)]))[0] is True
-
-
 def test_ideal_of_partition_examples():
     assert ideal_of_partition(Partition(3, [(0, 0, 0)])) == MonomialIdeal(
         3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -225,8 +217,3 @@ def test_chain_notation_roundtrip():
         lam = parse_chain(text)
         assert chain_notation(lam) == text
         assert parse_chain(chain_notation(lam)) == lam
-
-
-def test_json_roundtrip():
-    lam = parse_chain("(1) ⊂ (2,1)")
-    assert Partition.from_json(lam.to_json()) == lam
