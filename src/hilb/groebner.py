@@ -9,11 +9,14 @@ division also run on the packed term format of `multipoly`
 share: terms are dicts from packed ints to integer coefficients,
 products are int additions, an S-polynomial is two `_add_shifted`
 calls, divisibility is a guard-mask test, and the division heap holds
-plain int keys. Polynomials are packed on entry and unpacked on exit; an
-exponent or degree of 2^15 or more raises RingError. Division by a
-basis has one entry point, `Ideal.normal_form`, which packs the basis of
-each order once and keeps it. A hard S-pair budget
-turns blowups into a structured failure instead of an endless run.
+plain int keys. Polynomials are packed on entry (`_int_terms`, one
+`PackedLayout.pack_all` pass per polynomial) and unpacked on exit (one
+`PackedLayout.unpack_all` pass per result); an exponent or degree of
+2^15 or more raises RingError. The zero ideal has the empty basis, so
+its normal forms are the input and its initial ideal is empty. Division
+by a basis has one entry point, `Ideal.normal_form`, which packs the
+basis of each order once and keeps it. A hard S-pair budget turns
+blowups into a structured failure instead of an endless run.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .multipoly import (
     _mono_divides,
     _mono_lcm,
     _mono_mul,
+    exponents,
     order_key,
     pack_overflow,
 )
@@ -63,9 +67,10 @@ def _primitive_int(d: IntTerms) -> Tuple[IntTerms, int]:
 
 def _int_terms(p: MultiPoly, lay: PackedLayout) -> Tuple[IntTerms, Fraction]:
     """The packed primitive integer terms of a nonzero p, and the content c of p = c * terms."""
-    den = lcm(*[c.denominator for c in p.terms.values()])
-    pack = lay.pack
-    t, g = _primitive_int({pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()})
+    coeffs = p.terms.values()
+    den = lcm(*[c.denominator for c in coeffs])
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    t, g = _primitive_int(dict(zip(lay.pack_all(p.terms), nums)))
     return t, Fraction(g, den)
 
 
@@ -146,8 +151,8 @@ def groebner_basis(
     attempted. With want_stats=True returns (basis, reductions_used).
     """
     gens = [g for g in gens if g]
-    if not gens:
-        raise RingError("need at least one nonzero generator")
+    if not gens:  # the zero ideal
+        return ([], 0) if want_stats else []
     ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
@@ -248,7 +253,6 @@ def _reduce_int_basis(
     # inter-reduce tails against the other minimal elements; a tail term
     # sorts below its lead, which no other minimal lead divides, so the
     # output keeps the leads and their order
-    unpack = lay.unpack
     out: List[MultiPoly] = []
     for i in keep:
         others = [k for k in keep if k != i]
@@ -259,7 +263,7 @@ def _reduce_int_basis(
             lay,
         )
         lc = r[basis_lead[i][0]]
-        out.append(MultiPoly(ring, {unpack(e): Fraction(v, lc) for e, v in r.items()}))
+        out.append(MultiPoly(ring, dict(zip(lay.unpack_all(r), [Fraction(v, lc) for v in r.values()]))))
     return out
 
 
@@ -283,7 +287,7 @@ class MonomialIdeal:
     __slots__ = ("nvars", "gens")
 
     def __init__(self, nvars: int, gens: Iterable[Monomial]):
-        gens = {tuple(int(x) for x in g) for g in gens}
+        gens = set(map(exponents, gens))
         for g in gens:
             if len(g) != nvars:
                 raise RingError("generator length mismatch")
@@ -298,7 +302,7 @@ class MonomialIdeal:
         return any(_mono_divides(g, mono) for g in self.gens)
 
     def colon(self, f: Monomial) -> "MonomialIdeal":
-        f = tuple(int(x) for x in f)
+        f = exponents(f)
         if len(f) != self.nvars:
             raise RingError("monomial length mismatch")
         return MonomialIdeal(self.nvars, [_mono_colon(g, f) for g in self.gens])
@@ -376,8 +380,7 @@ class Ideal:
         terms, content = _int_terms(p, lay)
         work, mult = _divide_int(terms, basis_lead, basis_terms, lay)
         scale = content / mult
-        unpack = lay.unpack
-        return MultiPoly(p.ring, {unpack(e): v * scale for e, v in work.items()})
+        return MultiPoly(p.ring, dict(zip(lay.unpack_all(work), [v * scale for v in work.values()])))
 
     def contains(self, p: MultiPoly, order="grevlex") -> bool:
         return not self.normal_form(p, order)

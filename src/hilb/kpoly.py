@@ -127,8 +127,7 @@ def hilbert_series(I: Ideal, weights: Sequence[Weight], order: str = "grevlex") 
     For a monomial ideal J the series is
     `HilbertSeries(kpoly_monomial(J, weights), weights)`.
     """
-    J = I.initial_ideal(order) if I.gens else MonomialIdeal(I.ring.n, [])
-    return HilbertSeries(kpoly_monomial(J, weights), weights)
+    return HilbertSeries(kpoly_monomial(I.initial_ideal(order), weights), weights)
 
 
 def positive_functional(weights: Sequence[Weight], radius: int = 3) -> Optional[Tuple[int, ...]]:

@@ -160,9 +160,9 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     nvars = len(variables)
     min_glo = set(min_generators(lam))
     lay = PackedLayout(nvars, "grevlex")
-    guard, pack = lay.guard, lay.pack
+    guard = lay.guard
     alive = [True] * nvars
-    eqs: List[IntTerms] = [{pack(e): c for e, c in eq.terms.items()} for eq in pres.equations]
+    eqs: List[IntTerms] = [dict(zip(lay.pack_all(eq.terms), eq.terms.values())) for eq in pres.equations]
     subs: Dict[int, IntTerms] = {}  # eliminated var index -> expression (full ring)
 
     def substitute_everywhere(x: int, expr: IntTerms):
@@ -217,12 +217,10 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     survivors = [k for k in range(nvars) if alive[k]]
     new_vars = [variables[k] for k in survivors]
     new_ring = PolyRing([_var_name(v) for v in new_vars])
-    unpack = lay.unpack
 
     def project(p: IntTerms) -> MultiPoly:
         out = {}
-        for m, c in p.items():
-            e = unpack(m)
+        for e, c in zip(lay.unpack_all(p), p.values()):
             f = tuple([e[k] for k in survivors])
             if sum(f) != sum(e):
                 raise AssertionError("eliminated variable reappeared")

@@ -12,7 +12,8 @@ and grevlex. Laurent exponents live on a scaled lattice
 (1/D)Z^r with D a power of two, so half-integer weights are exact
 integer data: a weight's numerators and a Laurent coefficient are
 integers, and anything else raises RingError rather than being
-truncated.
+truncated. Monomial entries from outside go through `exponents`, which
+raises RingError for a non-integer entry instead of truncating it.
 
 This module is also the home of the packed term format, which division
 and Buchberger (`groebner`), linear elimination
@@ -24,18 +25,21 @@ computations", ISSAC 1998), and `IntTerms` maps packed monomials to
 coefficients. Product is `+`, quotient is `-`, divisibility is one
 subtraction and a mask test, and the order compares one int key. Every
 packed sum of shifted terms (S-polynomials, products, elimination and
-back-substitution) is one call of `_add_shifted`.
+back-substitution) is one call of `_add_shifted`. Tuples and packed ints
+are converted by one `struct.Struct` per layout; a whole polynomial
+crosses the boundary in one pass of `PackedLayout.pack_all` on the way
+in and of `PackedLayout.unpack_all` on the way out.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from fractions import Fraction
 from itertools import compress
 from math import gcd
 from operator import add, index, le, mul, neg, sub
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from struct import Struct
+from struct import error as StructError
+from typing import Callable, Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -89,10 +93,19 @@ class PolyRing:
         return tuple(self.var(i) for i in range(self.n))
 
     def monomial(self, exps: Sequence[int], coeff=1) -> "MultiPoly":
-        exps = tuple(int(e) for e in exps)
+        exps = exponents(exps)
         if len(exps) != self.n:
             raise RingError("exponent length mismatch")
         return MultiPoly(self, {exps: _coeff(coeff)})
+
+
+def exponents(entries: Iterable[int]) -> Monomial:
+    """The entries as a tuple of ints; RingError for a non-integer entry,
+    which `int` would truncate."""
+    try:
+        return tuple(map(index, entries))
+    except TypeError:
+        raise RingError(f"exponents must be integers: {entries!r}") from None
 
 
 def _coeff(c):
@@ -159,6 +172,10 @@ def pack_overflow() -> RingError:
     return RingError(f"an exponent or degree reaches {PACK_LIMIT}, the packed field limit")
 
 
+def _pack_entry_error() -> RingError:
+    return RingError("packed monomials have nonnegative integer exponents")
+
+
 class PackedLayout:
     """Monomials of one (nvars, order) pair packed into ints.
 
@@ -171,6 +188,13 @@ class PackedLayout:
     and sets its guard. A product sets a guard iff its degree reaches
     PACK_LIMIT, so callers test each new monomial against `guard`.
 
+    The conversion is one `struct.Struct` of nvars + 1 unsigned 16-bit
+    fields, (e_0, ..., e_{n-1}, degree), read as a little-endian int
+    under grevlex and as a big-endian int under lex. `pack_all` and
+    `unpack_all` convert a whole polynomial in one pass; `pack` and
+    `unpack` convert one monomial. A negative or non-integer exponent
+    raises RingError, as does a degree of PACK_LIMIT or more.
+
     The max-first key is `m - ((m & flip) << 1)`, with `flip` the
     variable fields under grevlex (degree first, then the reversed
     exponents negated) and 0 under lex (the key is m itself). Its
@@ -178,7 +202,7 @@ class PackedLayout:
     same map sends a heap key back to m.
     """
 
-    __slots__ = ("order", "guard", "flip", "_nbytes", "_vars")
+    __slots__ = ("order", "guard", "flip", "_struct", "_byteorder", "_nvars")
 
     def __init__(self, nvars: int, order: str):
         order_key(order)  # RingError for an unknown order
@@ -186,21 +210,38 @@ class PackedLayout:
         self.guard = int.from_bytes(b"\x00\x80" * (nvars + 1), "little")
         grevlex = order == "grevlex"
         self.flip = (1 << 16 * nvars) - 1 if grevlex else 0
-        self._nbytes = 2 * (nvars + 1)
-        self._vars = slice(0, nvars) if grevlex else slice(nvars, 0, -1)
+        self._byteorder = "little" if grevlex else "big"
+        self._struct = Struct(f"{'<' if grevlex else '>'}{nvars + 1}H")
+        self._nvars = nvars
 
     def pack(self, e: Monomial) -> int:
         deg = sum(e)
         if deg >= PACK_LIMIT:
             raise pack_overflow()
         try:
-            fields = array("H", (*e, deg) if self.order == "grevlex" else (deg, *e[::-1]))
-        except OverflowError:  # a negative exponent
-            raise RingError("packed monomials have nonnegative exponents") from None
-        return int.from_bytes(fields.tobytes(), sys.byteorder)
+            return int.from_bytes(self._struct.pack(*e, deg), self._byteorder)
+        except StructError:
+            raise _pack_entry_error() from None
+
+    def pack_all(self, monos: Collection[Monomial]) -> List[int]:
+        """`pack` of each monomial, in order; `monos` is read twice, so a
+        list or the keys of a term dict, not an iterator."""
+        degs = [sum(e) for e in monos]
+        if max(degs, default=0) >= PACK_LIMIT:
+            raise pack_overflow()
+        pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
+        try:
+            return [from_bytes(pack(*e, d), byteorder) for e, d in zip(monos, degs)]
+        except StructError:
+            raise _pack_entry_error() from None
 
     def unpack(self, m: int) -> Monomial:
-        return tuple(array("H", m.to_bytes(self._nbytes, sys.byteorder))[self._vars])
+        return self._struct.unpack(m.to_bytes(self._struct.size, self._byteorder))[: self._nvars]
+
+    def unpack_all(self, ms: Iterable[int]) -> List[Monomial]:
+        """`unpack` of each packed monomial, in order."""
+        unpack, size, byteorder, n = self._struct.unpack, self._struct.size, self._byteorder, self._nvars
+        return [unpack(m.to_bytes(size, byteorder))[:n] for m in ms]
 
     def key(self, m: int) -> int:
         """Sort key whose max is the leading monomial, as `order_key` on the unpacked tuples."""
@@ -209,7 +250,7 @@ class PackedLayout:
     def field(self, i: int) -> Tuple[int, int, int]:
         """(unit, mask, shift) of variable i: unit is the packed e_i, and the
         exponent of variable i in a packed m is `(m & mask) >> shift`."""
-        nvars = self._nbytes // 2 - 1
+        nvars = self._nvars
         if self.order == "grevlex":
             shift, degree = 16 * i, 1 << 16 * nvars
         else:
@@ -415,8 +456,7 @@ class MultiPoly:
                 else:
                     term = pw[k] if term is None else _mul_packed(term, pw[k], guard)
             _add_shifted(out, {0: 1} if term is None else term, shift, c, guard)
-        unpack = lay.unpack
-        return MultiPoly(target, {unpack(m): c for m, c in out.items()})
+        return MultiPoly(target, dict(zip(lay.unpack_all(out), out.values())))
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) != self.ring.n:
@@ -447,7 +487,7 @@ class MultiPoly:
 def poly_from_terms(ring: PolyRing, pairs: Iterable[Tuple[Sequence[int], object]]) -> MultiPoly:
     terms: Dict[Monomial, Fraction] = {}
     for exps, c in pairs:
-        e = tuple(int(x) for x in exps)
+        e = exponents(exps)
         terms[e] = terms.get(e, 0) + _coeff(c)
     return MultiPoly(ring, terms)
 

@@ -11,7 +11,7 @@ import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import MonomialIdeal
-from .multipoly import RingError, _mono_shift
+from .multipoly import RingError, _mono_shift, exponents
 
 Cell = Tuple[int, ...]
 AdjacentPair = Tuple[Cell, Cell, int, Optional[int]]  # (p, q, a, b), see adjacent_pairs
@@ -27,7 +27,7 @@ class Partition:
     __slots__ = ("r", "cells")
 
     def __init__(self, r: int, cells: Iterable[Cell]):
-        cells_set: FrozenSet[Cell] = frozenset(tuple(int(x) for x in c) for c in cells)
+        cells_set: FrozenSet[Cell] = frozenset(map(exponents, cells))
         for c in cells_set:
             if len(c) != r:
                 raise PartitionError(f"cell {c} has wrong dimension")

@@ -181,10 +181,14 @@ def test_int_terms_split_off_the_content(order):
     lay = PackedLayout(3, order)
     rng = random.Random(31)
     for _ in range(30):
+        # int and Fraction coefficients mixed in one polynomial
         p = poly_from_terms(
             R,
             [
-                (tuple(rng.randint(0, 4) for _ in range(3)), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                (
+                    tuple(rng.randint(0, 4) for _ in range(3)),
+                    rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))]),
+                )
                 for _ in range(rng.randint(1, 5))
             ],
         )
@@ -193,7 +197,7 @@ def test_int_terms_split_off_the_content(order):
         terms, content = _int_terms(p, lay)
         assert content == p.content()
         assert gcd(*terms.values()) == 1
-        assert MultiPoly(R, {lay.unpack(e): content * v for e, v in terms.items()}) == p
+        assert MultiPoly(R, dict(zip(lay.unpack_all(terms), [content * v for v in terms.values()]))) == p
 
 
 def test_degree_beyond_the_packed_range_raises():
@@ -289,6 +293,32 @@ def test_monomial_ideal_rejects_a_monomial_of_the_wrong_length():
         J.contains((1,))
     with pytest.raises(RingError):
         J.colon((1, 0, 5))
+
+
+def test_monomial_ideal_rejects_non_integer_exponents():
+    # int() would truncate 3/2 to 1 and 1.5 to 1
+    with pytest.raises(RingError):
+        MonomialIdeal(2, [(Fraction(3, 2), 0)])
+    J = MonomialIdeal(2, [(2, 0)])
+    with pytest.raises(RingError):
+        J.colon((1.5, 0))
+    assert J.colon((1, 0)) == MonomialIdeal(2, [(1, 0)])
+
+
+def test_the_zero_ideal():
+    R = PolyRing(["x", "y"])
+    x, y = R.gens()
+    p = 3 * x * y - Fraction(1, 2) * y
+    assert groebner_basis([]) == []
+    assert groebner_basis([R.zero()], want_stats=True) == ([], 0)
+    for order in ("grevlex", "lex"):
+        I = Ideal(R, [R.zero()])
+        assert I.groebner(order) == []
+        assert I.normal_form(p, order) == p
+        assert I.normal_form(R.zero(), order) == R.zero()
+        assert not I.contains(x, order)
+        assert I.contains(R.zero(), order)
+        assert I.initial_ideal(order) == MonomialIdeal(2, [])
 
 
 def test_monomial_ideal_minimalizes():

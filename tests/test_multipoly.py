@@ -186,13 +186,56 @@ def test_packed_layout_matches_the_tuple_operations(case):
                 assert product & lay.guard
 
 
+def packable_monomials(n):
+    """Small entries with up to two spikes near 2^12 or 2^15: two spikes
+    near 2^15 reach PACK_LIMIT, and one may with the small entries."""
+    spike = st.one_of(st.integers(4000, 4095), st.integers(PACK_LIMIT - 64, PACK_LIMIT - 1))
+    spikes = st.lists(st.tuples(st.integers(0, n - 1), spike), max_size=2)
+    small = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+
+    def place(case):
+        e, spikes = case
+        for i, k in spikes:
+            e[i] = k
+        return tuple(e)
+
+    return st.tuples(small, spikes).map(place)
+
+
+packed_batches = st.tuples(
+    st.integers(1, 20).flatmap(lambda n: st.lists(packable_monomials(n), max_size=8)),
+    st.sampled_from(["lex", "grevlex"]),
+)
+
+
+@seeded
+@given(packed_batches)
+def test_pack_all_is_pack_of_each_monomial(case):
+    monos, order = case
+    n = len(monos[0]) if monos else 3
+    lay = PackedLayout(n, order)
+    if max(map(sum, monos), default=0) >= PACK_LIMIT:
+        with pytest.raises(RingError):
+            lay.pack_all(monos)
+        return
+    packed = lay.pack_all(monos)
+    assert packed == [lay.pack(e) for e in monos]
+    assert lay.unpack_all(packed) == [lay.unpack(m) for m in packed] == monos
+    assert lay.unpack_all(sorted(packed, key=lay.key)) == sorted(monos, key=order_key(order))
+
+
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 def test_packing_rejects_what_a_field_cannot_hold(order):
     lay = PackedLayout(3, order)
     assert lay.unpack(lay.pack((PACK_LIMIT - 1, 0, 0))) == (PACK_LIMIT - 1, 0, 0)
-    for e in [(PACK_LIMIT, 0, 0), (0, 0, PACK_LIMIT), (PACK_LIMIT // 2, PACK_LIMIT // 2, 0), (1, -1, 0)]:
+    assert lay.pack_all([]) == [] and lay.unpack_all([]) == []
+    bad = [(PACK_LIMIT, 0, 0), (0, 0, PACK_LIMIT), (PACK_LIMIT // 2, PACK_LIMIT // 2, 0), (1, -1, 0)]
+    bad += [(1.5, 0, 0), (F(1, 2), F(1, 2), 0), (F(1), 0, 0)]
+    for e in bad:
         with pytest.raises(RingError):
             lay.pack(e)
+        with pytest.raises(RingError):
+            lay.pack_all([(1, 2, 3), e])
     with pytest.raises(RingError):
         PackedLayout(3, ["lex"])
 
@@ -294,6 +337,16 @@ def test_weights_and_laurent_coefficients_must_be_integers():
     with pytest.raises(RingError):
         Weight.of(1, 3) * F(1, 2)
     assert Weight.of(1, 3) * 2 == Weight.of(2, 6)
+
+
+def test_monomial_exponents_must_be_integers():
+    # int() would truncate 1.5 to 1 and give x
+    R = PolyRing(["x", "y"])
+    with pytest.raises(RingError):
+        R.monomial((1.5, 0))
+    with pytest.raises(RingError):
+        poly_from_terms(R, [((F(1, 2), 0), 1)])
+    assert R.monomial((1, 0)) == poly_from_terms(R, [((1, 0), 1)]) == R.var(0)
 
 
 def test_laurent_render():

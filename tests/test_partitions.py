@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from hilb.groebner import MonomialIdeal
+from hilb.multipoly import RingError
 from hilb.partitions import (
     Partition,
     PartitionError,
@@ -84,6 +85,13 @@ def test_enumeration_deterministic():
 def test_downward_closure_enforced():
     with pytest.raises(PartitionError):
         Partition(3, [(1, 0, 0)])
+
+
+def test_cells_must_have_integer_coordinates():
+    # int() would truncate (0.5, 0) to the origin
+    with pytest.raises(RingError):
+        Partition(2, [(0.5, 0)])
+    assert Partition(2, [(0, 0), (1, 0)]).n == 2
 
 
 def test_glove_origin():
