@@ -1,7 +1,10 @@
 """Buchberger Groebner bases over Q, normal forms, and monomial colon ideals.
 
-Plain Buchberger with the sugar selection strategy and the two classical
-pair-skipping criteria. Division runs fraction-free over Z on content-
+Buchberger with the sugar selection strategy. Pairs are pruned once, when
+an element is added, by the Gebauer-Moller update (Gebauer & Moller, J.
+Symb. Comp. 1988, in the form of Becker & Weispfenning's UPDATE):
+criteria B, M and F on the packed lcm stored with each pair, then the
+coprime test. Division runs fraction-free over Z on content-
 stripped polynomials, so rational input costs one denominator clearing
 up front and the hot loop is pure integer arithmetic. Buchberger and
 division also run on the packed term format of `multipoly`
@@ -22,9 +25,10 @@ blowups into a structured failure instead of an endless run.
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .multipoly import (
     IntTerms,
@@ -36,8 +40,6 @@ from .multipoly import (
     _add_shifted,
     _mono_colon,
     _mono_divides,
-    _mono_lcm,
-    _mono_mul,
     exponents,
     order_key,
     pack_overflow,
@@ -158,32 +160,45 @@ def groebner_basis(
         if g.ring != ring:
             raise RingError("generators live in different rings")
     lay = PackedLayout(ring.n, order)
-    key, guard = lay.key, lay.guard
+    key, guard, colon, degree = lay.key, lay.guard, lay.colon, lay.degree
 
     basis_terms: List[IntTerms] = []
     basis_lead: List[Tuple[int, int]] = []
-    lead_exps: List[Monomial] = []  # the packed leads as tuples, for pair lcms
-    sugar: List[int] = []
-    pending: Set[Tuple[int, int]] = set()  # the (old, new) index pairs on the heap
-    heap: List[Tuple[int, int, int]] = []  # (sugar, new, old): ties pop in creation order
+    ecart: List[int] = []  # sugar minus lead degree, per element
+    heap: List[Tuple[int, int, int, int]] = []  # (sugar, new, old, lcm): ties pop in creation order
 
     def add_int(t: IntTerms, s: int):
         t, _ = _primitive_int(t)
         lead = max(t, key=key)
         if t[lead] < 0:
             t = {e: -v for e, v in t.items()}
-        i = len(basis_terms)
+        h, ec = len(basis_terms), s - degree(lead)
+        # Gebauer-Moller update (Becker & Weispfenning's UPDATE) on the lcms
+        # of the new lead with each old one
+        lcms = [lead + colon(g, lead) for g, _ in basis_lead]
+        if any(m & guard for m in lcms):
+            raise pack_overflow()
+        # criterion B: drop an old pair whose lcm the new lead divides,
+        # unless the new lead's lcm with one of its elements equals it
+        kept = [p for p in heap if (p[3] - lead) & guard or lcms[p[1]] == p[3] or lcms[p[2]] == p[3]]
+        if len(kept) < len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
+        # criteria M and F: keep a new pair only if no other new pair's lcm
+        # divides its lcm; of equal lcms this keeps a coprime pair if there
+        # is one, which the coprime test then drops, and else the one with
+        # the oldest element
+        new_lcms: List[int] = []  # of the new pairs kept so far
+        for g in reversed(range(h)):
+            m = lcms[g]
+            coprime = m == lead + basis_lead[g][0]
+            if coprime or all((m - x) & guard for x in itertools.chain(lcms[:g], new_lcms)):
+                new_lcms.append(m)
+                if not coprime:
+                    heapq.heappush(heap, (degree(m) + max(ec, ecart[g]), h, g, m))
         basis_terms.append(t)
         basis_lead.append((lead, t[lead]))
-        le = lay.unpack(lead)
-        lead_exps.append(le)
-        sugar.append(s)
-        for j in range(i):
-            lj = lead_exps[j]
-            dt = sum(_mono_lcm(le, lj))
-            pair_sugar = max(s + dt - sum(le), sugar[j] + dt - sum(lj))
-            heapq.heappush(heap, (pair_sugar, i, j))
-            pending.add((j, i))
+        ecart.append(ec)
 
     packed = [(_int_terms(g, lay)[0], g.total_degree()) for g in gens]
     for t, s in sorted(packed, key=lambda ts: key(max(ts[0], key=key))):
@@ -191,45 +206,23 @@ def groebner_basis(
 
     used = 0
     while heap:
-        _, j, i = heapq.heappop(heap)
-        pending.remove((i, j))
-        ei, ej = lead_exps[i], lead_exps[j]
-        te = _mono_lcm(ei, ej)
-        # criterion 1: coprime leading monomials
-        if te == _mono_mul(ei, ej):
-            continue
-        t = lay.pack(te)
-        # criterion 2 (chain): some k divides the lcm and both cross pairs are done
-        skip = False
-        for k, (lk, _) in enumerate(basis_lead):
-            if k == i or k == j or (t - lk) & guard:
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pending and pjk not in pending:
-                skip = True
-                break
-        if skip:
-            continue
+        pair_sugar, j, i, t = heapq.heappop(heap)
         used += 1
         if used > budget:
             raise BudgetExceeded(used, budget)
         li, ci = basis_lead[i]
         lj, cj = basis_lead[j]
         d = gcd(ci, cj)
-        fi = t - li
-        fj = t - lj
         s: IntTerms = {}
-        _add_shifted(s, basis_terms[i], fi, cj // d, guard)
-        _add_shifted(s, basis_terms[j], fj, -(ci // d), guard)
+        _add_shifted(s, basis_terms[i], t - li, cj // d, guard)
+        _add_shifted(s, basis_terms[j], t - lj, -(ci // d), guard)
         if not s:
             continue
         r, _ = _divide_int(s, basis_lead, basis_terms, lay)
         if r:
-            dt = sum(te)
-            add_int(r, max(sugar[i] + dt - sum(ei), sugar[j] + dt - sum(ej)))
+            add_int(r, pair_sugar)
 
-    reduced = _reduce_int_basis(basis_terms, basis_lead, lead_exps, lay, ring)
+    reduced = _reduce_int_basis(basis_terms, basis_lead, lay, ring)
     if want_stats:
         return reduced, used
     return reduced
@@ -238,16 +231,15 @@ def groebner_basis(
 def _reduce_int_basis(
     basis_terms: List[IntTerms],
     basis_lead: List[Tuple[int, int]],
-    lead_exps: List[Monomial],
     lay: PackedLayout,
     ring: PolyRing,
 ) -> List[MultiPoly]:
     # minimalize: keep the elements with minimal leading monomials, the
     # first in list order where several share one
-    first: Dict[Monomial, int] = {}
-    for i, e in enumerate(lead_exps):
+    first: Dict[int, int] = {}
+    for i, (e, _) in enumerate(basis_lead):
         first.setdefault(e, i)
-    keep = [first[e] for e in minimal_monomials(first)]
+    keep = [first[e] for e in lay.minimal(first)]
     key = lay.key
     keep.sort(key=lambda i: key(basis_lead[i][0]))
     # inter-reduce tails against the other minimal elements; a tail term
@@ -287,24 +279,25 @@ class MonomialIdeal:
     __slots__ = ("nvars", "gens")
 
     def __init__(self, nvars: int, gens: Iterable[Monomial]):
-        gens = set(map(exponents, gens))
-        for g in gens:
-            if len(g) != nvars:
-                raise RingError("generator length mismatch")
-            if any(x < 0 for x in g):
-                raise RingError("monomial ideal generators must have nonnegative exponents")
         self.nvars = nvars
-        self.gens = minimal_monomials(gens)
+        self.gens = minimal_monomials({self._monomial(g) for g in gens})
+
+    def _monomial(self, entries: Iterable[int]) -> Monomial:
+        """The entries as a monomial of this ring; RingError unless they are
+        nvars nonnegative integers."""
+        e = exponents(entries)
+        if len(e) != self.nvars:
+            raise RingError("monomial length mismatch")
+        if any(x < 0 for x in e):
+            raise RingError("monomials have nonnegative integer exponents")
+        return e
 
     def contains(self, mono: Monomial) -> bool:
-        if len(mono) != self.nvars:
-            raise RingError("monomial length mismatch")
+        mono = self._monomial(mono)
         return any(_mono_divides(g, mono) for g in self.gens)
 
     def colon(self, f: Monomial) -> "MonomialIdeal":
-        f = exponents(f)
-        if len(f) != self.nvars:
-            raise RingError("monomial length mismatch")
+        f = self._monomial(f)
         return MonomialIdeal(self.nvars, [_mono_colon(g, f) for g in self.gens])
 
     def __eq__(self, other):

@@ -5,8 +5,9 @@ denominators stay factored, one (1 - t^w) per ambient variable. The
 series of a monomial ideal is its K-polynomial (`kpoly_monomial`) over
 those factors, and `hilbert_series` takes a polynomial `Ideal` to the
 K-polynomial of its initial ideal. The K-polynomial recursion runs on
-integer numerator tuples over one power-of-two scale and builds Weight
-keys only for its result.
+packed ints: generators in the packed monomial format of `multipoly`,
+and numerator weights as single ints over one power-of-two scale, with
+Weight keys built only for its result.
 Identities between series, such as equality and self-reciprocity, are
 decided exactly as identities between Laurent polynomials, after
 clearing the factored denominators.
@@ -17,16 +18,16 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from operator import add
+from operator import mul
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .groebner import Ideal, MonomialIdeal, minimal_monomials
+from .groebner import Ideal, MonomialIdeal
 from .multipoly import (
     LaurentPoly,
     Monomial,
+    PackedLayout,
     RingError,
     Weight,
-    _mono_colon,
     _mono_weight,
     weight_columns,
 )
@@ -40,26 +41,41 @@ def monomial_weight(e: Monomial, weights: Sequence[Weight]) -> Weight:
     return Weight(_mono_weight(e, columns), scale)
 
 
+def _torus_rank(weights: Sequence[Weight]) -> int:
+    if not weights:
+        raise RingError("no weights: the torus rank is unknown")
+    return weights[0].r
+
+
 def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     """Alternating Tor character of S/J by the colon recursion.
 
     K(f_1..f_m) = K(f_1..f_{m-1}) - t^{w(f_m)} K((f_1..f_{m-1}) : f_m),
     memoized on the canonical minimal generator tuples encountered.
-    The weights are first put on their largest power-of-two scale, so
-    the recursion adds integer numerator tuples; Weight keys are built
-    once, for the result. The unit ideal needs no special case: its one
-    generator 1 gives K = 1 - t^0 = 0.
+    Generators are `PackedLayout(nvars, "lex")` ints, whose sorted order
+    is that of the tuples; a colon is `PackedLayout.colon` and a
+    minimalization `PackedLayout.minimal`. A degree of 2^15 or more
+    raises RingError. The weights are put on their largest power-of-two
+    scale, and each numerator weight is one int: its integer entries
+    packed in signed fields of a width that holds every weight of a
+    divisor of the lcm of the generators, since every numerator weight
+    is one. Adding weights is then adding ints, and each is unpacked to a
+    Weight once, for the result. The unit ideal needs no special case:
+    its one generator 1 gives K = 1 - t^0 = 0.
     """
     if len(weights) != J.nvars:
         raise RingError("weight list does not cover the variables")
-    if not weights:
-        raise RingError("no weights: the torus rank is unknown")
-    r = weights[0].r
+    r = _torus_rank(weights)
     scale, columns = weight_columns(weights)
-    one = {(0,) * r: 1}
-    memo: Dict[Tuple[Monomial, ...], Dict[Tuple[int, ...], int]] = {}
+    top = sum(map(max, zip(*J.gens)))  # the degree of the lcm of the generators
+    bits = (top * max((abs(x) for col in columns for x in col), default=0)).bit_length() + 1
+    var_weights = [sum(x << bits * k for k, x in enumerate(w)) for w in zip(*columns)]
+    lay = PackedLayout(J.nvars, "lex")
+    colon, minimal, unpack = lay.colon, lay.minimal, lay.unpack
+    one = {0: 1}
+    memo: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
-    def run(gens: Tuple[Monomial, ...]) -> Dict[Tuple[int, ...], int]:
+    def run(gens: Tuple[int, ...]) -> Dict[int, int]:
         if not gens:
             return one
         got = memo.get(gens)
@@ -68,10 +84,9 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
         f = gens[-1]
         rest = gens[:-1]  # a slice of a sorted antichain is one
         out = dict(run(rest))
-        colon = minimal_monomials(_mono_colon(g, f) for g in rest)
-        shift = _mono_weight(f, columns)
-        for w, c in run(colon).items():
-            w = tuple(map(add, w, shift))
+        shift = sum(map(mul, unpack(f), var_weights))
+        for w, c in run(tuple(minimal([colon(g, f) for g in rest]))).items():
+            w += shift
             c = out.get(w, 0) - c
             if c:
                 out[w] = c
@@ -80,7 +95,18 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
         memo[gens] = out
         return out
 
-    return LaurentPoly(r, {Weight(w, scale): c for w, c in run(J.gens).items()})
+    numerator = run(tuple(lay.pack_all(J.gens)))
+    del run  # run refers to itself through its cell; free it and memo without the cyclic GC
+    mask, half = (1 << bits) - 1, 1 << bits - 1
+    terms = {}
+    for w, c in numerator.items():
+        nums = []
+        for _ in range(r):
+            x = (w + half & mask) - half  # the signed lowest field
+            nums.append(x)
+            w = (w - x) >> bits
+        terms[Weight(nums, scale)] = c
+    return LaurentPoly(r, terms)
 
 
 def monomial_colength(J: MonomialIdeal) -> int:
@@ -137,7 +163,7 @@ def positive_functional(weights: Sequence[Weight], radius: int = 3) -> Optional[
     direction is tried first since it covers every positively graded
     case.
     """
-    r = weights[0].r
+    r = _torus_rank(weights)
     ones = (1,) * r
     if all(w.dot(ones) > 0 for w in weights):
         return ones
@@ -164,6 +190,7 @@ def graded_dim_oracle(
     """
     if len(weights) != J.nvars:
         raise RingError("weight list does not cover the variables")
+    _torus_rank(weights)  # RingError for an empty weight list
     if direction is None:
         direction = positive_functional(weights)
         if direction is None:
@@ -185,6 +212,7 @@ def graded_dim_oracle(
             k += 1
 
     rec(0, (), Fraction(0))
+    del rec  # rec refers to itself through its cell; free it without the cyclic GC
     return counts
 
 

@@ -4,10 +4,11 @@ Monomials are plain exponent tuples, one entry per ring variable, and
 coefficients are exact rationals, `int` or `Fraction`. The two compare
 and hash alike (`hash(2) == hash(Fraction(2))`), so equality and term
 sets do not see the type; sums, products and substitution keep `int`
-coefficients `int`. Each operation on monomials (product, quotient,
-shift, lcm, colon, divisibility, torus weight) has one definition,
-among the `_mono_*` functions below, which every module calls; the
-cells of a partition are the same tuples. The monomial orders are lex
+coefficients `int`. Each operation on monomial tuples (product,
+quotient, shift, lcm, colon, divisibility, torus weight) has one
+definition, among the `_mono_*` functions below; the cells of a
+partition are the same tuples. The packed kernel below is tested
+against them. The monomial orders are lex
 and grevlex. Laurent exponents live on a scaled lattice
 (1/D)Z^r with D a power of two, so half-integer weights are exact
 integer data: a weight's numerators and a Laurent coefficient are
@@ -16,14 +17,15 @@ truncated. Monomial entries from outside go through `exponents`, which
 raises RingError for a non-integer entry instead of truncating it.
 
 This module is also the home of the packed term format, which division
-and Buchberger (`groebner`), linear elimination
-(`localeq.simple_eliminate`) and back-substitution (`substitute`) work
-on: a `PackedLayout` stores an exponent vector and its total degree as
-one int of 16-bit fields whose top bits are guards (Bachmann &
-Schoenemann, "Monomial representations for Groebner bases
+and Buchberger (`groebner`), the K-polynomial recursion (`kpoly`), linear
+elimination (`localeq.simple_eliminate`) and back-substitution
+(`substitute`) work on: a `PackedLayout` stores an exponent vector and
+its total degree as one int of 16-bit fields whose top bits are guards
+(Bachmann & Schoenemann, "Monomial representations for Groebner bases
 computations", ISSAC 1998), and `IntTerms` maps packed monomials to
 coefficients. Product is `+`, quotient is `-`, divisibility is one
-subtraction and a mask test, and the order compares one int key. Every
+subtraction and a mask test, a colon or an lcm is a few int operations
+(`PackedLayout.colon`), and the order compares one int key. Every
 packed sum of shifted terms (S-polynomials, products, elimination and
 back-substitution) is one call of `_add_shifted`. Tuples and packed ints
 are converted by one `struct.Struct` per layout; a whole polynomial
@@ -199,10 +201,15 @@ class PackedLayout:
     variable fields under grevlex (degree first, then the reversed
     exponents negated) and 0 under lex (the key is m itself). Its
     negation `((m & flip) << 1) - m` is the min-first heap key, and the
-    same map sends a heap key back to m.
+    same map sends a heap key back to m. Under both orders a proper
+    divisor packs to a smaller int: its degree is smaller, and under lex
+    its tuple is smaller too. Sorted lex ints are the sorted tuples.
     """
 
-    __slots__ = ("order", "guard", "flip", "_struct", "_byteorder", "_nvars")
+    __slots__ = (
+        "order", "guard", "flip", "_struct", "_byteorder", "_nvars",
+        "_varguard", "_degmask", "_degshift", "_ones", "_down",
+    )
 
     def __init__(self, nvars: int, order: str):
         order_key(order)  # RingError for an unknown order
@@ -213,6 +220,14 @@ class PackedLayout:
         self._byteorder = "little" if grevlex else "big"
         self._struct = Struct(f"{'<' if grevlex else '>'}{nvars + 1}H")
         self._nvars = nvars
+        self._degshift = 16 * nvars if grevlex else 0
+        self._degmask = 0xFFFF << self._degshift
+        self._varguard = self.guard & ~self._degmask
+        # c * _ones holds the sum of the variable fields of c in field
+        # nvars, and `>> _down` moves that field onto the degree field
+        ones = int.from_bytes(b"\x01\x00" * nvars, "little")
+        self._ones = ones << 16 if grevlex else ones
+        self._down = 0 if grevlex else 16 * nvars
 
     def pack(self, e: Monomial) -> int:
         deg = sum(e)
@@ -246,6 +261,40 @@ class PackedLayout:
     def key(self, m: int) -> int:
         """Sort key whose max is the leading monomial, as `order_key` on the unpacked tuples."""
         return m - ((m & self.flip) << 1)
+
+    def degree(self, m: int) -> int:
+        """The total degree of a packed monomial, read from its degree field."""
+        return (m & self._degmask) >> self._degshift
+
+    def colon(self, a: int, b: int) -> int:
+        """The packed lcm(a, b) / b, the generator of (a) : b; the packed
+        lcm(a, b) is `b + colon(a, b)`.
+
+        Each field of `(a | guard) - b` holds 2^15 + a_i - b_i, which neither
+        borrows nor carries, and keeps its guard bit iff a_i >= b_i. Those
+        variable fields keep a_i - b_i, the others become 0, and the degree
+        field is set to the sum of the variable fields.
+        """
+        t = (a | self.guard) - b
+        g = t & self._varguard
+        c = t & (g - (g >> 15))
+        return c | (c * self._ones) >> self._down & self._degmask
+
+    def minimal(self, ms: Iterable[int]) -> List[int]:
+        """The minimal packed monomials under divisibility, ascending, duplicates dropped.
+
+        A proper divisor is a smaller int, so each candidate, taken in
+        ascending order, is tested only against the ones already kept.
+        """
+        guard = self.guard
+        kept: List[int] = []
+        for m in sorted(set(ms)):
+            for k in kept:
+                if not (m - k) & guard:
+                    break
+            else:
+                kept.append(m)
+        return kept
 
     def field(self, i: int) -> Tuple[int, int, int]:
         """(unit, mask, shift) of variable i: unit is the packed e_i, and the

@@ -185,6 +185,7 @@ def enumerate_partitions(r: int, n: int) -> List[Partition]:
     for m in range(n, 0, -1):
         for base in lower(m):
             extend([base], n - m)
+    del extend  # extend refers to itself through its cell; free it without the cyclic GC
 
     results.sort(key=lambda p: p.sorted_cells())
     return results

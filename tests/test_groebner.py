@@ -303,6 +303,20 @@ def test_monomial_ideal_rejects_non_integer_exponents():
     with pytest.raises(RingError):
         J.colon((1.5, 0))
     assert J.colon((1, 0)) == MonomialIdeal(2, [(1, 0)])
+    # x^1.5 is no monomial, though (1, 0) would divide it entrywise
+    with pytest.raises(RingError):
+        MonomialIdeal(2, [(1, 0)]).contains((1.5, 0))
+
+
+def test_monomial_ideal_rejects_negative_exponents():
+    # entrywise, x^-1 is not divisible by x, and (x) : x^-1 would be (x^2)
+    J = MonomialIdeal(2, [(1, 0)])
+    with pytest.raises(RingError):
+        J.contains((-1, 0))
+    with pytest.raises(RingError):
+        J.colon((-1, 0))
+    with pytest.raises(RingError):
+        MonomialIdeal(2, [(1, -1)])
 
 
 def test_the_zero_ideal():
@@ -347,6 +361,11 @@ def test_minimal_monomials_is_the_pairwise_definition(gens):
 
     expected = sorted({g for g in gens if not any(h != g and divides(h, g) for h in gens)})
     assert minimal_monomials(gens) == tuple(expected)
+    if gens:
+        lex = PackedLayout(len(gens[0]), "lex")
+        assert lex.unpack_all(lex.minimal(lex.pack_all(gens))) == expected
+        grevlex = PackedLayout(len(gens[0]), "grevlex")
+        assert sorted(grevlex.unpack_all(grevlex.minimal(grevlex.pack_all(gens)))) == expected
 
 
 def _sympy_reduced_basis(term_lists, nvars, order):
@@ -381,6 +400,32 @@ def test_reduced_basis_matches_sympy(order):
         gens = [p for p in (poly_from_terms(R, t) for t in term_lists) if p]
         ours = sorted(sorted(g.terms.items()) for g in groebner_basis(gens, order))
         assert ours == _sympy_reduced_basis(term_lists, 3, order)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_reduced_basis_matches_sympy_with_equal_pair_lcms(order):
+    # the leads are products of two or three of the first three or four
+    # variables, so many pairs share one lcm and the pair criteria must
+    # keep one pair of each such group; the tails, in the remaining
+    # variables and of lower degree, sort below the lead in both orders
+    rng = random.Random(5)
+    for _ in range(10):
+        n = rng.randint(4, 6)
+        k = rng.randint(3, min(4, n - 1))
+        R = PolyRing.make("x", n)
+
+        def term(variables, degree):
+            chosen = rng.sample(variables, degree)
+            return tuple(int(i in chosen) for i in range(n))
+
+        term_lists = []
+        for _ in range(rng.randint(3, 5)):
+            d = rng.randint(2, 3)
+            tails = [term(range(k, n), rng.randint(0, min(d - 1, n - k))) for _ in range(2)]
+            term_lists.append([(term(range(k), d), 1)] + [(e, rng.choice((-2, -1, 1, 3))) for e in tails])
+        gens = [p for p in (poly_from_terms(R, t) for t in term_lists) if p]
+        ours = sorted(sorted(g.terms.items()) for g in groebner_basis(gens, order))
+        assert ours == _sympy_reduced_basis(term_lists, n, order)
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])

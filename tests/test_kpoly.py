@@ -1,11 +1,12 @@
 """K-polynomial recursion, series expansion, Schur K of the G(2,6) cone."""
 
+import gc
 import itertools
 import random
 
 import pytest
 
-from hilb.groebner import Ideal, MonomialIdeal
+from hilb.groebner import Ideal, MonomialIdeal, minimal_monomials
 from hilb.kpoly import (
     HilbertSeries,
     graded_dim_oracle,
@@ -20,8 +21,17 @@ from hilb.kpoly import (
     series_equal,
 )
 from hilb.localeq import jacobian_ideal, pyramid_potential, var_weight
-from hilb.multipoly import LaurentPoly, PolyRing, RingError, Weight
-from hilb.partitions import Partition, parse_chain
+from hilb.multipoly import (
+    PACK_LIMIT,
+    LaurentPoly,
+    PolyRing,
+    RingError,
+    Weight,
+    _mono_colon,
+    _mono_weight,
+    weight_columns,
+)
+from hilb.partitions import Partition, enumerate_partitions, parse_chain
 
 
 def taylor_kpoly(J, weights):
@@ -39,6 +49,27 @@ def taylor_kpoly(J, weights):
                 lcm = tuple(max(a, b) for a, b in zip(lcm, g))
             total = total + LaurentPoly.char(monomial_weight(lcm, weights), (-1) ** k)
     return total
+
+
+def tuple_kpoly(J, weights):
+    """The colon recursion of kpoly_monomial on exponent and weight tuples:
+    the same memo keys and order, with no packing."""
+    r = weights[0].r
+    scale, columns = weight_columns(weights)
+    memo = {(): {(0,) * r: 1}}
+
+    def run(gens):
+        if gens not in memo:
+            f, rest = gens[-1], gens[:-1]
+            out = dict(run(rest))
+            shift = _mono_weight(f, columns)
+            for w, c in run(minimal_monomials(_mono_colon(g, f) for g in rest)).items():
+                w = tuple(a + b for a, b in zip(w, shift))
+                out[w] = out.get(w, 0) - c
+            memo[gens] = {w: c for w, c in out.items() if c}
+        return memo[gens]
+
+    return LaurentPoly(r, {Weight(w, scale): c for w, c in run(J.gens).items()})
 
 
 def random_monomial_ideal(rng, nvars, max_gens=5, max_exp=4, finite=False):
@@ -99,6 +130,28 @@ class TestKpolyMonomial:
                         break
                 weights.append(w)
             assert kpoly_monomial(J, weights) == taylor_kpoly(J, weights)
+
+    def test_matches_the_tuple_recursion(self):
+        # negative, mixed-scale and large weights and exponents near the
+        # packed limit set the width of the packed numerator weights
+        rng = random.Random(13)
+        entries = [
+            lambda: rng.randint(-3, 3),
+            lambda: rng.randint(-(2**40), 2**40),
+            lambda: rng.choice((-1, 1)) * (2**70 - rng.randint(0, 9)),
+        ]
+        for _ in range(60):
+            nv = rng.randint(1, 5)
+            big = rng.random() < 0.2
+            gens = [
+                tuple(rng.randint(0, (PACK_LIMIT - 1) // (2 * nv) if big else 4) for _ in range(nv))
+                for _ in range(rng.randint(1, 7))
+            ]
+            J = MonomialIdeal(nv, gens)
+            r = rng.randint(1, 3)
+            entry = rng.choice(entries)
+            weights = [Weight(tuple(entry() for _ in range(r)), rng.choice((1, 2, 8))) for _ in range(nv)]
+            assert kpoly_monomial(J, weights) == tuple_kpoly(J, weights)
 
     def test_generator_order_is_immaterial(self):
         rng = random.Random(11)
@@ -209,6 +262,12 @@ class TestGradedDimOracle:
             h = HilbertSeries(kpoly_monomial(J, weights), weights)
             assert series_box_expansion(h, direction, 6) == counts
 
+    def test_no_weights_is_a_ring_error(self):
+        with pytest.raises(RingError, match="no weights"):
+            positive_functional([])
+        with pytest.raises(RingError, match="no weights"):
+            graded_dim_oracle(MonomialIdeal(0, []), [], 3)
+
     def test_inapplicable_without_positive_direction(self):
         weights = [Weight.of(1), Weight.of(-1)]
         assert positive_functional(weights) is None
@@ -294,3 +353,23 @@ class TestSeriesEqual:
         assert series_equal(h2, h1)
         h3 = HilbertSeries(LaurentPoly.one(1) - LaurentPoly.char(t), [2 * t])
         assert not series_equal(h1, h3)
+
+
+def test_recursions_leave_no_reference_cycles():
+    # each recursion refers to itself through its closure cell; the call
+    # breaks that cycle on return, so its memo is freed without the cyclic GC
+    J = MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)])
+    w = [Weight.of(1, 0), Weight.of(0, 1)]
+    calls = [
+        lambda: kpoly_monomial(J, w),
+        lambda: graded_dim_oracle(J, w, 5),
+        lambda: enumerate_partitions(3, 5),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

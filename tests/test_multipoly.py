@@ -12,7 +12,9 @@ from hilb.multipoly import (
     PolyRing,
     RingError,
     Weight,
+    _mono_colon,
     _mono_divides,
+    _mono_lcm,
     _mono_mul,
     _mul_packed,
     order_key,
@@ -222,6 +224,43 @@ def test_pack_all_is_pack_of_each_monomial(case):
     assert packed == [lay.pack(e) for e in monos]
     assert lay.unpack_all(packed) == [lay.unpack(m) for m in packed] == monos
     assert lay.unpack_all(sorted(packed, key=lay.key)) == sorted(monos, key=order_key(order))
+
+
+def full_range_monomials(n):
+    """Entries up to 2^15 - 1, small ones often equal; a monomial whose
+    degree reaches PACK_LIMIT is scaled down below it."""
+    entries = st.one_of(st.integers(0, 2), st.integers(0, PACK_LIMIT - 1))
+
+    def fit(e):
+        total = sum(e)
+        return tuple(x * (PACK_LIMIT - 1) // total for x in e) if total >= PACK_LIMIT else e
+
+    return st.tuples(*[entries] * n).map(fit)
+
+
+colon_cases = st.tuples(
+    st.integers(1, 20).flatmap(lambda n: st.tuples(full_range_monomials(n), full_range_monomials(n))),
+    st.sampled_from(["lex", "grevlex"]),
+)
+
+
+@seeded
+@given(colon_cases)
+def test_packed_colon_and_lcm_match_the_tuple_ones(case):
+    (a, b), order = case
+    lay = PackedLayout(len(a), order)
+    pa, pb = lay.pack(a), lay.pack(b)
+    colon = lay.colon(pa, pb)
+    assert colon == lay.pack(_mono_colon(a, b))
+    assert lay.unpack(colon) == _mono_colon(a, b)
+    assert lay.degree(colon) == sum(_mono_colon(a, b))
+    lcm = pb + colon
+    if sum(_mono_lcm(a, b)) < PACK_LIMIT:
+        assert lcm == lay.pack(_mono_lcm(a, b))
+        assert lay.unpack(lcm) == _mono_lcm(a, b)
+        assert lay.degree(lcm) == sum(_mono_lcm(a, b))
+    else:
+        assert lcm & lay.guard
 
 
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
