@@ -29,6 +29,7 @@ from .multipoly import (
     RingError,
     Weight,
     _mono_weight,
+    packed_weights,
     weight_columns,
 )
 from .partitions import Partition, partition_of_ideal
@@ -68,8 +69,7 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     r = _torus_rank(weights)
     scale, columns = weight_columns(weights)
     top = sum(map(max, zip(*J.gens)))  # the degree of the lcm of the generators
-    bits = (top * max((abs(x) for col in columns for x in col), default=0)).bit_length() + 1
-    var_weights = [sum(x << bits * k for k, x in enumerate(w)) for w in zip(*columns)]
+    bits, var_weights = packed_weights(columns, top)
     lay = PackedLayout(J.nvars, "lex")
     colon, minimal, unpack = lay.colon, lay.minimal, lay.unpack
     one = {0: 1}

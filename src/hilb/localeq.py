@@ -15,21 +15,24 @@ integer. A non-unit pivot divides exactly through `Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import mul, or_
 from typing import Dict, List, Sequence, Tuple
 
 from .multipoly import (
     IntTerms,
+    Monomial,
     MultiPoly,
     PackedLayout,
     PolyRing,
     RingError,
     Weight,
     _add_shifted,
-    _mono_mul,
     _mono_quot,
     _mono_shift,
-    _mono_weight,
     _mul_packed,
+    packed_weights,
     weight_columns,
 )
 from .partitions import Cell, Partition, adjacent_pairs, glove, min_generators, pyramid
@@ -48,7 +51,14 @@ def var_weight(v: HaimanVar) -> Weight:
 
 
 class HaimanPresentation:
-    """Variables, their torus weights, and weight-homogeneous equations."""
+    """Variables, their torus weights, and weight-homogeneous equations.
+
+    Construction raises RingError for an equation outside the ring of the
+    variables or one that is not weight-homogeneous. For the weight check
+    each variable weight is one int of signed fields (`packed_weights`,
+    wide enough for the largest term degree), so the weight of a term is
+    one exact sum over its nonzero exponents.
+    """
 
     def __init__(
         self,
@@ -62,11 +72,10 @@ class HaimanPresentation:
         self.ring = PolyRing([_var_name(v) for v in self.variables])
         self.equations = list(equations)
         self.eliminated = dict(eliminated or {})
-        _, columns = weight_columns(self.weights)
         for eq in self.equations:
             if eq.ring != self.ring:
                 raise RingError("equation outside the presentation ring")
-            _assert_weight_homogeneous(eq, columns)
+        _check_weight_homogeneous(self.equations, self.weights)
 
     @property
     def weights(self) -> List[Weight]:
@@ -76,10 +85,13 @@ class HaimanPresentation:
         return self.variables.index(v)
 
 
-def _assert_weight_homogeneous(p: MultiPoly, columns: Sequence[Tuple[int, ...]]):
-    """`columns` are the variable weights in the form `weight_columns` returns."""
-    if len({_mono_weight(e, columns) for e in p.terms}) > 1:
-        raise AssertionError(f"equation not weight-homogeneous: {p.render()}")
+def _check_weight_homogeneous(equations: Sequence[MultiPoly], weights: Sequence[Weight]):
+    """RingError unless every term of each equation has one torus weight."""
+    _, columns = weight_columns(weights)
+    _, packed = packed_weights(columns, max((eq.total_degree() for eq in equations), default=0))
+    for eq in equations:
+        if len({sum(map(mul, compress(packed, e), compress(e, e))) for e in eq.terms}) > 1:
+            raise RingError(f"equation not weight-homogeneous: {eq.render()}")
 
 
 def haiman_equations(lam: Partition) -> HaimanPresentation:
@@ -87,7 +99,9 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
 
     For k in the partition, k+e_b always lands in the partition or its
     glove, so superscripts either hit the Kronecker-delta convention or
-    stay inside the variable set; anything else is a hard error.
+    stay inside the variable set; anything else is a hard error. Each
+    term is built keyed by its sorted variable indices, (u,) or (u, v),
+    and becomes an exponent tuple once, when its equation is complete.
     """
     if not lam.cells:
         raise RingError("need a nonempty partition")
@@ -99,9 +113,10 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
     ring = PolyRing([_var_name(v) for v in variables])
     nvars = len(variables)
 
-    def unit(k: int) -> Tuple[int, ...]:
+    def dense(key: Tuple[int, ...]) -> Monomial:
         e = [0] * nvars
-        e[k] = 1
+        for u in key:
+            e[u] += 1
         return tuple(e)
 
     def pair_product_terms(terms: Dict, sup1: Cell, direction: int, l: Cell, sign: int):
@@ -110,13 +125,12 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
             m = _mono_shift(k, direction)
             if m in lam.cells:
                 if m == l:
-                    e = unit(index[(k, sup1)])
-                    terms[e] = terms.get(e, 0) + sign
+                    key = (index[(k, sup1)],)
+                    terms[key] = terms.get(key, 0) + sign
             elif m in glo_set:
-                e1 = unit(index[(k, sup1)])
-                e2 = unit(index[(l, m)])
-                e = _mono_mul(e1, e2)
-                terms[e] = terms.get(e, 0) + sign
+                u, v = index[(k, sup1)], index[(l, m)]
+                key = (u, v) if u <= v else (v, u)
+                terms[key] = terms.get(key, 0) + sign
             else:
                 raise AssertionError(f"superscript {m} escapes the glove")
 
@@ -125,14 +139,14 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
         for l in cells:
             if b is None:
                 # p = q + e_a: c_l^p = sum_k c_k^q c_l^{k+e_a}
-                terms: Dict = {unit(index[(l, p)]): 1}
+                terms: Dict = {(index[(l, p)],): 1}
                 pair_product_terms(terms, q, a, l, -1)
             else:
                 # p = q + e_a - e_b: both expansions of c_l^{q+e_a} = c_l^{p+e_b} agree
                 terms = {}
                 pair_product_terms(terms, q, a, l, 1)
                 pair_product_terms(terms, p, b, l, -1)
-            eq = MultiPoly(ring, terms)
+            eq = MultiPoly(ring, {dense(key): c for key, c in terms.items() if c})
             if eq:
                 equations.append(eq)
 
@@ -150,10 +164,13 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     the packed x, and a product is an int add with a guard test: a degree
     of 2^15 or more raises RingError. A unit pivot a = +-1 sends x to a*f
     with no division, so integer equations stay integer; any other pivot
-    divides exactly through Fraction. The pivot is applied by rewriting
-    only the terms that hold x: a term c*x^k*m becomes c*m*(f/a)^k, with
-    the powers of f/a computed once per pivot, and every other term is
-    copied unchanged. The survivors are unpacked and renumbered at the end.
+    divides exactly through Fraction. Each equation and each eliminated
+    expression keeps its support mask, the bitwise or of its packed
+    monomials, so whether it holds x is one mask test. The pivot is
+    applied by rewriting only the entries that hold x, and in them only
+    the terms that hold x: a term c*x^k*m becomes c*m*(f/a)^k, with the
+    powers of f/a computed once per pivot, and every other term is copied
+    unchanged. The survivors are unpacked and renumbered at the end.
     """
     lam = pres.lam
     variables = pres.variables
@@ -163,27 +180,38 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     guard = lay.guard
     alive = [True] * nvars
     eqs: List[IntTerms] = [dict(zip(lay.pack_all(eq.terms), eq.terms.values())) for eq in pres.equations]
+    masks = [reduce(or_, eq, 0) for eq in eqs]  # support mask of each equation
     subs: Dict[int, IntTerms] = {}  # eliminated var index -> expression (full ring)
+    sub_masks: Dict[int, int] = {}
 
     def substitute_everywhere(x: int, expr: IntTerms):
         unit_x, xmask, shift = lay.field(x)
-        powers: List[IntTerms] = [{0: 1}]  # the packed monomial 1 is 0, so k = 0 copies a term
+        powers: List[IntTerms] = [{0: 1}]  # powers[k] is expr^k; the packed monomial 1 is 0
 
         def rewrite(p: IntTerms) -> IntTerms:
             out: IntTerms = {}
             for e, c in p.items():
                 k = (e & xmask) >> shift
+                if not k:  # copied as it is; a sum can only vanish on a term already there
+                    c += out.get(e, 0)
+                    if c:
+                        out[e] = c
+                    else:
+                        del out[e]
+                    continue
                 while len(powers) <= k:
                     powers.append(_mul_packed(powers[-1], expr, guard))
                 _add_shifted(out, powers[k], e - k * unit_x, c, guard)
             return out
 
-        for k in range(len(eqs)):
-            if any(e & xmask for e in eqs[k]):
+        for k, mask in enumerate(masks):
+            if mask & xmask:
                 eqs[k] = rewrite(eqs[k])
-        for v in subs:
-            if any(e & xmask for e in subs[v]):
+                masks[k] = reduce(or_, eqs[k], 0)
+        for v, mask in sub_masks.items():
+            if mask & xmask:
                 subs[v] = rewrite(subs[v])
+                sub_masks[v] = reduce(or_, subs[v], 0)
 
     def run_pass(targets: List[int]):
         while True:
@@ -206,8 +234,10 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
             inv = a if a == 1 or a == -1 else Fraction(1, a)
             expr = {e: -c * inv for e, c in eqs[qi].items() if e != unit_x}
             eqs[qi] = {}
+            masks[qi] = 0
             alive[x] = False
             subs[x] = expr
+            sub_masks[x] = reduce(or_, expr, 0)
             substitute_everywhere(x, expr)
 
     deep = [k for k, (i, j) in enumerate(variables) if j not in min_glo]

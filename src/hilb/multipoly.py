@@ -358,13 +358,20 @@ def _render_terms(terms: Iterable[Tuple[object, str]]) -> str:
 
 
 class MultiPoly:
-    """Polynomial as a map from exponent tuples to nonzero `int` or `Fraction` coefficients."""
+    """Polynomial as a map from exponent tuples to nonzero `int` or `Fraction` coefficients.
 
-    __slots__ = ("ring", "terms")
+    `terms` is never mutated after construction: every operation builds a
+    new polynomial. `_packed` relies on this. It holds the terms packed
+    under `PackedLayout(ring.n, "grevlex")`, filled by `substitute` the
+    first time the polynomial is an image there, and read by nothing else.
+    """
+
+    __slots__ = ("ring", "terms", "_packed")
 
     def __init__(self, ring: PolyRing, terms: Mapping[Monomial, Fraction]):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c}
+        self._packed = None
 
     def _check(self, other: "MultiPoly"):
         if self.ring != other.ring:
@@ -469,9 +476,10 @@ class MultiPoly:
 
         The images all live in one target ring, which may differ from this
         one; RingError when they do not, or when there is no image to take
-        the target from. Runs on packed monomials of the target ring: each
-        image is packed once per call, and a degree of PACK_LIMIT or more
-        raises RingError.
+        the target from. Runs on packed monomials of the target ring, and a
+        degree of PACK_LIMIT or more raises RingError. Each image is packed
+        once for its lifetime, on its first use here, and kept in its
+        `_packed` slot, so a list of images sent to many calls is packed once.
         """
         if len(images) != self.ring.n:
             raise RingError("every variable needs an image")
@@ -482,7 +490,7 @@ class MultiPoly:
         if any(R != target for R in rings[1:]):
             raise RingError("images live in different rings")
         lay = PackedLayout(target.n, "grevlex")
-        guard, pack = lay.guard, lay.pack
+        guard = lay.guard
         powers: Dict[int, List[IntTerms]] = {}  # i -> [1, images[i], images[i]^2, ...], packed
         out: IntTerms = {}
         for e, c in self.terms.items():
@@ -492,7 +500,11 @@ class MultiPoly:
             for i, k in compress(enumerate(e), e):
                 pw = powers.get(i)
                 if pw is None:
-                    pw = powers[i] = [{0: 1}, {pack(m): d for m, d in images[i].terms.items()}]
+                    img = images[i]
+                    packed = img._packed
+                    if packed is None:
+                        packed = img._packed = dict(zip(lay.pack_all(img.terms), img.terms.values()))
+                    pw = powers[i] = [{0: 1}, packed]
                 while len(pw) <= k:
                     pw.append(_mul_packed(pw[-1], pw[1], guard))
                 if len(pw[k]) == 1:
@@ -617,11 +629,24 @@ class Weight:
 
 
 def weight_columns(weights: Sequence[Weight]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """The weights on their largest scale, as (scale, columns) for `_mono_weight`."""
+    """The weights on their largest scale, as (scale, columns) for `_mono_weight` and `packed_weights`."""
     if len({w.r for w in weights}) > 1:
         raise RingError("weight rank mismatch")
     scale = max((w.scale for w in weights), default=1)
     return scale, tuple(zip(*(tuple(x * (scale // w.scale) for x in w.nums) for w in weights)))
+
+
+def packed_weights(columns: Sequence[Tuple[int, ...]], degree: int) -> Tuple[int, List[int]]:
+    """(bits, packed): the weight of variable i as the int packed[i], its
+    k-th numerator in the k-th signed field of `bits` bits.
+
+    `columns` are as `weight_columns` returns them. The fields are wide
+    enough for the weight of any monomial of total degree at most
+    `degree`, so the packed weight of such a monomial is the sum of its
+    variables' packed weights, and two of them are equal iff the weights are.
+    """
+    bits = (degree * max((abs(x) for col in columns for x in col), default=0)).bit_length() + 1
+    return bits, [sum(x << bits * k for k, x in enumerate(w)) for w in zip(*columns)]
 
 
 class LaurentPoly:

@@ -1,14 +1,19 @@
 import string
 from collections import Counter
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilb.groebner import Ideal, ideal_equal
-from hilb.multipoly import Weight
-from hilb.partitions import Partition, enumerate_partitions, glove, parse_chain
+from hilb.multipoly import MultiPoly, PolyRing, RingError, Weight
+from hilb.partitions import Partition, adjacent_pairs, enumerate_partitions, glove, parse_chain
 from hilb.localeq import (
     HaimanPresentation,
+    _check_weight_homogeneous,
     _linear_part_relations,
+    _var_name,
     cotangent_weights,
     extra_dimension,
     haiman_equations,
@@ -23,6 +28,7 @@ LAM_121 = parse_chain("(1) < (2,1)")
 LAM_131 = parse_chain("(1) < (3,1)")
 LAM_132 = parse_chain("(1) < (3,2)")
 LAM_1321 = parse_chain("(1) < (3,2,1)")
+seeded = settings(derandomize=True, max_examples=200, deadline=None)
 
 
 def test_single_box_presentation():
@@ -59,9 +65,9 @@ def test_inhomogeneous_equation_is_rejected():
     pres = haiman_equations(LAM_121)
     x = pres.ring.gens()
     assert pres.weights[0] != pres.weights[1]
-    with pytest.raises(AssertionError):
+    with pytest.raises(RingError):
         HaimanPresentation(LAM_121, pres.variables, [x[0] + x[1]])
-    with pytest.raises(AssertionError):
+    with pytest.raises(RingError):
         HaimanPresentation(LAM_121, pres.variables, [x[0] + 1])
 
 
@@ -292,3 +298,119 @@ def test_haiman_linear_parts_are_the_cotangent_relations():
                 relations += [frozenset([coordinate(x, cells, glo)]) for x in kills]
                 assert all(len(t) == 2 for t in relations[: len(edges)])
                 assert linear == Counter(relations)
+
+
+def mono_weight(e, weights):
+    """Reference torus weight of the monomial e, by `Weight` arithmetic."""
+    total = Weight((0,) * weights[0].r)
+    for k, w in zip(e, weights):
+        total = total + w * k
+    return total
+
+
+def weights_of_rank(r):
+    nums = st.tuples(*[st.integers(-5, 5)] * r)
+    return st.builds(Weight, nums, st.sampled_from([1, 2, 4]))
+
+
+@st.composite
+def weighted_monomials(draw):
+    """(weights, monomials): mixed-scale weights with negative entries and
+    exponents up to 4; sometimes a last variable whose weight differs from
+    the first one's only in the last field, with one power of each."""
+    r = draw(st.integers(1, 3))
+    weights = draw(st.lists(weights_of_rank(r), min_size=1, max_size=4))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 4)] * len(weights)), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        bump = Weight((0,) * (r - 1) + (draw(st.sampled_from([-1, 1])),), draw(st.sampled_from([1, 2, 4])))
+        weights.append(weights[0] + bump)
+        k = draw(st.integers(1, 4))
+        monos = [e + (0,) for e in monos]
+        monos += [(k,) + (0,) * (len(weights) - 1), (0,) * (len(weights) - 1) + (k,)]
+    return weights, monos
+
+
+@seeded
+@given(weighted_monomials())
+def test_packed_weight_check_agrees_with_dense_weights(case):
+    weights, monos = case
+    ring = PolyRing.make("x", len(weights))
+    ref = [mono_weight(e, weights) for e in monos]
+    eq = MultiPoly(ring, {e: 1 for e in monos})
+    if len(set(ref)) > 1:
+        with pytest.raises(RingError):
+            _check_weight_homogeneous([eq], weights)
+    else:
+        _check_weight_homogeneous([eq], weights)
+    # the terms of one reference weight pass, alone or beside other equations
+    same = MultiPoly(ring, {e: 1 for e, w in zip(monos, ref) if w == ref[0]})
+    _check_weight_homogeneous([same, ring.const(1)], weights)
+
+
+def test_packed_weight_check_sees_the_last_field():
+    # x^2 has weight (-6, 10) and y^2 has (-6, 11): equal but for the last field
+    weights = [Weight.of(-3, 5), Weight.halves(-6, 11)]
+    x, y = PolyRing(["x", "y"]).gens()
+    with pytest.raises(RingError):
+        _check_weight_homogeneous([x**2 + y**2], weights)
+    _check_weight_homogeneous([x**2, 3 * y**3], weights)
+
+
+def test_packed_weight_fields_hold_a_difference_of_weights():
+    # weights (4, 0) and (-4, 1) differ by (8, -1); in 3-bit fields, one bit
+    # short of what `packed_weights` gives, both would pack to 4
+    x, y = PolyRing(["x", "y"]).gens()
+    with pytest.raises(RingError):
+        _check_weight_homogeneous([x + y], [Weight.of(4, 0), Weight.of(-4, 1)])
+
+
+def dense_haiman_equations(lam):
+    """The Haiman equations built term by term on dense exponent tuples."""
+    cells = sorted(lam.cells)
+    glo = sorted(glove(lam))
+    variables = [(i, j) for i in cells for j in glo]
+    index = {v: k for k, v in enumerate(variables)}
+    ring = PolyRing([_var_name(v) for v in variables])
+
+    def unit(k):
+        e = [0] * len(variables)
+        e[k] = 1
+        return tuple(e)
+
+    def pair_product_terms(terms, sup1, direction, l, sign):
+        for k in cells:
+            m = tuple(x + (b == direction) for b, x in enumerate(k))
+            if m in lam.cells:
+                if m == l:
+                    e = unit(index[(k, sup1)])
+                    terms[e] = terms.get(e, 0) + sign
+            else:
+                e = tuple(map(add, unit(index[(k, sup1)]), unit(index[(l, m)])))
+                terms[e] = terms.get(e, 0) + sign
+
+    equations = []
+    for p, q, a, b in adjacent_pairs(glo):
+        for l in cells:
+            if b is None:
+                terms = {unit(index[(l, p)]): 1}
+                pair_product_terms(terms, q, a, l, -1)
+            else:
+                terms = {}
+                pair_product_terms(terms, q, a, l, 1)
+                pair_product_terms(terms, p, b, l, -1)
+            eq = MultiPoly(ring, terms)
+            if eq:
+                equations.append(eq)
+    return variables, equations
+
+
+@pytest.mark.parametrize("r, top", [(2, 5), (3, 5), (4, 4)])
+def test_sparse_haiman_terms_match_the_dense_builder(r, top):
+    for n in range(1, top + 1):
+        for lam in enumerate_partitions(r, n):
+            pres = haiman_equations(lam)
+            variables, equations = dense_haiman_equations(lam)
+            assert pres.variables == variables
+            # term order and coefficient types pinned, not only the term sets
+            got = [[(e, type(c), c) for e, c in eq.terms.items()] for eq in pres.equations]
+            assert got == [[(e, type(c), c) for e, c in eq.terms.items()] for eq in equations]

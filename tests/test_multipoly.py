@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hilb.multipoly import (
     PACK_LIMIT,
     LaurentPoly,
+    MultiPoly,
     PackedLayout,
     PolyRing,
     RingError,
@@ -309,6 +310,30 @@ def test_packed_product_matches_the_tuple_product(case):
         else:
             expected = [(lay.pack(e), c) for e, c in (f * g).terms.items()]
             assert list(_mul_packed(pf, pg, lay.guard).items()) == expected
+
+
+@seeded
+@given(
+    st.lists(polys(R3), min_size=1, max_size=4),
+    st.lists(polys(S2, max_exp=2, max_terms=3), min_size=3, max_size=3),
+)
+def test_substitute_packs_each_image_once(ps, images):
+    # images reused across calls give what fresh equal images give, term
+    # order and coefficient types included; each is packed on first use only
+    lay = PackedLayout(S2.n, "grevlex")
+    packed = [None] * len(images)
+    for p in ps:
+        fresh = [MultiPoly(S2, q.terms) for q in images]
+        got, expected = p.substitute(images), p.substitute(fresh)
+        assert [(e, type(c), c) for e, c in got.terms.items()] == [
+            (e, type(c), c) for e, c in expected.terms.items()
+        ]
+        for i, q in enumerate(images):
+            if packed[i] is None:
+                packed[i] = q._packed
+            assert q._packed is packed[i]
+            if any(e[i] for e in p.terms):
+                assert packed[i] == dict(zip(lay.pack_all(q.terms), q.terms.values()))
 
 
 @pytest.mark.parametrize("k", [2**14 - 1, 2**14])
