@@ -1,4 +1,4 @@
-"""Buchberger Groebner bases over Q, normal forms, and monomial colon ideals.
+"""Buchberger Groebner bases over Q, normal forms, and monomial ideals.
 
 Buchberger with the sugar selection strategy. Pairs are pruned once, when
 an element is added, by the Gebauer-Moller update (Gebauer & Moller, J.
@@ -20,6 +20,9 @@ its normal forms are the input and its initial ideal is empty. Division
 by a basis has one entry point, `Ideal.normal_form`, which packs the
 basis of each order once and keeps it. A hard S-pair budget turns
 blowups into a structured failure instead of an endless run.
+`MonomialIdeal`, such as an initial ideal, holds its minimal generators
+as packed lex ints, so its membership test, colon and minimalization
+are the packed ones of `PackedLayout`.
 """
 
 from __future__ import annotations
@@ -38,9 +41,6 @@ from .multipoly import (
     PolyRing,
     RingError,
     _add_shifted,
-    _mono_colon,
-    _mono_divides,
-    exponents,
     order_key,
     pack_overflow,
 )
@@ -259,56 +259,56 @@ def _reduce_int_basis(
     return out
 
 
-def minimal_monomials(gens: Iterable[Monomial]) -> Tuple[Monomial, ...]:
-    """Sorted minimal elements under divisibility, duplicates dropped.
-
-    A proper divisor of a nonnegative exponent vector has smaller total
-    degree, so candidates are taken by degree and each is tested only
-    against the generators already kept.
-    """
-    kept: List[Monomial] = []
-    for g in sorted(set(gens), key=sum):
-        if not any(_mono_divides(h, g) for h in kept):
-            kept.append(g)
-    return tuple(sorted(kept))
-
-
 class MonomialIdeal:
-    """Monomial ideal held by its minimal generators (a divisibility antichain)."""
+    """Monomial ideal held by its minimal generators (a divisibility antichain).
 
-    __slots__ = ("nvars", "gens")
+    The generators are `PackedLayout(nvars, "lex")` ints, minimalized by
+    `PackedLayout.minimal` and kept ascending in `packed`, so their order
+    is that of the exponent tuples; `gens` is the sorted tuple view. A
+    monomial is packed once: membership is a guard test against each
+    generator, and a colon is `PackedLayout.colon`. A monomial of the
+    wrong length raises RingError, and so does a negative or non-integer
+    entry or a degree of 2^15 or more, from the packing.
+    """
+
+    __slots__ = ("nvars", "layout", "packed")
 
     def __init__(self, nvars: int, gens: Iterable[Monomial]):
         self.nvars = nvars
-        self.gens = minimal_monomials({self._monomial(g) for g in gens})
+        self.layout = PackedLayout(nvars, "lex")
+        self.packed = tuple(self.layout.minimal(self._pack_all(list(gens))))
 
-    def _monomial(self, entries: Iterable[int]) -> Monomial:
-        """The entries as a monomial of this ring; RingError unless they are
-        nvars nonnegative integers."""
-        e = exponents(entries)
-        if len(e) != self.nvars:
+    def _pack_all(self, monos: Sequence[Monomial]) -> List[int]:
+        if any(len(e) != self.nvars for e in monos):
             raise RingError("monomial length mismatch")
-        if any(x < 0 for x in e):
-            raise RingError("monomials have nonnegative integer exponents")
-        return e
+        return self.layout.pack_all(monos)
+
+    @property
+    def gens(self) -> Tuple[Monomial, ...]:
+        return tuple(self.layout.unpack_all(self.packed))
 
     def contains(self, mono: Monomial) -> bool:
-        mono = self._monomial(mono)
-        return any(_mono_divides(g, mono) for g in self.gens)
+        [m] = self._pack_all([mono])
+        guard = self.layout.guard
+        return any(not (m - g) & guard for g in self.packed)
 
     def colon(self, f: Monomial) -> "MonomialIdeal":
-        f = self._monomial(f)
-        return MonomialIdeal(self.nvars, [_mono_colon(g, f) for g in self.gens])
+        [f] = self._pack_all([f])
+        lay = self.layout
+        out = MonomialIdeal.__new__(MonomialIdeal)
+        out.nvars, out.layout = self.nvars, lay
+        out.packed = tuple(lay.minimal([lay.colon(g, f) for g in self.packed]))
+        return out
 
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIdeal)
             and self.nvars == other.nvars
-            and self.gens == other.gens
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.gens))
+        return hash((self.nvars, self.packed))
 
     def __repr__(self):
         return f"MonomialIdeal({self.nvars}, {list(self.gens)})"

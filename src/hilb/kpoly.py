@@ -5,8 +5,8 @@ denominators stay factored, one (1 - t^w) per ambient variable. The
 series of a monomial ideal is its K-polynomial (`kpoly_monomial`) over
 those factors, and `hilbert_series` takes a polynomial `Ideal` to the
 K-polynomial of its initial ideal. The K-polynomial recursion runs on
-packed ints: generators in the packed monomial format of `multipoly`,
-and numerator weights as single ints over one power-of-two scale, with
+packed ints: the packed lex generators a `MonomialIdeal` holds, and
+numerator weights as single ints over one power-of-two scale, with
 Weight keys built only for its result.
 Identities between series, such as equality and self-reciprocity, are
 decided exactly as identities between Laurent polynomials, after
@@ -25,7 +25,6 @@ from .groebner import Ideal, MonomialIdeal
 from .multipoly import (
     LaurentPoly,
     Monomial,
-    PackedLayout,
     RingError,
     Weight,
     _mono_weight,
@@ -53,16 +52,16 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
 
     K(f_1..f_m) = K(f_1..f_{m-1}) - t^{w(f_m)} K((f_1..f_{m-1}) : f_m),
     memoized on the canonical minimal generator tuples encountered.
-    Generators are `PackedLayout(nvars, "lex")` ints, whose sorted order
-    is that of the tuples; a colon is `PackedLayout.colon` and a
-    minimalization `PackedLayout.minimal`. A degree of 2^15 or more
-    raises RingError. The weights are put on their largest power-of-two
-    scale, and each numerator weight is one int: its integer entries
-    packed in signed fields of a width that holds every weight of a
-    divisor of the lcm of the generators, since every numerator weight
-    is one. Adding weights is then adding ints, and each is unpacked to a
-    Weight once, for the result. The unit ideal needs no special case:
-    its one generator 1 gives K = 1 - t^0 = 0.
+    Generators are the ascending `J.packed` ints of `J.layout`, whose
+    order is that of the exponent tuples, so nothing is packed here; a
+    colon is `PackedLayout.colon` and a minimalization
+    `PackedLayout.minimal`. The weights are put on their largest
+    power-of-two scale, and each numerator weight is one int: its
+    integer entries packed in signed fields of a width that holds every
+    weight of a divisor of the lcm of the generators, since every
+    numerator weight is one. Adding weights is then adding ints, and
+    each is unpacked to a Weight once, for the result. The unit ideal
+    needs no special case: its one generator 1 gives K = 1 - t^0 = 0.
     """
     if len(weights) != J.nvars:
         raise RingError("weight list does not cover the variables")
@@ -70,7 +69,7 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     scale, columns = weight_columns(weights)
     top = sum(map(max, zip(*J.gens)))  # the degree of the lcm of the generators
     bits, var_weights = packed_weights(columns, top)
-    lay = PackedLayout(J.nvars, "lex")
+    lay = J.layout
     colon, minimal, unpack = lay.colon, lay.minimal, lay.unpack
     one = {0: 1}
     memo: Dict[Tuple[int, ...], Dict[int, int]] = {}
@@ -95,7 +94,7 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
         memo[gens] = out
         return out
 
-    numerator = run(tuple(lay.pack_all(J.gens)))
+    numerator = run(J.packed)
     del run  # run refers to itself through its cell; free it and memo without the cyclic GC
     mask, half = (1 << bits) - 1, 1 << bits - 1
     terms = {}

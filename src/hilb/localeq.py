@@ -35,7 +35,7 @@ from .multipoly import (
     packed_weights,
     weight_columns,
 )
-from .partitions import Cell, Partition, adjacent_pairs, glove, min_generators, pyramid
+from .partitions import Cell, Partition, adjacent_pairs, glove, ideal_of_partition, pyramid
 
 HaimanVar = Tuple[Cell, Cell]  # (sub, sup): i in lambda, j in glove
 
@@ -171,11 +171,17 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     the terms that hold x: a term c*x^k*m becomes c*m*(f/a)^k, with the
     powers of f/a computed once per pivot, and every other term is copied
     unchanged. The survivors are unpacked and renumbered at the end.
+
+    The pivot rule reads the variable order, so the survivors depend on
+    the orientation of the partition, not only on its S_r-class: the
+    2x2 square at r=3, n=4 keeps 13 variables and 23 equations in the
+    (x, y) plane, 13 and 21 in (x, z), and 14 and 27 in (y, z). A
+    tabulation per class must not read these counts as invariants.
     """
     lam = pres.lam
     variables = pres.variables
     nvars = len(variables)
-    min_glo = set(min_generators(lam))
+    min_glo = set(ideal_of_partition(lam).gens)
     lay = PackedLayout(nvars, "grevlex")
     guard = lay.guard
     alive = [True] * nvars

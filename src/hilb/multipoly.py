@@ -5,23 +5,25 @@ coefficients are exact rationals, `int` or `Fraction`. The two compare
 and hash alike (`hash(2) == hash(Fraction(2))`), so equality and term
 sets do not see the type; sums, products and substitution keep `int`
 coefficients `int`. Each operation on monomial tuples (product,
-quotient, shift, lcm, colon, divisibility, torus weight) has one
-definition, among the `_mono_*` functions below; the cells of a
-partition are the same tuples. The packed kernel below is tested
-against them. The monomial orders are lex
+quotient, shift, torus weight) has one definition, among the `_mono_*`
+functions below; the cells of a partition are the same tuples. Lcm,
+colon and divisibility act on packed monomials only, and the tests
+compare them with tuple references. The monomial orders are lex
 and grevlex. Laurent exponents live on a scaled lattice
 (1/D)Z^r with D a power of two, so half-integer weights are exact
 integer data: a weight's numerators and a Laurent coefficient are
 integers, and anything else raises RingError rather than being
-truncated. Monomial entries from outside go through `exponents`, which
-raises RingError for a non-integer entry instead of truncating it.
+truncated. Monomial entries from outside go through `exponents` or
+`PackedLayout`, which raise RingError for a non-integer entry instead
+of truncating it.
 
 This module is also the home of the packed term format, which division
-and Buchberger (`groebner`), the K-polynomial recursion (`kpoly`), linear
-elimination (`localeq.simple_eliminate`) and back-substitution
-(`substitute`) work on: a `PackedLayout` stores an exponent vector and
-its total degree as one int of 16-bit fields whose top bits are guards
-(Bachmann & Schoenemann, "Monomial representations for Groebner bases
+and Buchberger (`groebner`), monomial ideals (`groebner.MonomialIdeal`)
+and their K-polynomial recursion (`kpoly`), linear elimination
+(`localeq.simple_eliminate`) and back-substitution (`substitute`) work
+on: a `PackedLayout` stores an exponent vector and its total degree as
+one int of 16-bit fields whose top bits are guards (Bachmann &
+Schoenemann, "Monomial representations for Groebner bases
 computations", ISSAC 1998), and `IntTerms` maps packed monomials to
 coefficients. Product is `+`, quotient is `-`, divisibility is one
 subtraction and a mask test, a colon or an lcm is a few int operations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from operator import add, index, le, mul, neg, sub
+from operator import add, index, mul, neg, sub
 from struct import Struct
 from struct import error as StructError
 from typing import Callable, Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -130,20 +132,6 @@ def _mono_shift(e: Monomial, i: int, delta: int = 1) -> Monomial:
     return e[:i] + (e[i] + delta,) + e[i + 1 :]
 
 
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    # a comprehension: map(max, ...) is twice as slow
-    return tuple([x if x > y else y for x, y in zip(a, b)])
-
-
-def _mono_colon(a: Monomial, b: Monomial) -> Monomial:
-    """The generator of (a) : b, that is lcm(a, b) / b."""
-    return tuple([x - y if x > y else 0 for x, y in zip(a, b)])
-
-
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
-
-
 def _mono_weight(e: Monomial, columns: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
     """Integer weight of e; columns[i] holds the i-th numerator of every variable's weight."""
     ks = tuple(compress(e, e))  # skips the zero exponents of a sparse monomial
@@ -230,24 +218,24 @@ class PackedLayout:
         self._down = 0 if grevlex else 16 * nvars
 
     def pack(self, e: Monomial) -> int:
-        deg = sum(e)
-        if deg >= PACK_LIMIT:
-            raise pack_overflow()
         try:
+            deg = sum(e)
+            if deg >= PACK_LIMIT:
+                raise pack_overflow()
             return int.from_bytes(self._struct.pack(*e, deg), self._byteorder)
-        except StructError:
+        except (StructError, TypeError):
             raise _pack_entry_error() from None
 
     def pack_all(self, monos: Collection[Monomial]) -> List[int]:
         """`pack` of each monomial, in order; `monos` is read twice, so a
         list or the keys of a term dict, not an iterator."""
-        degs = [sum(e) for e in monos]
-        if max(degs, default=0) >= PACK_LIMIT:
-            raise pack_overflow()
         pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
         try:
+            degs = [sum(e) for e in monos]
+            if max(degs, default=0) >= PACK_LIMIT:
+                raise pack_overflow()
             return [from_bytes(pack(*e, d), byteorder) for e, d in zip(monos, degs)]
-        except StructError:
+        except (StructError, TypeError):
             raise _pack_entry_error() from None
 
     def unpack(self, m: int) -> Monomial:
@@ -608,7 +596,9 @@ class Weight:
         return not any(self.nums)
 
     def dot(self, direction: Sequence[int]) -> Fraction:
-        return Fraction(sum(a * x for a, x in zip(direction, self.nums)), self.scale)
+        if len(direction) != self.r:
+            raise RingError("direction length is not the weight rank")
+        return Fraction(sum(map(mul, direction, self.nums)), self.scale)
 
     def as_fractions(self) -> Tuple[Fraction, ...]:
         return tuple(Fraction(x, self.scale) for x in self.nums)

@@ -78,24 +78,11 @@ def glove(lam: Partition) -> FrozenSet[Cell]:
     return frozenset(out)
 
 
-def min_generators(lam: Partition) -> List[Cell]:
-    """Minimal monomial generators of I_λ: minimal points outside λ."""
-    if not lam.cells:
-        return [(0,) * lam.r]
-    gens = []
-    for g in glove(lam):
-        ok = True
-        for b in range(lam.r):
-            if g[b] > 0 and _mono_shift(g, b, -1) not in lam.cells:
-                ok = False
-                break
-        if ok:
-            gens.append(g)
-    return sorted(gens)
-
-
 def ideal_of_partition(lam: Partition) -> MonomialIdeal:
-    return MonomialIdeal(lam.r, min_generators(lam))
+    """I_λ, spanned by the monomials outside λ. Its minimal generators are
+    the minimal glove points, since a minimal point outside a nonempty λ
+    steps down into λ; the empty partition gives the unit ideal."""
+    return MonomialIdeal(lam.r, glove(lam) if lam.cells else [(0,) * lam.r])
 
 
 def partition_of_ideal(I: MonomialIdeal) -> Partition:
@@ -247,7 +234,12 @@ def parse_chain(text: str) -> Partition:
         if not (p.startswith("(") and p.endswith(")")):
             raise PartitionError(f"bad layer {p!r}")
         body = p[1:-1].strip()
-        rows = tuple(int(x) for x in body.split(",")) if body else ()
+        try:
+            rows = tuple(int(x) for x in body.split(",")) if body else ()
+        except ValueError:
+            raise PartitionError(f"bad layer {p!r}") from None
+        if any(x < 1 for x in rows):
+            raise PartitionError(f"bad layer {p!r}: row lengths are positive")
         shapes.append(rows)
     shapes.reverse()  # text lists the top layer first
     cells = []

@@ -19,7 +19,7 @@ import pytest
 
 from hilb.localeq import HaimanPresentation, _var_name, haiman_equations, simple_eliminate, step0
 from hilb.multipoly import MultiPoly, PolyRing, RingError
-from hilb.partitions import Partition, enumerate_partitions, min_generators
+from hilb.partitions import Partition, enumerate_partitions, ideal_of_partition
 
 CLASSES = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
 
@@ -66,7 +66,7 @@ def tuple_substitute(p, images):
 def reference_eliminate(pres):
     ring, variables = pres.ring, pres.variables
     nvars = len(variables)
-    min_glo = set(min_generators(pres.lam))
+    min_glo = set(ideal_of_partition(pres.lam).gens)
     alive = [True] * nvars
     eqs = list(pres.equations)
     subs = {}

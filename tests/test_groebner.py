@@ -14,7 +14,6 @@ from hilb.groebner import (
     MonomialIdeal,
     groebner_basis,
     ideal_equal,
-    minimal_monomials,
 )
 from hilb.localeq import jacobian_ideal, pyramid_potential
 from hilb.multipoly import (
@@ -306,6 +305,8 @@ def test_monomial_ideal_rejects_non_integer_exponents():
     # x^1.5 is no monomial, though (1, 0) would divide it entrywise
     with pytest.raises(RingError):
         MonomialIdeal(2, [(1, 0)]).contains((1.5, 0))
+    with pytest.raises(RingError):
+        MonomialIdeal(2, [("1", 0)])
 
 
 def test_monomial_ideal_rejects_negative_exponents():
@@ -317,6 +318,14 @@ def test_monomial_ideal_rejects_negative_exponents():
         J.colon((-1, 0))
     with pytest.raises(RingError):
         MonomialIdeal(2, [(1, -1)])
+    # a degree of 2^15 does not fit a packed field
+    assert MonomialIdeal(2, [(PACK_LIMIT - 1, 0)]).gens == ((PACK_LIMIT - 1, 0),)
+    with pytest.raises(RingError):
+        MonomialIdeal(2, [(PACK_LIMIT - 1, 1)])
+    with pytest.raises(RingError):
+        J.contains((PACK_LIMIT // 2, PACK_LIMIT // 2))
+    with pytest.raises(RingError):
+        J.colon((0, PACK_LIMIT))
 
 
 def test_the_zero_ideal():
@@ -342,30 +351,42 @@ def test_monomial_ideal_minimalizes():
 
 @st.composite
 def exponent_lists(draw):
-    """Exponent vectors of one length, with repeats and the zero vector."""
+    """Exponent vectors of one length n, with repeats and the zero vector,
+    and probe monomials of length n: (n, vectors, probes)."""
     n = draw(st.integers(1, 4))
-    vecs = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12))
+    monomials = st.tuples(*[st.integers(0, 3)] * n)
+    vecs = draw(st.lists(monomials, max_size=12))
     if draw(st.booleans()):
         vecs.append((0,) * n)
     if vecs:
         vecs += draw(st.lists(st.sampled_from(vecs), max_size=4))
-    return vecs
+    return n, vecs, draw(st.lists(monomials, min_size=1, max_size=4))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(exponent_lists())
-def test_minimal_monomials_is_the_pairwise_definition(gens):
-    # keep g unless some other h divides it
+def test_monomial_ideal_is_the_pairwise_definition(case):
+    # the generators: keep g unless some other h divides it; f is in the
+    # ideal iff some g divides it; (I : f) is generated by the lcm(g, f) / f
+    n, gens, probes = case
+
     def divides(h, g):
         return all(a <= b for a, b in zip(h, g))
 
-    expected = sorted({g for g in gens if not any(h != g and divides(h, g) for h in gens)})
-    assert minimal_monomials(gens) == tuple(expected)
-    if gens:
-        lex = PackedLayout(len(gens[0]), "lex")
-        assert lex.unpack_all(lex.minimal(lex.pack_all(gens))) == expected
-        grevlex = PackedLayout(len(gens[0]), "grevlex")
-        assert sorted(grevlex.unpack_all(grevlex.minimal(grevlex.pack_all(gens)))) == expected
+    def minimal(monos):
+        monos = set(monos)
+        return sorted(g for g in monos if not any(h != g and divides(h, g) for h in monos))
+
+    expected = minimal(gens)
+    J = MonomialIdeal(n, gens)
+    assert J.gens == tuple(expected)
+    for f in probes:
+        assert J.contains(f) == any(divides(g, f) for g in gens)
+        assert J.colon(f).gens == tuple(minimal(tuple(max(a - b, 0) for a, b in zip(g, f)) for g in gens))
+    lex = PackedLayout(n, "lex")
+    assert lex.unpack_all(lex.minimal(lex.pack_all(gens))) == expected
+    grevlex = PackedLayout(n, "grevlex")
+    assert sorted(grevlex.unpack_all(grevlex.minimal(grevlex.pack_all(gens)))) == expected
 
 
 def _sympy_reduced_basis(term_lists, nvars, order):

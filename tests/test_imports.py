@@ -1,5 +1,6 @@
 """Every module of the library and of its tests uses each name that it
-imports, every definition of the library is referenced somewhere, and the
+imports, every definition of the library is referenced somewhere, every
+private definition of the library is referenced by the library, and the
 library holds no `assert` statement.
 
 Stdlib `ast` checks, so the tier-1 run catches an unused import or a dead
@@ -7,7 +8,9 @@ definition without a linter. An import counts as used when the name
 appears anywhere in the module as a plain name, which includes the base of
 an attribute access. A top-level function, class or non-dunder method of
 `src/hilb` counts as used when its name appears as a plain name or an
-attribute anywhere in `src/hilb`, `tests` or `perfbench`. An `assert`
+attribute anywhere in `src/hilb`, `tests` or `perfbench`; one whose name
+starts with `_` only when it appears in `src/hilb`, since a private helper
+that only tests call is test code and belongs with them. An `assert`
 vanishes under `python -O`, so a condition the library must check raises
 an error instead.
 """
@@ -96,6 +99,30 @@ def test_no_dead_definitions():
     used = references(path.read_text() for path in SCANNED)
     dead = {str(path.relative_to(ROOT)): dead_definitions(path.read_text(), used) for path in LIBRARY}
     assert {path: found for path, found in dead.items() if found} == {}
+
+
+def private_dead_definitions(source: str, used):
+    return [(line, name) for line, name in dead_definitions(source, used) if name.startswith("_")]
+
+
+def test_the_check_finds_a_private_helper_that_only_tests_call():
+    library = (
+        "def _helper(): pass\n"
+        "def _used(): pass\n"
+        "def public(): pass\n"
+        "class K:\n"
+        "    def __init__(self): _used()\n"
+        "    def _method(self): pass\n"
+    )
+    tests = "_helper()\npublic()\nK()._method()\n"
+    assert dead_definitions(library, references([library, tests])) == []
+    assert private_dead_definitions(library, references([library])) == [(1, "_helper"), (6, "_method")]
+
+
+def test_no_private_definitions_that_only_tests_call():
+    used = references(path.read_text() for path in LIBRARY)
+    found = {str(path.relative_to(ROOT)): private_dead_definitions(path.read_text(), used) for path in LIBRARY}
+    assert {path: names for path, names in found.items() if names} == {}
 
 
 def assert_lines(source: str):

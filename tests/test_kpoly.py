@@ -3,10 +3,11 @@
 import gc
 import itertools
 import random
+from operator import le
 
 import pytest
 
-from hilb.groebner import Ideal, MonomialIdeal, minimal_monomials
+from hilb.groebner import Ideal, MonomialIdeal
 from hilb.kpoly import (
     HilbertSeries,
     graded_dim_oracle,
@@ -27,7 +28,6 @@ from hilb.multipoly import (
     PolyRing,
     RingError,
     Weight,
-    _mono_colon,
     _mono_weight,
     weight_columns,
 )
@@ -53,17 +53,23 @@ def taylor_kpoly(J, weights):
 
 def tuple_kpoly(J, weights):
     """The colon recursion of kpoly_monomial on exponent and weight tuples:
-    the same memo keys and order, with no packing."""
+    the same memo keys and order, with no packing. The colon is the tuple
+    lcm(g, f) / f, and the minimalization the pairwise definition."""
     r = weights[0].r
     scale, columns = weight_columns(weights)
     memo = {(): {(0,) * r: 1}}
+
+    def minimal(monos):
+        monos = set(monos)
+        return tuple(sorted(g for g in monos if not any(h != g and all(map(le, h, g)) for h in monos)))
 
     def run(gens):
         if gens not in memo:
             f, rest = gens[-1], gens[:-1]
             out = dict(run(rest))
             shift = _mono_weight(f, columns)
-            for w, c in run(minimal_monomials(_mono_colon(g, f) for g in rest)).items():
+            colon = (tuple(x - y if x > y else 0 for x, y in zip(g, f)) for g in rest)
+            for w, c in run(minimal(colon)).items():
                 w = tuple(a + b for a, b in zip(w, shift))
                 out[w] = out.get(w, 0) - c
             memo[gens] = {w: c for w, c in out.items() if c}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,6 @@ from hilb.multipoly import (
     PolyRing,
     RingError,
     Weight,
-    _mono_colon,
-    _mono_divides,
-    _mono_lcm,
     _mono_mul,
     _mul_packed,
     order_key,
@@ -23,6 +21,22 @@ from hilb.multipoly import (
 )
 
 F = Fraction
+
+
+# Tuple references for the packed lcm, colon and divisibility of PackedLayout
+
+
+def _mono_lcm(a, b):
+    return tuple([x if x > y else y for x, y in zip(a, b)])
+
+
+def _mono_colon(a, b):
+    """The generator of (a) : b, that is lcm(a, b) / b."""
+    return tuple([x - y if x > y else 0 for x, y in zip(a, b)])
+
+
+def _mono_divides(a, b):
+    return all(map(le, a, b))
 
 
 def test_lex_basic():
@@ -393,6 +407,13 @@ def test_weight_reduction():
     assert Weight.halves(1, 3).scale == 2
     w = Weight.halves(1, 1) + Weight.halves(1, -1)
     assert w == Weight.of(1, 0)
+
+
+def test_weight_dot_needs_a_direction_of_the_weight_rank():
+    assert Weight.halves(1, 3).dot((2, 1)) == F(5, 2)
+    for direction in ((1,), (1, 1, 1), ()):
+        with pytest.raises(RingError):
+            Weight.of(1, 1).dot(direction)
 
 
 def test_weights_and_laurent_coefficients_must_be_integers():

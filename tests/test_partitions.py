@@ -13,7 +13,6 @@ from hilb.partitions import (
     enumerate_partitions,
     glove,
     ideal_of_partition,
-    min_generators,
     parse_chain,
     partition_of_ideal,
     pyramid,
@@ -115,7 +114,7 @@ def test_glove_size_at_least_r():
 
 def test_lambda132_minimal_generators():
     lam = parse_chain("(1) ⊂ (3,2)")
-    assert set(min_generators(lam)) == {
+    assert set(ideal_of_partition(lam).gens) == {
         (3, 0, 0),
         (2, 1, 0),
         (1, 0, 1),
@@ -123,7 +122,7 @@ def test_lambda132_minimal_generators():
         (0, 1, 1),
         (0, 0, 2),
     }
-    assert set(min_generators(lam)) <= glove(lam)
+    assert set(ideal_of_partition(lam).gens) <= glove(lam)
 
 
 def test_adjacent_pairs_examples():
@@ -221,7 +220,11 @@ def test_orbit_sizes_sum_n5():
 
 
 def test_chain_notation_roundtrip():
-    for text in ["(1) ⊂ (2,1)", "(1) ⊂ (3,1)", "(2) ⊂ (3,2)", "(1) ⊂ (1) ⊂ (3,1,1)"]:
+    for text in ["(1) ⊂ (2,1)", "(1) ⊂ (3,1)", "(2) ⊂ (3,2)", "(1) ⊂ (1) ⊂ (3,1,1)", "()"]:
         lam = parse_chain(text)
         assert chain_notation(lam) == text
         assert parse_chain(chain_notation(lam)) == lam
+    # a row length is a positive integer
+    for text in ["(1,x)", "(-1)", "(0)", "(2,0)", "(1) ⊂ (2,-1)", "(1,)", "(1.5)"]:
+        with pytest.raises(PartitionError):
+            parse_chain(text)
