@@ -2,8 +2,8 @@
 
 Haiman coordinates c_i^j (i a partition cell, j a glove point), the
 quadratic equations attached to adjacent glove pairs, linear-pivot
-elimination, cotangent-space weights with the extra dimension, and the
-pyramid superpotentials.
+elimination, the pyramid superpotentials, and the cotangent weights with
+the extra dimension, from Hom(I, S/I) on the minimal generators of I.
 
 The Haiman equations have `int` coefficients. Elimination runs on the
 packed term format of `multipoly` (`PackedLayout`, `IntTerms`), with
@@ -132,7 +132,7 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
                 key = (u, v) if u <= v else (v, u)
                 terms[key] = terms.get(key, 0) + sign
             else:
-                raise AssertionError(f"superscript {m} escapes the glove")
+                raise RingError(f"superscript {m} escapes the glove")
 
     equations: List[MultiPoly] = []
     for p, q, a, b in adjacent_pairs(glo):
@@ -259,7 +259,7 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
         for e, c in zip(lay.unpack_all(p), p.values()):
             f = tuple([e[k] for k in survivors])
             if sum(f) != sum(e):
-                raise AssertionError("eliminated variable reappeared")
+                raise RingError("eliminated variable reappeared")
             out[f] = c
         return MultiPoly(new_ring, out)
 
@@ -281,77 +281,64 @@ def step0(lam: Partition) -> HaimanPresentation:
     return simple_eliminate(haiman_equations(lam))
 
 
-def _linear_part_relations(cells: Sequence[Cell], glo: Sequence[Cell]):
-    """Linear parts of the adjacency equations, as merge edges and kills.
-
-    Coordinate c_i^j is node k * len(glo) + g, for i = cells[k] and
-    j = glo[g] in the sorted cells and glove of a partition. Each
-    equation contributes at most two linear monomials (the delta hits of
-    its quadratic sums, plus the head variable for an axis pair): two
-    surviving terms are an edge of nodes to identify, one kills its node,
-    and a term whose subscript leaves the positive orthant is absent.
-    Works on cell data, without the polynomial ring, but reads the same
-    oriented pairs (p, q, a, b) of `adjacent_pairs` as `haiman_equations`.
-    """
-    size = len(glo)
-    col = {j: g for g, j in enumerate(glo)}
-    row = {i: k * size for k, i in enumerate(cells)}
-    # below[a][k]: the node id of (cells[k] - e_a, glo[0]), or -1 outside the orthant
-    below = [[row.get(_mono_shift(i, a, -1), -1) for i in cells] for a in range(len(glo[0]))]
-    edges, kills = [], []
-    for p, q, a, b in adjacent_pairs(glo):
-        gp, gq = col[p], col[q]
-        if b is None:
-            for k, u in enumerate(below[a]):
-                if u < 0:
-                    kills.append(k * size + gp)
-                else:
-                    edges.append((k * size + gp, u + gq))
-        else:
-            for u, v in zip(below[a], below[b]):
-                if u >= 0 and v >= 0:
-                    edges.append((u + gq, v + gp))
-                elif u >= 0 or v >= 0:
-                    kills.append(u + gq if u >= 0 else v + gp)
-    return edges, kills
-
-
 def cotangent_weights(lam: Partition) -> Tuple[List[Weight], int]:
     """Weights of a cotangent basis at the monomial ideal, plus extra dimension.
 
-    The node ids of `_linear_part_relations` are identified along its
-    edges by a union-find on a parent list with path halving, and whole
-    classes holding a killed node are deleted; each surviving class gives
-    its common weight j - i, an integer cell difference until the sorted
-    result is returned as `Weight`s. Extra dimension is the count minus r * |lambda|.
+    The tangent space at I = I_lambda is Hom_S(I, S/I). A homomorphism phi
+    is fixed by phi(g) = sum_c a_{g,c} x^c on the minimal generators g, so
+    its coordinates are the nodes (g, c), c a cell, of cotangent weight
+    g - c. The pair syzygies (L/g) g = (L/h) h, L = lcm(g, h), generate all
+    syzygies, and each cell c' relates the coefficients of x^c' on both
+    sides: with u = c' - L/g and v = c' - L/h, a_{g,u} = a_{h,v} when both
+    are cells, and the one that is a cell is 0 otherwise. Both nodes have
+    weight L - c'. On the packed lex ints of `ideal_of_partition(lam)`,
+    L/g is `colon(h, g)` and u is a cell iff it sets no `guard` bit; a
+    coprime pair relates nothing, as L/g = h. Each class of the union-find
+    (a parent list with path halving) that holds no killed node gives its
+    weight; extra dimension is the count minus r * |lambda|.
     """
     if not lam.cells:
         return [], 0
-    cells = sorted(lam.cells)
-    glo = sorted(glove(lam))
-    pairs = [(i, j) for i in cells for j in glo]
-    parent = list(range(len(pairs)))
+    J = ideal_of_partition(lam)
+    lay, gens = J.layout, J.packed
+    colon, guard = lay.colon, lay.guard
+    cell_tuples = list(lam.cells)
+    cells = lay.pack_all(cell_tuples)
+    size = len(cells)
+    row = {c: k for k, c in enumerate(cells)}  # node (gens[a], c) is a * size + row[c]
+    parent = list(range(len(gens) * size))
 
     def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
 
-    edges, kills = _linear_part_relations(cells, glo)
-    for u, v in edges:
-        u, v = find(u), find(v)
-        if u != v:
-            parent[u] = v
+    kills = []
+    for a, g in enumerate(gens):
+        for b in range(a + 1, len(gens)):
+            h = gens[b]
+            dg = colon(h, g)  # L/g, where L = lcm(g, h) = g + dg
+            if dg == h:  # coprime: L/g = h and L/h = g divide no cell
+                continue
+            dh = g + dg - h  # L/h
+            for c in cells:
+                u, v = c - dg, c - dh
+                if u & guard:
+                    if not v & guard:
+                        kills.append(b * size + row[v])
+                elif v & guard:
+                    kills.append(a * size + row[u])
+                else:
+                    x, y = find(a * size + row[u]), find(b * size + row[v])
+                    if x != y:
+                        parent[x] = y
     killed = {find(x) for x in kills}
-    classes = {}
-    for x, (i, j) in enumerate(pairs):
-        root = find(x)
-        if root in killed:
-            continue
-        w = _mono_quot(j, i)
-        if classes.setdefault(root, w) != w:
-            raise AssertionError("weight not constant on an equivalence class")
-    weights = sorted(classes.values())
+    gen_tuples = lay.unpack_all(gens)
+    weights = sorted(
+        _mono_quot(gen_tuples[x // size], cell_tuples[x % size])
+        for x, p in enumerate(parent)
+        if p == x and x not in killed  # one root per class
+    )
     return [Weight(w) for w in weights], len(weights) - lam.r * lam.n
 
 

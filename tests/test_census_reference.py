@@ -1,12 +1,15 @@
 """The census functions against independent references.
 
-`reference_cotangent` is the tuple union-find that `cotangent_weights`
-replaced: its coordinates are (cell, glove point) pairs in a dict of
-parents, and its linear relations are built as tuples of such pairs
-from the same oriented glove pairs. The library numbers the coordinates
-as ints instead; both must give the same weights, in order, and the same
-extra dimension. `reference_canonical` is a plain lex-min over the six
-coordinate permutations of r=3. Random partitions come from a
+`reference_cotangent` is an independent algorithm for what
+`cotangent_weights` computes: a tuple union-find on the Haiman
+coordinates, (cell, glove point) pairs in a dict of parents, whose
+linear relations are built as tuples of such pairs from the oriented
+glove pairs of `adjacent_pairs`, the linear parts of the Haiman
+equations. The library works on Hom(I, S/I) instead, with one node per
+minimal generator and cell and the relations of the pair syzygies; both
+must give the same weights, in order, and the same extra dimension.
+`reference_canonical` is a plain lex-min over the six coordinate
+permutations of r=3. Random partitions come from a
 `hypothesis` strategy that grows downward-closed sets cell by cell, past
 the sizes the census enumerates.
 """
@@ -113,6 +116,7 @@ seeded = settings(derandomize=True, max_examples=60, deadline=None)
 
 def test_cotangent_weights_match_the_tuple_union_find():
     classes = [(2, n) for n in range(9)] + [(3, n) for n in range(8)] + [(4, n) for n in range(6)]
+    classes += [(5, n) for n in range(5)]
     count = 0
     for r, n in classes:
         for lam in enumerate_partitions(r, n):
@@ -121,7 +125,7 @@ def test_cotangent_weights_match_the_tuple_union_find():
             assert [(w.nums, w.scale) for w in ws] == [(w, 1) for w in ref]
             assert extra == ref_extra
             count += 1
-    assert count == 67 + 182 + 101
+    assert count == 67 + 182 + 101 + 67
 
 
 @seeded

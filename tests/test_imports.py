@@ -1,7 +1,7 @@
 """Every module of the library and of its tests uses each name that it
 imports, every definition of the library is referenced somewhere, every
 private definition of the library is referenced by the library, and the
-library holds no `assert` statement.
+library holds no `assert` statement and raises no `AssertionError`.
 
 Stdlib `ast` checks, so the tier-1 run catches an unused import or a dead
 definition without a linter. An import counts as used when the name
@@ -12,7 +12,8 @@ attribute anywhere in `src/hilb`, `tests` or `perfbench`; one whose name
 starts with `_` only when it appears in `src/hilb`, since a private helper
 that only tests call is test code and belongs with them. An `assert`
 vanishes under `python -O`, so a condition the library must check raises
-an error instead.
+an error instead, and a `raise AssertionError` is an assertion by
+another name: the library raises its own errors, such as `RingError`.
 """
 
 import ast
@@ -137,4 +138,35 @@ def test_the_check_finds_an_assert():
 
 def test_no_asserts_in_the_library():
     found = {str(path.relative_to(ROOT)): assert_lines(path.read_text()) for path in LIBRARY}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def assertion_raises(source: str):
+    """Line of each `raise AssertionError`, bare or called, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_finds_a_raised_assertion_error():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise AssertionError('message')\n"
+        "    raise AssertionError\n"
+        "try:\n"
+        "    f(0)\n"
+        "except AssertionError:\n"
+        "    raise ValueError('x')\n"
+        "raise\n"
+    )
+    assert assertion_raises(source) == [3, 4]
+
+
+def test_no_assertion_errors_raised_in_the_library():
+    found = {str(path.relative_to(ROOT)): assertion_raises(path.read_text()) for path in LIBRARY}
     assert {path: lines for path, lines in found.items() if lines} == {}

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from hilb.groebner import Ideal, ideal_equal
 from hilb.multipoly import MultiPoly, PolyRing, RingError, Weight
-from hilb.partitions import Partition, adjacent_pairs, enumerate_partitions, glove, parse_chain
+from hilb.partitions import Partition, adjacent_pairs, canonicalize_S3, enumerate_partitions, glove, parse_chain
 from hilb.localeq import (
     HaimanPresentation,
     _check_weight_homogeneous,
-    _linear_part_relations,
     _var_name,
     cotangent_weights,
     extra_dimension,
@@ -23,6 +22,7 @@ from hilb.localeq import (
     step0,
     var_weight,
 )
+from test_census_reference import reference_relations
 
 LAM_121 = parse_chain("(1) < (2,1)")
 LAM_131 = parse_chain("(1) < (3,1)")
@@ -185,9 +185,8 @@ def test_cotangent_r2_arm_leg_weights():
 
 
 def test_cotangent_r2_always_smooth():
-    from hilb.partitions import enumerate_partitions
-
-    for n in range(1, 7):
+    # Hilb^n(A^2) is smooth
+    for n in range(1, 10):
         for lam in enumerate_partitions(2, n):
             assert extra_dimension(lam) == 0
 
@@ -261,28 +260,27 @@ def test_jacobian_matches_step0_at_n2():
 
 
 def test_singular_census_colength_5():
-    from hilb.partitions import canonicalize_S3, enumerate_partitions
-
-    singular = set()
-    for n in range(1, 6):
-        for lam in enumerate_partitions(3, n):
-            if extra_dimension(lam) > 0:
-                singular.add(canonicalize_S3(lam)[0].cells)
+    # the singular points of Hilb^n(A^3), and their S3-classes, by extra dimension
+    points, classes, singular = {}, {}, set()
+    for n in range(1, 8):
+        extras = {lam: extra_dimension(lam) for lam in enumerate_partitions(3, n)}
+        by_class = {canonicalize_S3(lam)[0].cells: e for lam, e in extras.items() if e}
+        points[n] = Counter(e for e in extras.values() if e)
+        classes[n] = Counter(by_class.values())
+        if n <= 5:
+            singular |= by_class.keys()
     assert singular == {
         canonicalize_S3(LAM_121)[0].cells,
         canonicalize_S3(LAM_131)[0].cells,
     }
-
-
-def coordinate(node, cells, glo):
-    """The Haiman variable (cell, glove point) that a cotangent node id numbers."""
-    k, g = divmod(node, len(glo))
-    return cells[k], glo[g]
+    assert points == {1: {}, 2: {}, 3: {}, 4: {6: 1}, 5: {6: 3}, 6: {6: 12}, 7: {6: 25, 8: 3}}
+    assert classes == {1: {}, 2: {}, 3: {}, 4: {6: 1}, 5: {6: 1}, 6: {6: 3}, 7: {6: 6, 8: 1}}
 
 
 def test_haiman_linear_parts_are_the_cotangent_relations():
     """Census and eliminate read one glove-pair rule: the degree-1 parts of
-    the Haiman equations are the edges and kills behind the extra dimension."""
+    the Haiman equations are the edges and kills of the tuple union-find
+    that `cotangent_weights` is checked against."""
     for r, top in ((3, 5), (4, 3)):
         for n in range(1, top + 1):
             for lam in enumerate_partitions(r, n):
@@ -292,10 +290,8 @@ def test_haiman_linear_parts_are_the_cotangent_relations():
                     vs = frozenset(pres.variables[e.index(1)] for e in eq.terms if sum(e) == 1)
                     if vs:
                         linear[vs] += 1
-                cells, glo = sorted(lam.cells), sorted(glove(lam))
-                edges, kills = _linear_part_relations(cells, glo)
-                relations = [frozenset(coordinate(x, cells, glo) for x in e) for e in edges]
-                relations += [frozenset([coordinate(x, cells, glo)]) for x in kills]
+                edges, kills = reference_relations(lam, glove(lam))
+                relations = [frozenset(t) for t in edges + kills]
                 assert all(len(t) == 2 for t in relations[: len(edges)])
                 assert linear == Counter(relations)
 
