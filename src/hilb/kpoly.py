@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
 from operator import mul
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -60,22 +59,18 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     power-of-two scale, and each numerator weight is one int: its
     integer entries packed in signed fields of a width that holds every
     weight of a divisor of the lcm of the generators, since every
-    numerator weight is one; the lcm is folded as b + colon(a, b), and
-    only a degree of PACK_LIMIT or more unpacks the generators for its
-    degree. Adding weights is then adding ints, and each is unpacked to
-    a Weight once, for the result. The unit ideal needs no special case:
-    its one generator 1 gives K = 1 - t^0 = 0.
+    numerator weight is one. Adding weights is then adding ints, and
+    each is unpacked to a Weight once, for the result. The unit ideal
+    needs no special case: its one generator 1 gives K = 1 - t^0 = 0.
     """
     if len(weights) != J.nvars:
         raise RingError("weight list does not cover the variables")
     r = _torus_rank(weights)
     scale, columns = weight_columns(weights)
+    top = sum(map(max, zip(*J.gens)))  # the degree of the lcm of the generators
+    bits, var_weights = packed_weights(columns, top)
     lay = J.layout
     colon, minimal, unpack = lay.colon, lay.minimal, lay.unpack
-    # the packed lcm of the generators, frozen once its degree sets a guard bit
-    lcm = reduce(lambda m, g: m if m & lay.guard else m + colon(g, m), J.packed, 0)
-    top = sum(map(max, zip(*J.gens))) if lcm & lay.guard else lay.degree(lcm)
-    bits, var_weights = packed_weights(columns, top)
     one = {0: 1}
     memo: Dict[Tuple[int, ...], Dict[int, int]] = {}
 

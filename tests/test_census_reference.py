@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilb.localeq import cotangent_weights
-from hilb.partitions import Partition, adjacent_pairs, canonicalize_S3, enumerate_partitions, glove
+from hilb.partitions import Partition, adjacent_pairs, canonicalize_S3, enumerate_partitions, glove, pyramid
 
 
 class _UnionFind:
@@ -117,15 +117,15 @@ seeded = settings(derandomize=True, max_examples=60, deadline=None)
 def test_cotangent_weights_match_the_tuple_union_find():
     classes = [(2, n) for n in range(9)] + [(3, n) for n in range(8)] + [(4, n) for n in range(6)]
     classes += [(5, n) for n in range(5)]
-    count = 0
-    for r, n in classes:
-        for lam in enumerate_partitions(r, n):
-            ws, extra = cotangent_weights(lam)
-            ref, ref_extra = reference_cotangent(lam)
-            assert [(w.nums, w.scale) for w in ws] == [(w, 1) for w in ref]
-            assert extra == ref_extra
-            count += 1
-    assert count == 67 + 182 + 101 + 67
+    lams = [lam for r, n in classes for lam in enumerate_partitions(r, n)]
+    # 15, 45 and 56 generators, so the chain criterion skips most generator pairs
+    lams += [pyramid(2, 14), pyramid(3, 8), pyramid(4, 5)]
+    for lam in lams:
+        ws, extra = cotangent_weights(lam)
+        ref, ref_extra = reference_cotangent(lam)
+        assert [(w.nums, w.scale) for w in ws] == [(w, 1) for w in ref]
+        assert extra == ref_extra
+    assert len(lams) == 67 + 182 + 101 + 67 + 3
 
 
 @seeded

@@ -158,16 +158,6 @@ class TestKpolyMonomial:
             entry = rng.choice(entries)
             weights = [Weight(tuple(entry() for _ in range(r)), rng.choice((1, 2, 8))) for _ in range(nv)]
             assert kpoly_monomial(J, weights) == tuple_kpoly(J, weights)
-        # each largest exponent in a different generator, with the lcm
-        # degree just below PACK_LIMIT and past 2 * PACK_LIMIT; the first
-        # weight entries add up, so the fields need the whole lcm degree
-        weights = [Weight((2**70 - 1, -(2**70) + 3)), Weight((2**70 - 5, 2**70 - 7)), Weight((2**70, 1))]
-        for gens in (
-            [(16000, 1, 0), (0, 9000, 1), (1, 0, 7000)],
-            [(30000, 1, 0), (0, 20000, 1), (1, 0, 25000)],
-        ):
-            J = MonomialIdeal(3, gens)
-            assert kpoly_monomial(J, weights) == tuple_kpoly(J, weights)
 
     def test_generator_order_is_immaterial(self):
         rng = random.Random(11)
