@@ -21,8 +21,8 @@ by a basis has one entry point, `Ideal.normal_form`, which packs the
 basis of each order once and keeps it. A hard S-pair budget turns
 blowups into a structured failure instead of an endless run.
 `MonomialIdeal`, such as an initial ideal, holds its minimal generators
-as packed lex ints, so its membership test, colon and minimalization
-are the packed ones of `PackedLayout`.
+as packed lex ints, so its membership test and minimalization are the
+packed ones of `PackedLayout`.
 """
 
 from __future__ import annotations
@@ -265,10 +265,10 @@ class MonomialIdeal:
     The generators are `PackedLayout(nvars, "lex")` ints, minimalized by
     `PackedLayout.minimal` and kept ascending in `packed`, so their order
     is that of the exponent tuples; `gens` is the sorted tuple view. A
-    monomial is packed once: membership is a guard test against each
-    generator, and a colon is `PackedLayout.colon`. A monomial of the
-    wrong length raises RingError, and so does a negative or non-integer
-    entry or a degree of 2^15 or more, from the packing.
+    monomial is packed once, and membership is a guard test against each
+    generator. A monomial of the wrong length raises RingError, and so
+    does a negative or non-integer entry or a degree of 2^15 or more,
+    from the packing.
     """
 
     __slots__ = ("nvars", "layout", "packed")
@@ -291,14 +291,6 @@ class MonomialIdeal:
         [m] = self._pack_all([mono])
         guard = self.layout.guard
         return any(not (m - g) & guard for g in self.packed)
-
-    def colon(self, f: Monomial) -> "MonomialIdeal":
-        [f] = self._pack_all([f])
-        lay = self.layout
-        out = MonomialIdeal.__new__(MonomialIdeal)
-        out.nvars, out.layout = self.nvars, lay
-        out.packed = tuple(lay.minimal([lay.colon(g, f) for g in self.packed]))
-        return out
 
     def __eq__(self, other):
         return (
@@ -383,11 +375,3 @@ class Ideal:
         key = order_key(order)
         return MonomialIdeal(self.ring.n, [max(g.terms, key=key) for g in basis])
 
-
-def ideal_equal(I: Ideal, J: Ideal, order="grevlex") -> bool:
-    """Mutual reduction to zero of each side's generators."""
-    if I.ring != J.ring:
-        raise RingError("ideals live in different rings")
-    return all(J.contains(g, order) for g in I.gens) and all(
-        I.contains(g, order) for g in J.gens
-    )

@@ -17,34 +17,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from operator import mul
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .groebner import Ideal, MonomialIdeal
-from .multipoly import (
-    LaurentPoly,
-    Monomial,
-    RingError,
-    Weight,
-    _mono_weight,
-    packed_weights,
-    weight_columns,
-)
-from .partitions import Partition, partition_of_ideal
-
-
-def monomial_weight(e: Monomial, weights: Sequence[Weight]) -> Weight:
-    if len(e) != len(weights):
-        raise RingError("weight list does not cover the variables")
-    scale, columns = weight_columns(weights)
-    return Weight(_mono_weight(e, columns), scale)
-
-
-def _torus_rank(weights: Sequence[Weight]) -> int:
-    if not weights:
-        raise RingError("no weights: the torus rank is unknown")
-    return weights[0].r
+from .multipoly import LaurentPoly, RingError, Weight, packed_weights, weight_columns
+from .partitions import Partition
 
 
 def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
@@ -57,19 +35,22 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     colon is `PackedLayout.colon` and a minimalization
     `PackedLayout.minimal`. The weights are put on their largest
     power-of-two scale, and each numerator weight is one int: its
-    integer entries packed in signed fields of a width that holds every
-    weight of a divisor of the lcm of the generators, since every
-    numerator weight is one. Adding weights is then adding ints, and
-    each is unpacked to a Weight once, for the result. The unit ideal
-    needs no special case: its one generator 1 gives K = 1 - t^0 = 0.
+    integer entries packed in signed fields of a width that holds the
+    weight of every monomial of degree at most the sum of the generator
+    degrees. That sum bounds the degree of the lcm of the generators,
+    and every numerator weight is the weight of a divisor of it. Adding
+    weights is then adding ints, and each is unpacked to a Weight once,
+    for the result. The unit ideal needs no special case: its one
+    generator 1 gives K = 1 - t^0 = 0.
     """
     if len(weights) != J.nvars:
         raise RingError("weight list does not cover the variables")
-    r = _torus_rank(weights)
+    if not weights:
+        raise RingError("no weights: the torus rank is unknown")
+    r = weights[0].r
     scale, columns = weight_columns(weights)
-    top = sum(map(max, zip(*J.gens)))  # the degree of the lcm of the generators
-    bits, var_weights = packed_weights(columns, top)
     lay = J.layout
+    bits, var_weights = packed_weights(columns, sum(map(lay.degree, J.packed)))
     colon, minimal, unpack = lay.colon, lay.minimal, lay.unpack
     one = {0: 1}
     memo: Dict[Tuple[int, ...], Dict[int, int]] = {}
@@ -106,11 +87,6 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
             w = (w - x) >> bits
         terms[Weight(nums, scale)] = c
     return LaurentPoly(r, terms)
-
-
-def monomial_colength(J: MonomialIdeal) -> int:
-    """Number of standard monomials; RingError if the quotient is infinite."""
-    return partition_of_ideal(J).n
 
 
 class HilbertSeries:
@@ -153,89 +129,6 @@ def hilbert_series(I: Ideal, weights: Sequence[Weight], order: str = "grevlex") 
     `HilbertSeries(kpoly_monomial(J, weights), weights)`.
     """
     return HilbertSeries(kpoly_monomial(I.initial_ideal(order), weights), weights)
-
-
-def positive_functional(weights: Sequence[Weight], radius: int = 3) -> Optional[Tuple[int, ...]]:
-    """Integer direction d with <d, w> > 0 for every weight, or None.
-
-    Exhaustive search over boxes of growing radius; the all-ones
-    direction is tried first since it covers every positively graded
-    case.
-    """
-    r = _torus_rank(weights)
-    ones = (1,) * r
-    if all(w.dot(ones) > 0 for w in weights):
-        return ones
-    for rad in range(1, radius + 1):
-        for d in itertools.product(range(-rad, rad + 1), repeat=r):
-            if not any(d):
-                continue
-            if all(w.dot(d) > 0 for w in weights):
-                return d
-    return None
-
-
-def graded_dim_oracle(
-    J: MonomialIdeal,
-    weights: Sequence[Weight],
-    depth: int,
-    direction: Optional[Sequence[int]] = None,
-) -> Optional[Dict[Weight, int]]:
-    """Standard-monomial count per multidegree, up to phi-degree `depth`.
-
-    phi is a linear functional positive on every variable weight; when
-    none exists in the search box the oracle is inapplicable and None
-    is returned (the math is not wrong, just unverifiable this way).
-    """
-    if len(weights) != J.nvars:
-        raise RingError("weight list does not cover the variables")
-    _torus_rank(weights)  # RingError for an empty weight list
-    if direction is None:
-        direction = positive_functional(weights)
-        if direction is None:
-            return None
-    phis = [w.dot(direction) for w in weights]
-    if any(p <= 0 for p in phis):
-        raise RingError("direction is not positive on the variable weights")
-    counts: Dict[Weight, int] = {}
-
-    def rec(i: int, mono: Tuple[int, ...], deg: Fraction):
-        if i == J.nvars:
-            if not J.contains(mono):
-                w = monomial_weight(mono, weights)
-                counts[w] = counts.get(w, 0) + 1
-            return
-        k = 0
-        while deg + k * phis[i] <= depth:
-            rec(i + 1, mono + (k,), deg + k * phis[i])
-            k += 1
-
-    rec(0, (), Fraction(0))
-    del rec  # rec refers to itself through its cell; free it without the cyclic GC
-    return counts
-
-
-def series_box_expansion(
-    h: HilbertSeries, direction: Sequence[int], depth: int
-) -> Dict[Weight, int]:
-    """Multigraded coefficients of the series with phi-degree <= depth."""
-    acc: Dict[Weight, int] = {}
-    for w, c in h.numerator.terms.items():
-        if w.dot(direction) <= depth:
-            acc[w] = acc.get(w, 0) + c
-    for wden in h.denom_weights:
-        phi = wden.dot(direction)
-        if phi <= 0:
-            raise RingError("direction is not positive on the variable weights")
-        out: Dict[Weight, int] = {}
-        for w, c in acc.items():
-            cur, d = w, w.dot(direction)
-            while d <= depth:
-                out[cur] = out.get(cur, 0) + c
-                cur = cur + wden
-                d += phi
-        acc = out
-    return {w: c for w, c in acc.items() if c}
 
 
 def _esym_points(k: int, power: int = 1):

@@ -81,9 +81,6 @@ class HaimanPresentation:
     def weights(self) -> List[Weight]:
         return [var_weight(v) for v in self.variables]
 
-    def var_index(self, v: HaimanVar) -> int:
-        return self.variables.index(v)
-
 
 def _check_weight_homogeneous(equations: Sequence[MultiPoly], weights: Sequence[Weight]):
     """RingError unless every term of each equation has one torus weight."""

@@ -5,15 +5,14 @@ coefficients are exact rationals, `int` or `Fraction`. The two compare
 and hash alike (`hash(2) == hash(Fraction(2))`), so equality and term
 sets do not see the type; sums, products and substitution keep `int`
 coefficients `int`. Each operation on monomial tuples (product,
-quotient, shift, torus weight) has one definition, among the `_mono_*`
-functions below; the cells of a partition are the same tuples. Lcm,
-colon and divisibility act on packed monomials only, and the tests
-compare them with tuple references. The monomial orders are lex
-and grevlex. Laurent exponents live on a scaled lattice
-(1/D)Z^r with D a power of two, so half-integer weights are exact
-integer data: a weight's numerators and a Laurent coefficient are
-integers, and anything else raises RingError rather than being
-truncated. Monomial entries from outside go through `exponents` or
+quotient, shift) has one definition, among the `_mono_*` functions
+below; the cells of a partition are the same tuples. Lcm, colon and
+divisibility act on packed monomials only, and the tests compare them
+with tuple references. The monomial orders are lex and grevlex.
+Laurent exponents live on a scaled lattice (1/D)Z^r with D a power of
+two, so half-integer weights are exact integer data: a weight's
+numerators and scale and a Laurent coefficient are integers, and
+anything else raises RingError rather than being truncated. Monomial entries from outside go through `exponents` or
 `PackedLayout`, which raise RingError for a non-integer entry instead
 of truncating it.
 
@@ -39,15 +38,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import gcd
-from operator import add, index, mul, neg, sub
+from operator import add, index, neg, sub
 from struct import Struct
 from struct import error as StructError
 from typing import Callable, Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
-
-ZERO = Fraction(0)
 
 
 class RingError(ValueError):
@@ -66,13 +62,6 @@ class PolyRing:
         self.names = names
         self.n = len(names)
 
-    @classmethod
-    def make(cls, prefix: str, n: int) -> "PolyRing":
-        def nm(i):
-            return f"{prefix}_{i}" if i < 10 else f"{prefix}_{{{i}}}"
-
-        return cls(tuple(nm(i + 1) for i in range(n)))
-
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
 
@@ -89,9 +78,9 @@ class PolyRing:
         return MultiPoly(self, {(0,) * self.n: _coeff(c)})
 
     def var(self, i: int) -> "MultiPoly":
-        e = [0] * self.n
-        e[i] = 1
-        return MultiPoly(self, {tuple(e): 1})
+        if i not in range(self.n):
+            raise RingError(f"no variable {i!r} among {self.n}")
+        return MultiPoly(self, {_mono_shift((0,) * self.n, i): 1})
 
     def gens(self) -> Tuple["MultiPoly", ...]:
         return tuple(self.var(i) for i in range(self.n))
@@ -130,12 +119,6 @@ def _mono_quot(a: Monomial, b: Monomial) -> Monomial:
 def _mono_shift(e: Monomial, i: int, delta: int = 1) -> Monomial:
     """e + delta * e_i, for a monomial or a cell alike."""
     return e[:i] + (e[i] + delta,) + e[i + 1 :]
-
-
-def _mono_weight(e: Monomial, columns: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
-    """Integer weight of e; columns[i] holds the i-th numerator of every variable's weight."""
-    ks = tuple(compress(e, e))  # skips the zero exponents of a sparse monomial
-    return tuple([sum(map(mul, ks, compress(col, e))) for col in columns])
 
 
 def grevlex_key(e: Monomial):
@@ -445,19 +428,10 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def derivative(self, i: int) -> "MultiPoly":
+        if i not in range(self.ring.n):
+            raise RingError(f"no variable {i!r} among {self.ring.n}")
         terms = self.terms.items()
         return MultiPoly(self.ring, {_mono_shift(e, i, -1): c * e[i] for e, c in terms if e[i]})
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive; 0 for the zero poly."""
-        if not self.terms:
-            return ZERO
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending variable i to images[i].
@@ -507,19 +481,6 @@ class MultiPoly:
             _add_shifted(out, {0: 1} if term is None else term, shift, c, guard)
         return MultiPoly(target, dict(zip(lay.unpack_all(out), out.values())))
 
-    def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        if len(values) != self.ring.n:
-            raise RingError("value vector length mismatch")
-        vals = [Fraction(v) for v in values]
-        total = ZERO
-        for e, c in self.terms.items():
-            acc = c
-            for v, k in zip(vals, e):
-                if k:
-                    acc *= v ** k
-            total += acc
-        return total
-
     def render(self, order: str = "grevlex") -> str:
         def mono(e: Monomial) -> str:
             return " ".join(
@@ -549,8 +510,9 @@ class Weight:
     def __init__(self, nums: Sequence[int], scale: int = 1):
         try:
             nums = tuple(map(index, nums))
+            scale = index(scale)
         except TypeError:
-            raise RingError(f"weight entries must be integers: {nums!r}") from None
+            raise RingError(f"weight entries and scale must be integers: {nums!r}, {scale!r}") from None
         if scale < 1 or scale & (scale - 1):
             raise RingError("scale must be a power of two")
         while scale > 1 and all(x % 2 == 0 for x in nums):
@@ -562,10 +524,6 @@ class Weight:
     @classmethod
     def of(cls, *nums: int) -> "Weight":
         return cls(nums, 1)
-
-    @classmethod
-    def halves(cls, *nums: int) -> "Weight":
-        return cls(nums, 2)
 
     @property
     def r(self) -> int:
@@ -595,14 +553,6 @@ class Weight:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def dot(self, direction: Sequence[int]) -> Fraction:
-        if len(direction) != self.r:
-            raise RingError("direction length is not the weight rank")
-        return Fraction(sum(map(mul, direction, self.nums)), self.scale)
-
-    def as_fractions(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.scale) for x in self.nums)
-
     def __eq__(self, other):
         return isinstance(other, Weight) and self.nums == other.nums and self.scale == other.scale
 
@@ -619,7 +569,7 @@ class Weight:
 
 
 def weight_columns(weights: Sequence[Weight]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """The weights on their largest scale, as (scale, columns) for `_mono_weight` and `packed_weights`."""
+    """The weights on their largest scale, as (scale, columns) for `packed_weights`."""
     if len({w.r for w in weights}) > 1:
         raise RingError("weight rank mismatch")
     scale = max((w.scale for w in weights), default=1)

@@ -85,22 +85,6 @@ def ideal_of_partition(lam: Partition) -> MonomialIdeal:
     return MonomialIdeal(lam.r, glove(lam) if lam.cells else [(0,) * lam.r])
 
 
-def partition_of_ideal(I: MonomialIdeal) -> Partition:
-    """Inverse of ideal_of_partition; errors on infinite colength."""
-    r = I.nvars
-    bounds = []
-    for b in range(r):
-        pure = [g[b] for g in I.gens if all(x == 0 for i, x in enumerate(g) if i != b)]
-        if not pure:
-            raise PartitionError(f"infinite colength: no pure power of variable {b + 1}")
-        bounds.append(min(pure))
-    cells = []
-    for c in itertools.product(*(range(k) for k in bounds)):
-        if not I.contains(c):
-            cells.append(c)
-    return Partition(r, cells)
-
-
 def adjacent_pairs(points: Iterable[Cell]) -> List[AdjacentPair]:
     """Pairs of points that differ by e_a (axis pairs) or e_a - e_b (exchange pairs).
 

@@ -13,7 +13,6 @@ from hilb.groebner import (
     Ideal,
     MonomialIdeal,
     groebner_basis,
-    ideal_equal,
 )
 from hilb.localeq import jacobian_ideal, pyramid_potential
 from hilb.multipoly import (
@@ -194,7 +193,7 @@ def test_int_terms_split_off_the_content(order):
         if not p:
             continue
         terms, content = _int_terms(p, lay)
-        assert content == p.content()
+        assert content > 0
         assert gcd(*terms.values()) == 1
         assert MultiPoly(R, dict(zip(lay.unpack_all(terms), [content * v for v in terms.values()]))) == p
 
@@ -241,18 +240,20 @@ def test_initial_ideal_minimality():
 
 
 def test_ideal_equal_permuted_and_redundant():
+    # a reduced basis is unique, so equal ideals have equal bases
     R = PolyRing(["x", "y"])
     x, y = R.gens()
     I = Ideal(R, [x * x - y, x * y - 1])
     J = Ideal(R, [x * y - 1, x * x - y])
-    assert ideal_equal(I, J)
+    assert I.groebner() == J.groebner()
     K = Ideal(R, [x])
     L = Ideal(R, [x, x * x])
-    assert ideal_equal(K, L)
-    assert not ideal_equal(K, Ideal(R, [y]))
+    assert K.groebner() == L.groebner()
+    assert K.groebner() != Ideal(R, [y]).groebner()
 
 
 def test_ideal_equal_equivalence_on_corpus():
+    # the reduced bases agree exactly on the two pairs that span one ideal
     R = PolyRing(["x", "y"])
     x, y = R.gens()
     corpus = [
@@ -261,14 +262,9 @@ def test_ideal_equal_equivalence_on_corpus():
         Ideal(R, [x, y]),
         Ideal(R, [x + y, y]),
     ]
-    for A in corpus:
-        assert ideal_equal(A, A)
-    for A in corpus:
-        for B in corpus:
-            assert ideal_equal(A, B) == ideal_equal(B, A)
-    # transitivity on the pair that is actually equal
-    assert ideal_equal(corpus[0], corpus[1])
-    assert ideal_equal(corpus[2], corpus[3])
+    bases = [A.groebner() for A in corpus]
+    same = [[a == b for b in bases] for a in bases]
+    assert same == [[True, True, False, False]] * 2 + [[False, False, True, True]] * 2
 
 
 def test_budget_exceeded_is_loud():
@@ -279,29 +275,16 @@ def test_budget_exceeded_is_loud():
         groebner_basis(gens, budget=1)
 
 
-def test_colon_examples():
-    assert MonomialIdeal(2, [(2, 0)]).colon((1, 1)) == MonomialIdeal(2, [(1, 0)])
-    J = MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)])
-    assert J.colon((0, 0)) == J
-    assert J.colon((0, 1)) == MonomialIdeal(2, [(1, 0), (0, 2)])
-
-
 def test_monomial_ideal_rejects_a_monomial_of_the_wrong_length():
     J = MonomialIdeal(2, [(1, 1)])
     with pytest.raises(RingError):
         J.contains((1,))
-    with pytest.raises(RingError):
-        J.colon((1, 0, 5))
 
 
 def test_monomial_ideal_rejects_non_integer_exponents():
     # int() would truncate 3/2 to 1 and 1.5 to 1
     with pytest.raises(RingError):
         MonomialIdeal(2, [(Fraction(3, 2), 0)])
-    J = MonomialIdeal(2, [(2, 0)])
-    with pytest.raises(RingError):
-        J.colon((1.5, 0))
-    assert J.colon((1, 0)) == MonomialIdeal(2, [(1, 0)])
     # x^1.5 is no monomial, though (1, 0) would divide it entrywise
     with pytest.raises(RingError):
         MonomialIdeal(2, [(1, 0)]).contains((1.5, 0))
@@ -310,12 +293,10 @@ def test_monomial_ideal_rejects_non_integer_exponents():
 
 
 def test_monomial_ideal_rejects_negative_exponents():
-    # entrywise, x^-1 is not divisible by x, and (x) : x^-1 would be (x^2)
+    # entrywise, x^-1 is not divisible by x
     J = MonomialIdeal(2, [(1, 0)])
     with pytest.raises(RingError):
         J.contains((-1, 0))
-    with pytest.raises(RingError):
-        J.colon((-1, 0))
     with pytest.raises(RingError):
         MonomialIdeal(2, [(1, -1)])
     # a degree of 2^15 does not fit a packed field
@@ -324,8 +305,6 @@ def test_monomial_ideal_rejects_negative_exponents():
         MonomialIdeal(2, [(PACK_LIMIT - 1, 1)])
     with pytest.raises(RingError):
         J.contains((PACK_LIMIT // 2, PACK_LIMIT // 2))
-    with pytest.raises(RingError):
-        J.colon((0, PACK_LIMIT))
 
 
 def test_the_zero_ideal():
@@ -367,7 +346,7 @@ def exponent_lists(draw):
 @given(exponent_lists())
 def test_monomial_ideal_is_the_pairwise_definition(case):
     # the generators: keep g unless some other h divides it; f is in the
-    # ideal iff some g divides it; (I : f) is generated by the lcm(g, f) / f
+    # ideal iff some g divides it
     n, gens, probes = case
 
     def divides(h, g):
@@ -382,7 +361,6 @@ def test_monomial_ideal_is_the_pairwise_definition(case):
     assert J.gens == tuple(expected)
     for f in probes:
         assert J.contains(f) == any(divides(g, f) for g in gens)
-        assert J.colon(f).gens == tuple(minimal(tuple(max(a - b, 0) for a, b in zip(g, f)) for g in gens))
     lex = PackedLayout(n, "lex")
     assert lex.unpack_all(lex.minimal(lex.pack_all(gens))) == expected
     grevlex = PackedLayout(n, "grevlex")
@@ -433,7 +411,7 @@ def test_reduced_basis_matches_sympy_with_equal_pair_lcms(order):
     for _ in range(10):
         n = rng.randint(4, 6)
         k = rng.randint(3, min(4, n - 1))
-        R = PolyRing.make("x", n)
+        R = PolyRing([f"x{i}" for i in range(n)])
 
         def term(variables, degree):
             chosen = rng.sample(variables, degree)
@@ -457,7 +435,7 @@ def test_reduced_basis_matches_sympy_in_many_variables(order):
     rng = random.Random(1)
     for _ in range(8):
         n = rng.randint(6, 10)
-        R = PolyRing.make("x", n)
+        R = PolyRing([f"x{i}" for i in range(n)])
 
         def monomial():
             e = [0] * n

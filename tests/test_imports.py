@@ -1,7 +1,9 @@
 """Every module of the library and of its tests uses each name that it
 imports, every definition of the library is referenced somewhere, every
-private definition of the library is referenced by the library, and the
-library holds no `assert` statement and raises no `AssertionError`.
+private definition of the library is referenced by the library, every
+public one by the library or by perfbench unless it awaits a caller
+named in `AWAITING_CALLERS`, and the library holds no `assert` statement
+and raises no `AssertionError`.
 
 Stdlib `ast` checks, so the tier-1 run catches an unused import or a dead
 definition without a linter. An import counts as used when the name
@@ -10,7 +12,12 @@ an attribute access. A top-level function, class or non-dunder method of
 `src/hilb` counts as used when its name appears as a plain name or an
 attribute anywhere in `src/hilb`, `tests` or `perfbench`; one whose name
 starts with `_` only when it appears in `src/hilb`, since a private helper
-that only tests call is test code and belongs with them. An `assert`
+that only tests call is test code and belongs with them. A public one that
+only tests call is test code as well, unless a ROADMAP item will call it;
+perfbench's own tests do not count as callers. Matching is by name, not by
+owner: a method counts as used when any method of that name is, so
+`MonomialIdeal.colon` once passed with only tests calling it, because
+`PackedLayout.colon` has the same name. An `assert`
 vanishes under `python -O`, so a condition the library must check raises
 an error instead, and a `raise AssertionError` is an assertion by
 another name: the library raises its own errors, such as `RingError`.
@@ -25,6 +32,19 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "hilb").glob("*.py"))
 MODULES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py")])
 SCANNED = sorted([*MODULES, *(ROOT / "perfbench").rglob("*.py")])
+CALLERS = sorted([*LIBRARY, *(ROOT / "perfbench").glob("*.py")])
+
+# Public definitions that only tests call today, each with the ROADMAP item
+# that will call it from the library
+AWAITING_CALLERS = {
+    "hilbert_series": "item 3",
+    "schur_K_G26": "item 3",
+    "series_equal": "item 3",
+    "extra_dimension": "item 1",
+    "poly_from_terms": "item 3",
+    "permuted": "item 1",
+    "parse_chain": "item 3",
+}
 
 
 def unused_imports(source: str):
@@ -124,6 +144,30 @@ def test_no_private_definitions_that_only_tests_call():
     used = references(path.read_text() for path in LIBRARY)
     found = {str(path.relative_to(ROOT)): private_dead_definitions(path.read_text(), used) for path in LIBRARY}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_the_check_finds_a_public_definition_that_only_tests_call():
+    library = (
+        "def called(): pass\n"
+        "def awaited(): pass\n"
+        "def tested(): pass\n"
+        "class K:\n"
+        "    def colon(self): pass\n"
+    )
+    callers = "called(K)\nother.colon()\n"
+    # K.colon passes: another object's colon has its name
+    assert dead_definitions(library, references([callers]) | {"awaited"}) == [(3, "tested")]
+
+
+def test_no_library_definitions_that_only_tests_call():
+    called = references(path.read_text() for path in CALLERS)
+    found = {
+        str(path.relative_to(ROOT)): dead_definitions(path.read_text(), called | AWAITING_CALLERS.keys())
+        for path in LIBRARY
+    }
+    assert {path: names for path, names in found.items() if names} == {}
+    # a name leaves the set once it has a caller
+    assert called & AWAITING_CALLERS.keys() == set()
 
 
 def assert_lines(source: str):

@@ -1,37 +1,19 @@
-"""K-polynomial recursion, series expansion, Schur K of the G(2,6) cone."""
+"""K-polynomial recursion, its standard-monomial identity, Schur K of the G(2,6) cone."""
 
 import gc
 import itertools
 import random
+from collections import Counter
 from operator import le
 
 import pytest
 
 from hilb.groebner import Ideal, MonomialIdeal
-from hilb.kpoly import (
-    HilbertSeries,
-    graded_dim_oracle,
-    hilbert_series,
-    kpoly_monomial,
-    monomial_colength,
-    monomial_weight,
-    positive_functional,
-    reciprocity_check,
-    schur_K_G26,
-    series_box_expansion,
-    series_equal,
-)
+from hilb.kpoly import HilbertSeries, hilbert_series, kpoly_monomial, reciprocity_check, schur_K_G26, series_equal
 from hilb.localeq import jacobian_ideal, pyramid_potential, var_weight
-from hilb.multipoly import (
-    PACK_LIMIT,
-    LaurentPoly,
-    PolyRing,
-    RingError,
-    Weight,
-    _mono_weight,
-    weight_columns,
-)
+from hilb.multipoly import PACK_LIMIT, LaurentPoly, PolyRing, RingError, Weight
 from hilb.partitions import Partition, enumerate_partitions, parse_chain
+from test_localeq import mono_weight
 
 
 def taylor_kpoly(J, weights):
@@ -47,17 +29,16 @@ def taylor_kpoly(J, weights):
             lcm = (0,) * J.nvars
             for g in S:
                 lcm = tuple(max(a, b) for a, b in zip(lcm, g))
-            total = total + LaurentPoly.char(monomial_weight(lcm, weights), (-1) ** k)
+            total = total + LaurentPoly.char(mono_weight(lcm, weights), (-1) ** k)
     return total
 
 
 def tuple_kpoly(J, weights):
-    """The colon recursion of kpoly_monomial on exponent and weight tuples:
-    the same memo keys and order, with no packing. The colon is the tuple
-    lcm(g, f) / f, and the minimalization the pairwise definition."""
+    """The colon recursion of kpoly_monomial on exponent tuples and `Weight`
+    arithmetic: the same memo keys and order, with no packing. The colon is
+    the tuple lcm(g, f) / f, and the minimalization the pairwise definition."""
     r = weights[0].r
-    scale, columns = weight_columns(weights)
-    memo = {(): {(0,) * r: 1}}
+    memo = {(): {Weight((0,) * r): 1}}
 
     def minimal(monos):
         monos = set(monos)
@@ -67,15 +48,15 @@ def tuple_kpoly(J, weights):
         if gens not in memo:
             f, rest = gens[-1], gens[:-1]
             out = dict(run(rest))
-            shift = _mono_weight(f, columns)
+            shift = mono_weight(f, weights)
             colon = (tuple(x - y if x > y else 0 for x, y in zip(g, f)) for g in rest)
             for w, c in run(minimal(colon)).items():
-                w = tuple(a + b for a, b in zip(w, shift))
+                w += shift
                 out[w] = out.get(w, 0) - c
             memo[gens] = {w: c for w, c in out.items() if c}
         return memo[gens]
 
-    return LaurentPoly(r, {Weight(w, scale): c for w, c in run(J.gens).items()})
+    return LaurentPoly(r, run(J.gens))
 
 
 def random_monomial_ideal(rng, nvars, max_gens=5, max_exp=4, finite=False):
@@ -159,6 +140,20 @@ class TestKpolyMonomial:
             weights = [Weight(tuple(entry() for _ in range(r)), rng.choice((1, 2, 8))) for _ in range(nv)]
             assert kpoly_monomial(J, weights) == tuple_kpoly(J, weights)
 
+    def test_is_the_factors_times_the_standard_monomials(self):
+        # for finite colength, K = prod_i (1 - t^{w_i}) * sum over m outside J
+        # of t^{w(m)}; each exponent of such m is below the largest generator entry
+        rng = random.Random(23)
+        for _ in range(40):
+            nv = rng.randint(1, 3)
+            J = random_monomial_ideal(rng, nv, finite=True)
+            weights = [Weight(tuple(rng.randint(-2, 3) for _ in range(2)), rng.choice((1, 2, 4))) for _ in range(nv)]
+            box = itertools.product(*(range(k) for k in map(max, zip(*J.gens))))
+            expected = LaurentPoly(2, Counter(mono_weight(m, weights) for m in box if not J.contains(m)))
+            for w in weights:
+                expected = expected - expected.twist(w)
+            assert kpoly_monomial(J, weights) == expected
+
     def test_generator_order_is_immaterial(self):
         rng = random.Random(11)
         for _ in range(10):
@@ -181,29 +176,6 @@ class TestKpolyMonomial:
     def test_no_variables_is_a_ring_error(self):
         with pytest.raises(RingError):
             kpoly_monomial(MonomialIdeal(0, []), [])
-
-
-class TestColengthAndExpansion:
-    def test_monomial_colength_box(self):
-        J = MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)])
-        # standard monomials: 1, x, y, y^2
-        assert monomial_colength(J) == 4
-
-    def test_monomial_colength_rejects_infinite(self):
-        with pytest.raises(RingError):
-            monomial_colength(MonomialIdeal(2, [(1, 0)]))
-
-    def test_expansion_coefficients_sum_to_colength(self):
-        rng = random.Random(23)
-        for _ in range(12):
-            nv = rng.randint(1, 3)
-            J = random_monomial_ideal(rng, nv, finite=True)
-            weights = [Weight.of(1)] * nv
-            K = kpoly_monomial(J, weights)
-            h = HilbertSeries(K, weights)
-            depth = sum(max(g[i] for g in J.gens) for i in range(nv)) + 1
-            exp = series_box_expansion(h, (1,), depth)
-            assert sum(exp.values()) == monomial_colength(J)
 
 
 class TestHilbertSeries:
@@ -232,52 +204,6 @@ class TestHilbertSeries:
         h = HilbertSeries(LaurentPoly.one(2), [Weight.of(1, 0), Weight.of(1, 0), Weight.of(0, 1)])
         text = h.render()
         assert "(1 - t_1)^2" in text and "(1 - t_2)" in text
-
-
-class TestGradedDimOracle:
-    def test_univariate_square(self):
-        J = MonomialIdeal(1, [(2,)])
-        counts = graded_dim_oracle(J, [Weight.of(1)], 5)
-        assert counts == {Weight.of(0): 1, Weight.of(1): 1}
-
-    def test_plane_example_total_degree(self):
-        # (x^2, xy, y^3) with both weights 1: dimensions 1, 2, 1, 0, ...
-        J = MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)])
-        w = [Weight.of(1), Weight.of(1)]
-        counts = graded_dim_oracle(J, w, 6)
-        assert counts == {Weight.of(0): 1, Weight.of(1): 2, Weight.of(2): 1}
-        h = HilbertSeries(kpoly_monomial(J, w), w)
-        assert series_box_expansion(h, (1,), 6) == counts
-
-    def test_oracle_matches_expansion_on_random_ideals(self):
-        rng = random.Random(56)
-        for _ in range(15):
-            nv = rng.randint(1, 3)
-            J = random_monomial_ideal(rng, nv)
-            weights = []
-            for _ in range(nv):
-                while True:
-                    w = Weight(tuple(rng.randint(-1, 2) for _ in range(2)))
-                    if not w.is_zero():
-                        break
-                weights.append(w)
-            direction = positive_functional(weights)
-            if direction is None:
-                continue
-            counts = graded_dim_oracle(J, weights, 6, direction=direction)
-            h = HilbertSeries(kpoly_monomial(J, weights), weights)
-            assert series_box_expansion(h, direction, 6) == counts
-
-    def test_no_weights_is_a_ring_error(self):
-        with pytest.raises(RingError, match="no weights"):
-            positive_functional([])
-        with pytest.raises(RingError, match="no weights"):
-            graded_dim_oracle(MonomialIdeal(0, []), [], 3)
-
-    def test_inapplicable_without_positive_direction(self):
-        weights = [Weight.of(1), Weight.of(-1)]
-        assert positive_functional(weights) is None
-        assert graded_dim_oracle(MonomialIdeal(2, [(1, 1)]), weights, 4) is None
 
 
 class TestSchurK:
@@ -368,7 +294,6 @@ def test_recursions_leave_no_reference_cycles():
     w = [Weight.of(1, 0), Weight.of(0, 1)]
     calls = [
         lambda: kpoly_monomial(J, w),
-        lambda: graded_dim_oracle(J, w, 5),
         lambda: enumerate_partitions(3, 5),
     ]
     gc.collect()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilb.groebner import Ideal, ideal_equal
+from hilb.groebner import Ideal
 from hilb.multipoly import MultiPoly, PolyRing, RingError, Weight
 from hilb.partitions import Partition, adjacent_pairs, canonicalize_S3, enumerate_partitions, glove, parse_chain
 from hilb.localeq import (
@@ -58,7 +58,7 @@ def test_equations_weight_homogeneous_on_construction():
     pres = haiman_equations(LAM_121)
     v = ((1, 0, 0), (0, 0, 2))
     assert var_weight(v) == Weight.of(-1, 0, 2)
-    assert pres.weights[pres.var_index(v)] == Weight.of(-1, 0, 2)
+    assert pres.weights[pres.variables.index(v)] == Weight.of(-1, 0, 2)
 
 
 def test_inhomogeneous_equation_is_rejected():
@@ -129,7 +129,7 @@ def test_step0_back_substitution_consistent():
         if v in pres.eliminated:
             images.append(pres.eliminated[v])
         else:
-            images.append(pres.ring.var(pres.var_index(v)))
+            images.append(pres.ring.var(pres.variables.index(v)))
     for eq in raw.equations:
         assert J.contains(eq.substitute(images))
 
@@ -141,7 +141,7 @@ def test_step0_131_back_substitution_is_exact():
     pres = step0(LAM_131)
     assert len(pres.variables) + len(pres.eliminated) == len(raw.variables)
     images = [
-        pres.eliminated[v] if v in pres.eliminated else pres.ring.var(pres.var_index(v))
+        pres.eliminated[v] if v in pres.eliminated else pres.ring.var(pres.variables.index(v))
         for v in raw.variables
     ]
     for eq in raw.equations:
@@ -179,7 +179,7 @@ def test_cotangent_r2_arm_leg_weights():
     lam = Partition(2, [(0, 0), (1, 0)])
     ws, extra = cotangent_weights(lam)
     assert extra == 0
-    assert sorted(w.as_fractions() for w in ws) == sorted(
+    assert sorted(w.sort_key() for w in ws) == sorted(
         [(2, 0), (1, 0), (0, 1), (-1, 1)]
     )
 
@@ -256,7 +256,8 @@ def test_jacobian_matches_step0_at_n2():
     assert all(type(c) is int for g in jac for c in g.terms.values())
     pres = step0(LAM_121)
     assert tuple(F.ring.names) == tuple(pres.ring.names)
-    assert ideal_equal(Ideal(F.ring, jac), Ideal(pres.ring, pres.equations))
+    # a reduced basis is unique, so equal ideals have equal bases
+    assert Ideal(F.ring, jac).groebner() == Ideal(pres.ring, pres.equations).groebner()
 
 
 def test_singular_census_colength_5():
@@ -330,7 +331,7 @@ def weighted_monomials(draw):
 @given(weighted_monomials())
 def test_packed_weight_check_agrees_with_dense_weights(case):
     weights, monos = case
-    ring = PolyRing.make("x", len(weights))
+    ring = PolyRing([f"x{i}" for i in range(len(weights))])
     ref = [mono_weight(e, weights) for e in monos]
     eq = MultiPoly(ring, {e: 1 for e in monos})
     if len(set(ref)) > 1:
@@ -345,7 +346,7 @@ def test_packed_weight_check_agrees_with_dense_weights(case):
 
 def test_packed_weight_check_sees_the_last_field():
     # x^2 has weight (-6, 10) and y^2 has (-6, 11): equal but for the last field
-    weights = [Weight.of(-3, 5), Weight.halves(-6, 11)]
+    weights = [Weight.of(-3, 5), Weight((-6, 11), 2)]
     x, y = PolyRing(["x", "y"]).gens()
     with pytest.raises(RingError):
         _check_weight_homogeneous([x**2 + y**2], weights)
