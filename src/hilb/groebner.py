@@ -6,7 +6,8 @@ Symb. Comp. 1988, in the form of Becker & Weispfenning's UPDATE):
 criteria B, M and F on the packed lcm stored with each pair, then the
 coprime test. Division runs fraction-free over Z on content-
 stripped polynomials, so rational input costs one denominator clearing
-up front and the hot loop is pure integer arithmetic. Buchberger and
+up front, the hot loop is pure integer arithmetic, and a result builds a
+`Fraction` only for a coefficient that is not an integer. Buchberger and
 division also run on the packed term format of `multipoly`
 (`PackedLayout`, `IntTerms`), which elimination and back-substitution
 share: terms are dicts from packed ints to integer coefficients,
@@ -67,13 +68,30 @@ def _primitive_int(d: IntTerms) -> Tuple[IntTerms, int]:
     return ({e: v // g for e, v in d.items()} if g > 1 else d), g
 
 
-def _int_terms(p: MultiPoly, lay: PackedLayout) -> Tuple[IntTerms, Fraction]:
-    """The packed primitive integer terms of a nonzero p, and the content c of p = c * terms."""
+def _int_terms(p: MultiPoly, lay: PackedLayout) -> Tuple[IntTerms, int, int]:
+    """The packed primitive integer terms of a nonzero p, and the content
+    of p = (num / den) * terms as (num, den).
+
+    The coefficients of p are canonical, so den is 1 exactly when all of
+    them are `int`; they are then taken as they are, and only their
+    `int.denominator` is read.
+    """
     coeffs = p.terms.values()
     den = lcm(*[c.denominator for c in coeffs])
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    nums = coeffs if den == 1 else [c.numerator * (den // c.denominator) for c in coeffs]
     t, g = _primitive_int(dict(zip(lay.pack_all(p.terms), nums)))
-    return t, Fraction(g, den)
+    return t, g, den
+
+
+def _quotients(values: Iterable[int], num: int, den: int) -> List[object]:
+    """Each v * num / den, exactly: an `int` where den divides it and a
+    `Fraction` only where it does not; den is positive."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return [v * num for v in values]
+    # num and den are coprime, so den divides v * num iff it divides v
+    return [v // den * num if not v % den else Fraction(v * num, den) for v in values]
 
 
 def _divide_int(
@@ -255,7 +273,7 @@ def _reduce_int_basis(
             lay,
         )
         lc = r[basis_lead[i][0]]
-        out.append(MultiPoly(ring, dict(zip(lay.unpack_all(r), [Fraction(v, lc) for v in r.values()]))))
+        out.append(MultiPoly(ring, dict(zip(lay.unpack_all(r), _quotients(r.values(), 1, lc)))))
     return out
 
 
@@ -354,7 +372,7 @@ class Ideal:
             basis_lead = []
             basis_terms = []
             for g in self.groebner(order):
-                gt, _ = _int_terms(g, lay)
+                gt, _, _ = _int_terms(g, lay)
                 ge = max(gt, key=lay.key)
                 basis_lead.append((ge, gt[ge]))
                 basis_terms.append(gt)
@@ -362,10 +380,9 @@ class Ideal:
         if not p.terms:
             return p
         lay, basis_lead, basis_terms = packed
-        terms, content = _int_terms(p, lay)
+        terms, num, den = _int_terms(p, lay)
         work, mult = _divide_int(terms, basis_lead, basis_terms, lay)
-        scale = content / mult
-        return MultiPoly(p.ring, dict(zip(lay.unpack_all(work), [v * scale for v in work.values()])))
+        return MultiPoly(p.ring, dict(zip(lay.unpack_all(work), _quotients(work.values(), num, den * mult))))
 
     def contains(self, p: MultiPoly, order="grevlex") -> bool:
         return not self.normal_form(p, order)

@@ -1,20 +1,25 @@
 """Sparse multivariate polynomials over Q and integer Laurent polynomials.
 
 Monomials are plain exponent tuples, one entry per ring variable, and
-coefficients are exact rationals, `int` or `Fraction`. The two compare
-and hash alike (`hash(2) == hash(Fraction(2))`), so equality and term
-sets do not see the type; sums, products and substitution keep `int`
-coefficients `int`. Each operation on monomial tuples (product,
-quotient, shift) has one definition, among the `_mono_*` functions
-below; the cells of a partition are the same tuples. Lcm, colon and
-divisibility act on packed monomials only, and the tests compare them
-with tuple references. The monomial orders are lex and grevlex.
-Laurent exponents live on a scaled lattice (1/D)Z^r with D a power of
-two, so half-integer weights are exact integer data: a weight's
-numerators and scale and a Laurent coefficient are integers, and
-anything else raises RingError rather than being truncated. Monomial entries from outside go through `exponents` or
-`PackedLayout`, which raise RingError for a non-integer entry instead
-of truncating it.
+coefficients are exact rationals of one canonical type, decided in
+`MultiPoly.__init__` alone: an integer is an `int` whatever type it
+arrives with, any other rational is a `Fraction` (whose denominator is
+then above 1), a float is read as its exact `Fraction`, and a value
+that is not a rational number raises RingError. So sums, products,
+powers and substitution on integer data run on ints. The two types
+compare and hash alike (`hash(2) == hash(Fraction(2))`), so equality
+and term sets do not see the type. Each operation on monomial tuples
+(product, quotient, shift) has one definition, among the `_mono_*`
+functions below; the cells of a partition are the same tuples. Lcm,
+colon and divisibility act on packed monomials only, and the tests
+compare them with tuple references. The monomial orders are lex and
+grevlex. Laurent exponents live on a scaled lattice (1/D)Z^r with D a
+power of two, so half-integer weights are exact integer data: a
+weight's numerators and scale and a Laurent coefficient are integers,
+and anything else raises RingError rather than being truncated.
+Monomial entries and variable indices from outside go through
+`exponents`, `_var_index` or `PackedLayout`, which raise RingError for
+a non-integer entry instead of truncating it.
 
 This module is also the home of the packed term format, which division
 and Buchberger (`groebner`), monomial ideals (`groebner.MonomialIdeal`)
@@ -75,12 +80,10 @@ class PolyRing:
         return MultiPoly(self, {})
 
     def const(self, c) -> "MultiPoly":
-        return MultiPoly(self, {(0,) * self.n: _coeff(c)})
+        return MultiPoly(self, {(0,) * self.n: c})
 
     def var(self, i: int) -> "MultiPoly":
-        if i not in range(self.n):
-            raise RingError(f"no variable {i!r} among {self.n}")
-        return MultiPoly(self, {_mono_shift((0,) * self.n, i): 1})
+        return MultiPoly(self, {_mono_shift((0,) * self.n, _var_index(i, self.n)): 1})
 
     def gens(self) -> Tuple["MultiPoly", ...]:
         return tuple(self.var(i) for i in range(self.n))
@@ -89,7 +92,7 @@ class PolyRing:
         exps = exponents(exps)
         if len(exps) != self.n:
             raise RingError("exponent length mismatch")
-        return MultiPoly(self, {exps: _coeff(coeff)})
+        return MultiPoly(self, {exps: coeff})
 
 
 def exponents(entries: Iterable[int]) -> Monomial:
@@ -101,9 +104,33 @@ def exponents(entries: Iterable[int]) -> Monomial:
         raise RingError(f"exponents must be integers: {entries!r}") from None
 
 
-def _coeff(c):
-    """An `int` stays an `int`; any other exact value becomes a `Fraction`."""
-    return c if type(c) is int else Fraction(c)
+def _var_index(i, n: int) -> int:
+    """i as the index of one of n variables; RingError for a bool, a
+    non-integer or an index out of range, which a list index would wrap."""
+    try:
+        if isinstance(i, bool):  # `index` would read True as 1
+            raise TypeError
+        i = index(i)
+    except TypeError:
+        raise RingError(f"a variable index is an integer: {i!r}") from None
+    if not 0 <= i < n:
+        raise RingError(f"no variable {i} among {n}")
+    return i
+
+
+def _rational(c):
+    """The canonical coefficient of a value c that is not an `int`, for
+    `MultiPoly.__init__`: an `int` when c is an integer and a `Fraction`
+    otherwise. A float is read exactly; RingError for a value that is not
+    a rational number."""
+    if type(c) is not Fraction:
+        try:
+            if isinstance(c, str):  # `Fraction` would parse it
+                raise TypeError
+            c = Fraction(c)
+        except (TypeError, ValueError, OverflowError):
+            raise RingError(f"a coefficient is a rational number: {c!r}") from None
+    return c.numerator if c.denominator == 1 else c
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -329,7 +356,13 @@ def _render_terms(terms: Iterable[Tuple[object, str]]) -> str:
 
 
 class MultiPoly:
-    """Polynomial as a map from exponent tuples to nonzero `int` or `Fraction` coefficients.
+    """Polynomial as a map from exponent tuples to nonzero coefficients.
+
+    The constructor reads each coefficient as its canonical type: an
+    `int` for an integer value (`Fraction(3)` is stored as 3), a
+    `Fraction` for any other rational, the exact `Fraction` of a float,
+    and RingError for anything else. Every operation builds its result
+    through the constructor, so no other code decides the type.
 
     `terms` is never mutated after construction: every operation builds a
     new polynomial. `_packed` relies on this. It holds the terms packed
@@ -339,9 +372,9 @@ class MultiPoly:
 
     __slots__ = ("ring", "terms", "_packed")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, ring: PolyRing, terms: Mapping[Monomial, object]):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = {e: v for e, c in terms.items() if (v := c if type(c) is int else _rational(c))}
         self._packed = None
 
     def _check(self, other: "MultiPoly"):
@@ -391,7 +424,7 @@ class MultiPoly:
                 return self.ring.zero()
             return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = _mono_mul(e1, e2)
@@ -428,8 +461,7 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def derivative(self, i: int) -> "MultiPoly":
-        if i not in range(self.ring.n):
-            raise RingError(f"no variable {i!r} among {self.ring.n}")
+        i = _var_index(i, self.ring.n)
         terms = self.terms.items()
         return MultiPoly(self.ring, {_mono_shift(e, i, -1): c * e[i] for e, c in terms if e[i]})
 
@@ -495,10 +527,11 @@ class MultiPoly:
 
 
 def poly_from_terms(ring: PolyRing, pairs: Iterable[Tuple[Sequence[int], object]]) -> MultiPoly:
-    terms: Dict[Monomial, Fraction] = {}
+    """The sum of the terms c * x^e; each c is read exactly, as one monomial, before the sum."""
+    terms: Dict[Monomial, object] = {}
     for exps, c in pairs:
-        e = exponents(exps)
-        terms[e] = terms.get(e, 0) + _coeff(c)
+        for e, v in ring.monomial(exps, c).terms.items():
+            terms[e] = terms.get(e, 0) + v
     return MultiPoly(ring, terms)
 
 

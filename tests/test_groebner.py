@@ -192,9 +192,11 @@ def test_int_terms_split_off_the_content(order):
         )
         if not p:
             continue
-        terms, content = _int_terms(p, lay)
-        assert content > 0
+        terms, num, den = _int_terms(p, lay)
+        assert num > 0 and den > 0
+        assert (den == 1) == all(type(c) is int for c in p.terms.values())
         assert gcd(*terms.values()) == 1
+        content = Fraction(num, den)
         assert MultiPoly(R, dict(zip(lay.unpack_all(terms), [content * v for v in terms.values()]))) == p
 
 

@@ -379,11 +379,28 @@ def test_integer_input_keeps_int_coefficients():
         R.const(3),
         R.monomial((1, 2), 2),
         poly_from_terms(R, [((1, 0), 2), ((0, 1), -1), ((1, 0), 3)]),
+        R.const(F(3)),  # an integer-valued Fraction is stored as an int
     ]
     assert all(type(c) is int for p in integer for c in p.terms.values())
     assert integer[0] == x**3 + 6 * x * x * y + 12 * x * y * y + 8 * y**3
-    rational = [R.const(F(3)), R.monomial((1, 2), F(1, 2)), poly_from_terms(R, [((1, 0), 0.5)])]
+    rational = [R.monomial((1, 2), F(1, 2)), poly_from_terms(R, [((1, 0), 0.5)])]
     assert all(type(c) is Fraction for p in rational for c in p.terms.values())
+
+
+def test_coefficients_are_read_exactly_and_must_be_rational():
+    R = PolyRing(["x", "y"])
+    # a float is its exact Fraction, so arithmetic on it stays exact
+    p = MultiPoly(R, {(1, 0): 0.1}) * 3
+    assert p.terms == {(1, 0): 3 * F(0.1)} and type(p.terms[(1, 0)]) is Fraction
+    assert poly_from_terms(R, [((1, 0), 0.1), ((1, 0), 0.2)]).terms == {(1, 0): F(0.1) + F(0.2)}
+    assert type(R.const(2.0).terms[(0, 0)]) is int
+    for bad in ("1/2", "x", None, 1j, float("nan"), float("inf")):
+        with pytest.raises(RingError):
+            MultiPoly(R, {(1, 0): bad})
+        with pytest.raises(RingError):
+            R.const(bad)
+        with pytest.raises(RingError):
+            R.monomial((0, 1), bad)
 
 
 def test_derivative():
@@ -398,7 +415,8 @@ def test_variable_index_out_of_range_is_a_ring_error():
     # a list index would wrap -1 to the last variable and malform the terms
     R = PolyRing(["x", "y", "z"])
     p = R.monomial((1, 2, 1))
-    for i in (-1, 3):
+    # a float index once failed inside tuple slicing, and True once read as 1
+    for i in (-1, 3, 1.0, True, "1", None):
         with pytest.raises(RingError):
             R.var(i)
         with pytest.raises(RingError):
