@@ -40,7 +40,11 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     degrees. That sum bounds the degree of the lcm of the generators,
     and every numerator weight is the weight of a divisor of it. Adding
     weights is then adding ints, and each is unpacked to a Weight once,
-    for the result. The unit ideal needs no special case: its one
+    for the result. The result is built from the decoded ints without
+    checking them again, by the private constructors `Weight._exact` and
+    `LaurentPoly._exact`; on a scale above 1 a weight whose numerators
+    are all even is reduced as `Weight` reduces it, so the keys stay
+    canonical. The unit ideal needs no special case: its one
     generator 1 gives K = 1 - t^0 = 0.
     """
     if len(weights) != J.nvars:
@@ -78,15 +82,14 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     numerator = run(J.packed)
     del run  # run refers to itself through its cell; free it and memo without the cyclic GC
     mask, half = (1 << bits) - 1, 1 << bits - 1
+    bias = sum(half << bits * k for k in range(r))  # each signed field x + half is in [0, mask]
+    shifts = range(0, bits * r, bits)
+    exact = Weight._exact
     terms = {}
     for w, c in numerator.items():
-        nums = []
-        for _ in range(r):
-            x = (w + half & mask) - half  # the signed lowest field
-            nums.append(x)
-            w = (w - x) >> bits
-        terms[Weight(nums, scale)] = c
-    return LaurentPoly(r, terms)
+        w += bias
+        terms[exact(tuple([(w >> s & mask) - half for s in shifts]), scale)] = c
+    return LaurentPoly._exact(r, terms)
 
 
 class HilbertSeries:

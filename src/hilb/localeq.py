@@ -278,8 +278,11 @@ def step0(lam: Partition) -> HaimanPresentation:
     return simple_eliminate(haiman_equations(lam))
 
 
-def cotangent_weights(lam: Partition) -> Tuple[List[Weight], int]:
+def cotangent_weights(lam: Partition) -> Tuple[List[Monomial], int]:
     """Weights of a cotangent basis at the monomial ideal, plus extra dimension.
+
+    The weights are integral, so they come as sorted tuples of ints, one
+    per basis vector; `Weight(w)` is the torus weight of the tuple w.
 
     The tangent space at I = I_lambda is Hom_S(I, S/I). A homomorphism phi
     is fixed by phi(g) = sum_c a_{g,c} x^c on the minimal generators g, so
@@ -288,12 +291,12 @@ def cotangent_weights(lam: Partition) -> Tuple[List[Weight], int]:
     syzygies, and each cell c' relates the coefficients of x^c' on both
     sides: with u = c' - L/g and v = c' - L/h, a_{g,u} = a_{h,v} when both
     are cells, and the one that is a cell is 0 otherwise. Both nodes have
-    weight L - c'. On the packed lex ints of `ideal_of_partition(lam)`,
-    L/g is `colon(h, g)` and u is a cell iff it sets no `guard` bit; a
-    coprime pair relates nothing, as L/g = h. A pair is skipped when a
-    generator k divides L and lcm(g, k), lcm(h, k) are proper divisors of
-    L: its syzygy is a monomial combination of theirs (the chain
-    criterion). Each class of the union-find (a parent list with path
+    weight L - c'. On the packed lex ints of `ideal_of_partition(lam)`
+    (the I_λ kept on lam, which later callers share), L/g is `colon(h, g)`
+    and u is a cell iff it sets no `guard` bit; a coprime pair relates
+    nothing, as L/g = h. A pair is skipped when a generator k divides L
+    and lcm(g, k), lcm(h, k) are proper divisors of L: its syzygy is a
+    monomial combination of theirs (the chain criterion). Each class of the union-find (a parent list with path
     halving) that holds no killed node gives its weight; extra dimension
     is the count minus r * |lambda|. The criterion costs (generators)^3
     int tests, and spares the cell scan of most pairs of a large partition
@@ -348,7 +351,7 @@ def cotangent_weights(lam: Partition) -> Tuple[List[Weight], int]:
         for x, p in enumerate(parent)
         if p == x and x not in killed  # one root per class
     )
-    return [Weight(w) for w in weights], len(weights) - lam.r * lam.n
+    return weights, len(weights) - lam.r * lam.n
 
 
 def extra_dimension(lam: Partition) -> int:

@@ -120,9 +120,9 @@ def _var_index(i, n: int) -> int:
 
 def _rational(c):
     """The canonical coefficient of a value c that is not an `int`, for
-    `MultiPoly.__init__`: an `int` when c is an integer and a `Fraction`
-    otherwise. A float is read exactly; RingError for a value that is not
-    a rational number."""
+    `MultiPoly.__init__` and its scalar operators: an `int` when c is an
+    integer and a `Fraction` otherwise. A float is read exactly; RingError
+    for a value that is not a rational number."""
     if type(c) is not Fraction:
         try:
             if isinstance(c, str):  # `Fraction` would parse it
@@ -385,15 +385,18 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        return isinstance(other, MultiPoly) and self.ring == other.ring and self.terms == other.terms
+        if not isinstance(other, MultiPoly):
+            try:
+                other = self.ring.const(other)
+            except RingError:  # not a rational number, so not a constant
+                return NotImplemented
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             other = self.ring.const(other)
         self._check(other)
         out = dict(self.terms)
@@ -411,7 +414,7 @@ class MultiPoly:
         return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             other = self.ring.const(other)
         return self + (-other)
 
@@ -419,7 +422,8 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            other = other if type(other) is int else _rational(other)
             if not other:
                 return self.ring.zero()
             return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
@@ -548,6 +552,19 @@ class Weight:
             raise RingError(f"weight entries and scale must be integers: {nums!r}, {scale!r}") from None
         if scale < 1 or scale & (scale - 1):
             raise RingError("scale must be a power of two")
+        self._reduce(nums, scale)
+
+    @classmethod
+    def _exact(cls, nums: Tuple[int, ...], scale: int) -> "Weight":
+        """The Weight nums / scale, unchecked: for an int tuple and a power
+        of two that the library has computed."""
+        w = cls.__new__(cls)
+        w._reduce(nums, scale)
+        return w
+
+    def _reduce(self, nums: Tuple[int, ...], scale: int) -> None:
+        """Store nums / scale on its smallest scale, so that equal weights
+        have equal fields."""
         while scale > 1 and all(x % 2 == 0 for x in nums):
             nums = tuple(x // 2 for x in nums)
             scale //= 2
@@ -622,6 +639,14 @@ def packed_weights(columns: Sequence[Tuple[int, ...]], degree: int) -> Tuple[int
     return bits, [sum(x << bits * k for k, x in enumerate(w)) for w in zip(*columns)]
 
 
+def _laurent_coeff(c) -> int:
+    """c as a Laurent coefficient; RingError unless it is an integer."""
+    try:
+        return index(c)
+    except TypeError:
+        raise RingError(f"Laurent coefficients must be integers: {c!r}") from None
+
+
 class LaurentPoly:
     """Integer combination of torus characters t^w on a scaled lattice."""
 
@@ -633,12 +658,18 @@ class LaurentPoly:
         for w, c in (terms or {}).items():
             if w.r != r:
                 raise RingError("weight rank mismatch")
-            if c:
-                try:
-                    out[w] = index(c)
-                except TypeError:
-                    raise RingError(f"Laurent coefficients must be integers: {c!r}") from None
+            if c := _laurent_coeff(c):
+                out[w] = c
         self.terms = out
+
+    @classmethod
+    def _exact(cls, r: int, terms: Dict[Weight, int]) -> "LaurentPoly":
+        """The polynomial of terms, kept as it is: for a dict of rank-r
+        weights to nonzero ints that the library has computed."""
+        p = cls.__new__(cls)
+        p.r = r
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, r: int) -> "LaurentPoly":
@@ -663,7 +694,7 @@ class LaurentPoly:
         return hash((self.r, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, LaurentPoly):
             other = LaurentPoly(self.r, {Weight((0,) * self.r): other})
         self._check(other)
         out = dict(self.terms)
@@ -681,7 +712,7 @@ class LaurentPoly:
         return LaurentPoly(self.r, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, LaurentPoly):
             other = LaurentPoly(self.r, {Weight((0,) * self.r): other})
         return self + (-other)
 
@@ -689,8 +720,8 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
+        if not isinstance(other, LaurentPoly):
+            if not (other := _laurent_coeff(other)):
                 return LaurentPoly.zero(self.r)
             return LaurentPoly(self.r, {w: c * other for w, c in self.terms.items()})
         self._check(other)

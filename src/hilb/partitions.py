@@ -3,11 +3,20 @@
 A partition is a finite downward-closed set of lattice points in
 Z_{>=0}^r. For r=3 these are plane partitions; layers along the last
 axis give the ascending-chain notation (1) < (2,1) used for display.
+
+A partition holds its monomial ideal I_λ once it is asked for:
+`ideal_of_partition` builds it on first use and returns the same
+`MonomialIdeal` after that, so the tangent space and the K-polynomial of
+one point share one ideal. The constructor checks cells from outside the
+library; the cell sets that the enumeration, `canonicalize_S3` and
+`Partition.permuted` build are partitions by construction and skip the
+check.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import index
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import MonomialIdeal
@@ -24,7 +33,7 @@ class PartitionError(RingError):
 class Partition:
     """Finite downward-closed subset of Z_{>=0}^r."""
 
-    __slots__ = ("r", "cells")
+    __slots__ = ("r", "cells", "_ideal")
 
     def __init__(self, r: int, cells: Iterable[Cell]):
         cells_set: FrozenSet[Cell] = frozenset(map(exponents, cells))
@@ -38,6 +47,17 @@ class Partition:
                     raise PartitionError(f"not downward closed at {c}")
         self.r = r
         self.cells = cells_set
+        self._ideal = None
+
+    @classmethod
+    def _valid(cls, r: int, cells: FrozenSet[Cell]) -> "Partition":
+        """The partition of a downward-closed set of int r-tuples, unchecked:
+        for cell sets the library has just built."""
+        lam = cls.__new__(cls)
+        lam.r = r
+        lam.cells = cells
+        lam._ideal = None
+        return lam
 
     @property
     def n(self) -> int:
@@ -61,10 +81,19 @@ class Partition:
         return f"Partition(r={self.r}, n={self.n})"
 
     def permuted(self, perm: Sequence[int]) -> "Partition":
-        """Coordinate permutation: new cell k-th entry is old entry perm[k]."""
+        """Coordinate permutation: new cell k-th entry is old entry perm[k].
+
+        PartitionError unless perm lists 0..r-1 in some order as integers;
+        a bool, which `index` would read as 0 or 1, is not one."""
+        try:
+            if any(isinstance(p, bool) for p in perm):
+                raise TypeError
+            perm = tuple(map(index, perm))
+        except TypeError:
+            raise PartitionError(f"{perm!r} is not a permutation of range({self.r})") from None
         if sorted(perm) != list(range(self.r)):
-            raise PartitionError(f"{tuple(perm)} is not a permutation of range({self.r})")
-        return Partition(self.r, [tuple(c[p] for p in perm) for c in self.cells])
+            raise PartitionError(f"{perm} is not a permutation of range({self.r})")
+        return Partition._valid(self.r, frozenset(tuple(map(c.__getitem__, perm)) for c in self.cells))
 
 
 def glove(lam: Partition) -> FrozenSet[Cell]:
@@ -81,8 +110,14 @@ def glove(lam: Partition) -> FrozenSet[Cell]:
 def ideal_of_partition(lam: Partition) -> MonomialIdeal:
     """I_λ, spanned by the monomials outside λ. Its minimal generators are
     the minimal glove points, since a minimal point outside a nonempty λ
-    steps down into λ; the empty partition gives the unit ideal."""
-    return MonomialIdeal(lam.r, glove(lam) if lam.cells else [(0,) * lam.r])
+    steps down into λ; the empty partition gives the unit ideal.
+
+    Built on the first call for λ and kept on it: later calls return the
+    same object."""
+    J = lam._ideal
+    if J is None:
+        J = lam._ideal = MonomialIdeal(lam.r, glove(lam) if lam.cells else [(0,) * lam.r])
+    return J
 
 
 def adjacent_pairs(points: Iterable[Cell]) -> List[AdjacentPair]:
@@ -141,10 +176,10 @@ def enumerate_partitions(r: int, n: int) -> List[Partition]:
 
     def extend(chain: List[Partition], remaining: int):
         if remaining == 0:
-            cells = [
+            cells = frozenset(
                 c + (z,) for z, layer in enumerate(chain) for c in layer.cells
-            ]
-            results.append(Partition(r, cells))
+            )
+            results.append(Partition._valid(r, cells))
             return
         prev = chain[-1]
         top = min(remaining, prev.n)
@@ -171,7 +206,7 @@ def canonicalize_S3(lam: Partition) -> Tuple[Partition, Tuple[int, ...]]:
         (sorted([(c[i], c[j], c[k]) for c in lam.cells]), (i, j, k))
         for i, j, k in itertools.permutations(range(3))
     )
-    return Partition(3, cells), perm
+    return Partition._valid(3, frozenset(cells)), perm
 
 
 def pyramid(r: int, n: int) -> Partition:

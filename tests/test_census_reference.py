@@ -123,7 +123,7 @@ def test_cotangent_weights_match_the_tuple_union_find():
     for lam in lams:
         ws, extra = cotangent_weights(lam)
         ref, ref_extra = reference_cotangent(lam)
-        assert [(w.nums, w.scale) for w in ws] == [(w, 1) for w in ref]
+        assert ws == ref
         assert extra == ref_extra
     assert len(lams) == 67 + 182 + 101 + 67 + 3
 
@@ -132,13 +132,12 @@ def test_cotangent_weights_match_the_tuple_union_find():
 @given(partitions())
 def test_cotangent_weights_are_S_r_equivariant(lam):
     ws, extra = cotangent_weights(lam)
-    assert all(w.scale == 1 for w in ws)
-    nums = [w.nums for w in ws]
-    assert (nums, extra) == reference_cotangent(lam)
+    assert all(type(x) is int for w in ws for x in w)
+    assert (ws, extra) == reference_cotangent(lam)
     for perm in itertools.permutations(range(lam.r)):
         pws, pextra = cotangent_weights(lam.permuted(perm))
         assert pextra == extra
-        assert [w.nums for w in pws] == sorted(tuple(w[p] for p in perm) for w in nums)
+        assert pws == sorted(tuple(w[p] for p in perm) for w in ws)
 
 
 @seeded

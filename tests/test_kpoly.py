@@ -12,7 +12,7 @@ from hilb.groebner import Ideal, MonomialIdeal
 from hilb.kpoly import HilbertSeries, hilbert_series, kpoly_monomial, reciprocity_check, schur_K_G26, series_equal
 from hilb.localeq import jacobian_ideal, pyramid_potential, var_weight
 from hilb.multipoly import PACK_LIMIT, LaurentPoly, PolyRing, RingError, Weight
-from hilb.partitions import Partition, enumerate_partitions, parse_chain
+from hilb.partitions import Partition, enumerate_partitions, ideal_of_partition, parse_chain
 from test_localeq import mono_weight
 
 
@@ -153,6 +153,30 @@ class TestKpolyMonomial:
             for w in weights:
                 expected = expected - expected.twist(w)
             assert kpoly_monomial(J, weights) == expected
+
+    def test_result_weights_are_canonical(self):
+        # the result keys skip the checks of `Weight(...)`, so each must be
+        # the weight that constructor builds from its fields. On the Plucker
+        # weights u/2 of ROADMAP item 3, every u has odd entries: a sum of
+        # two is even and reduces to scale 1, a sum of three stays at scale 2
+        plucker = [Weight(u, 2) for u in [(-1, -1, 3), (-1, 1, 1), (-1, 3, -1), (1, -1, 1), (1, 1, -1), (3, -1, -1)]]
+        square = [tuple(map(pair.count, range(6))) for pair in itertools.combinations_with_replacement(range(6), 2)]
+        cases = [
+            (MonomialIdeal(6, square), plucker),
+            (random_monomial_ideal(random.Random(3), 6, max_gens=8, max_exp=3, finite=True), plucker),
+            (ideal_of_partition(parse_chain("(1) ⊂ (2,1)")), [E1, E2, E3]),
+        ]
+        scales = []
+        for J, weights in cases:
+            K = kpoly_monomial(J, weights)
+            for w in K.terms:
+                rebuilt = Weight(w.nums, w.scale)
+                assert (rebuilt.nums, rebuilt.scale) == (w.nums, w.scale)
+                assert rebuilt == w and hash(rebuilt) == hash(w)
+            assert K == tuple_kpoly(J, weights)
+            scales.append(Counter(w.scale for w in K.terms))
+        assert all(scales[k][1] and scales[k][2] for k in (0, 1))
+        assert set(scales[2]) == {1}
 
     def test_generator_order_is_immaterial(self):
         rng = random.Random(11)

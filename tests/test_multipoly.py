@@ -403,6 +403,25 @@ def test_coefficients_are_read_exactly_and_must_be_rational():
             R.monomial((0, 1), bad)
 
 
+def test_scalar_operators_read_every_rational():
+    # a float once raised AttributeError here, and R.const(0.5) == 0.5 was False
+    R = PolyRing(["x", "y"])
+    x = R.var(0)
+    half = F(1, 2)
+    assert x * 0.5 == 0.5 * x == x * half == MultiPoly(R, {(1, 0): half})
+    assert x + 0.5 == 0.5 + x == x + half
+    assert x - 0.5 == x - half and 0.5 - x == half - x
+    assert R.const(0.5) == 0.5 and R.const(0.5) == half and x != 0.5
+    assert (x * 0.1).terms == {(1, 0): F(0.1)}  # exact, as the constructor reads 0.1
+    assert type((x * 2.0).terms[(1, 0)]) is int and type((x + F(3)).terms[(0, 0)]) is int
+    assert x * 0.0 == R.zero() == 0.0 and (x + 1.5) - 1.5 == x
+    for bad in ("2", None, 1j, float("nan")):
+        for op in (lambda: x * bad, lambda: bad * x, lambda: x + bad, lambda: x - bad, lambda: bad - x):
+            with pytest.raises(RingError):
+                op()
+        assert (x == bad) is False and x != bad
+
+
 def test_derivative():
     R = PolyRing(["x", "y"])
     x, y = R.gens()
@@ -447,6 +466,17 @@ def test_weights_and_laurent_coefficients_must_be_integers():
     for scale in (2.0, "2", 1.5, F(2)):
         with pytest.raises(RingError):
             Weight((1, 2), scale)
+    # a float scalar once raised AttributeError, and a zero float coefficient was dropped
+    L, one = LaurentPoly.char(Weight.of(1, 0)), LaurentPoly.one(2)
+    assert L + 2 == 2 + L == L + 2 * one and L - 1 == L - one and 1 - L == one - L
+    assert L * 3 == 3 * L == LaurentPoly.char(Weight.of(1, 0), 3) and L * 0 == LaurentPoly.zero(2)
+    for bad in (0.5, 2.0, 0.0, F(1, 2), "2", None):
+        ops = (lambda: L + bad, lambda: bad + L, lambda: L - bad, lambda: bad - L, lambda: L * bad, lambda: bad * L)
+        for op in ops:
+            with pytest.raises(RingError):
+                op()
+        with pytest.raises(RingError):
+            LaurentPoly(2, {Weight.of(1, 0): bad})
 
 
 def test_monomial_exponents_must_be_integers():

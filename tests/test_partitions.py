@@ -194,10 +194,44 @@ def test_canonicalize_swap():
 
 def test_permuted_rejects_what_is_not_a_permutation():
     lam = Partition(3, [(0, 0, 0)])
-    for bad in [(2, 2, 2), (0, 1, 5), (0, 1), (0, 1, 2, 3)]:
+    # (0.0, 1, 2) once failed with a TypeError, and (True, 0, 2) was read as (1, 0, 2)
+    for bad in [(2, 2, 2), (0, 1, 5), (0, 1), (0, 1, 2, 3), (0.0, 1, 2), (True, 0, 2), ("0", 1, 2), (None, 1, 2), 3]:
         with pytest.raises(PartitionError):
             lam.permuted(bad)
     assert lam.permuted([2, 0, 1]) == lam
+    line = Partition(3, [(0, 0, 0), (1, 0, 0)])
+    assert line.permuted(range(3)) == line
+    assert line.permuted((1, 0, 2)) == Partition(3, [(0, 0, 0), (0, 1, 0)])
+
+
+CENSUS_CLASSES = [(3, n) for n in range(11)] + [(4, n) for n in range(7)]
+
+
+def test_library_built_partitions_are_what_the_checking_constructor_builds():
+    # enumerate_partitions, canonicalize_S3 and permuted skip the cell checks
+    for r, n in CENSUS_CLASSES:
+        for lam in enumerate_partitions(r, n):
+            made = [lam, *(lam.permuted(perm) for perm in itertools.permutations(range(r)))]
+            if r == 3:
+                made.append(canonicalize_S3(lam)[0])
+            for mu in made:
+                checked = Partition(r, mu.cells)
+                assert mu == checked and hash(mu) == hash(checked)
+                assert mu.r == r and all(type(c) is tuple and len(c) == r for c in mu.cells)
+
+
+def test_the_ideal_is_built_once_per_partition():
+    for r, n in CENSUS_CLASSES:
+        for lam in enumerate_partitions(r, n):
+            J = ideal_of_partition(lam)
+            assert ideal_of_partition(lam) is J
+            assert J == (MonomialIdeal(r, glove(lam)) if n else MonomialIdeal(r, [(0,) * r]))
+    assert ideal_of_partition(Partition(3, [])).gens == ((0, 0, 0),)
+    # an equal partition built apart has its own ideal, equal to the first
+    lam = parse_chain("(1) ⊂ (2,1)")
+    twin = Partition(3, lam.cells)
+    assert ideal_of_partition(twin) is not ideal_of_partition(lam)
+    assert ideal_of_partition(twin) == ideal_of_partition(lam)
 
 
 def test_canonicalize_permutation_is_witness():
