@@ -9,14 +9,16 @@ stripped polynomials, so rational input costs one denominator clearing
 up front, the hot loop is pure integer arithmetic, and a result builds a
 `Fraction` only for a coefficient that is not an integer. Buchberger and
 division also run on the packed term format of `multipoly`
-(`PackedLayout`, `IntTerms`), which elimination and back-substitution
-share: terms are dicts from packed ints to integer coefficients,
-products are int additions, an S-polynomial is two `_add_shifted`
-calls, divisibility is a guard-mask test, and the division heap holds
-plain int keys. Polynomials are packed on entry (`_int_terms`, one
-`PackedLayout.pack_all` pass per polynomial) and unpacked on exit (one
-`PackedLayout.unpack_all` pass per result); an exponent or degree of
-2^15 or more raises RingError. The zero ideal has the empty basis, so
+(`PackedLayout`, `IntTerms`), which `MultiPoly` itself holds: terms are
+dicts from packed ints to integer coefficients, products are int
+additions, an S-polynomial is two `_add_shifted` calls, divisibility is
+a guard-mask test, and the division heap holds plain int keys. Under
+grevlex, the ring's own layout, `_int_terms` reads a polynomial's packed
+terms as they are and results are built packed; under lex the terms
+are packed from `MultiPoly.terms` on entry and results unpacked on
+exit, one `PackedLayout.pack_all` or `unpack_all` pass per polynomial.
+An exponent or degree of 2^15 or more raises RingError. The zero ideal
+has the empty basis, so
 its normal forms are the input and its initial ideal is empty. Division
 by a basis has one entry point, `Ideal.normal_form`, which packs the
 basis of each order once and keeps it. A hard S-pair budget turns
@@ -68,19 +70,38 @@ def _primitive_int(d: IntTerms) -> Tuple[IntTerms, int]:
     return ({e: v // g for e, v in d.items()} if g > 1 else d), g
 
 
+def _layout(ring: PolyRing, order: str) -> PackedLayout:
+    """The ring's own layout under grevlex, a new one under lex; RingError
+    for an unknown order."""
+    return ring.layout if order == "grevlex" else PackedLayout(ring.n, order)
+
+
 def _int_terms(p: MultiPoly, lay: PackedLayout) -> Tuple[IntTerms, int, int]:
     """The packed primitive integer terms of a nonzero p, and the content
     of p = (num / den) * terms as (num, den).
 
-    The coefficients of p are canonical, so den is 1 exactly when all of
-    them are `int`; they are then taken as they are, and only their
-    `int.denominator` is read.
+    Under grevlex the terms are p's own packed ones, and under lex they
+    are packed from `p.terms`. The coefficients of p are canonical, so den
+    is 1 exactly when all of them are `int`; they are then taken as they
+    are, and only their `int.denominator` is read.
     """
-    coeffs = p.terms.values()
-    den = lcm(*[c.denominator for c in coeffs])
-    nums = coeffs if den == 1 else [c.numerator * (den // c.denominator) for c in coeffs]
-    t, g = _primitive_int(dict(zip(lay.pack_all(p.terms), nums)))
+    if lay.order == "grevlex":
+        t = p._pk()
+    else:
+        t = dict(zip(lay.pack_all(p.terms), p.terms.values()))
+    den = lcm(*[c.denominator for c in t.values()])
+    if den != 1:
+        t = {m: c.numerator * (den // c.denominator) for m, c in t.items()}
+    t, g = _primitive_int(t)
     return t, g, den
+
+
+def _poly(ring: PolyRing, lay: PackedLayout, terms: IntTerms, coeffs: Iterable) -> MultiPoly:
+    """The polynomial of the packed monomials `terms` with the coefficients
+    `coeffs`: packed as it is under grevlex, unpacked under lex."""
+    if lay.order == "grevlex":
+        return MultiPoly._of_packed(ring, dict(zip(terms, coeffs)))
+    return MultiPoly(ring, dict(zip(lay.unpack_all(terms), coeffs)))
 
 
 def _quotients(values: Iterable[int], num: int, den: int) -> List[object]:
@@ -177,7 +198,7 @@ def groebner_basis(
     for g in gens:
         if g.ring != ring:
             raise RingError("generators live in different rings")
-    lay = PackedLayout(ring.n, order)
+    lay = _layout(ring, order)
     key, guard, colon, degree = lay.key, lay.guard, lay.colon, lay.degree
 
     basis_terms: List[IntTerms] = []
@@ -273,7 +294,7 @@ def _reduce_int_basis(
             lay,
         )
         lc = r[basis_lead[i][0]]
-        out.append(MultiPoly(ring, dict(zip(lay.unpack_all(r), _quotients(r.values(), 1, lc)))))
+        out.append(_poly(ring, lay, r, _quotients(r.values(), 1, lc)))
     return out
 
 
@@ -361,14 +382,15 @@ class Ideal:
 
         Deterministic: each term is divided by the first basis element, in
         list order, whose leading monomial divides it. The basis is packed
-        on the first call for an order and kept.
+        on the first call for an order and kept; under grevlex p is read
+        and the result built on packed terms alone.
         """
         order_key(order)
         if p.ring != self.ring:
             raise RingError("polynomial outside the ring")
         packed = self._packed.get(order)
         if packed is None:
-            lay = PackedLayout(self.ring.n, order)
+            lay = _layout(self.ring, order)
             basis_lead = []
             basis_terms = []
             for g in self.groebner(order):
@@ -377,18 +399,25 @@ class Ideal:
                 basis_lead.append((ge, gt[ge]))
                 basis_terms.append(gt)
             packed = self._packed[order] = (lay, basis_lead, basis_terms)
-        if not p.terms:
+        if not p:
             return p
         lay, basis_lead, basis_terms = packed
         terms, num, den = _int_terms(p, lay)
         work, mult = _divide_int(terms, basis_lead, basis_terms, lay)
-        return MultiPoly(p.ring, dict(zip(lay.unpack_all(work), _quotients(work.values(), num, den * mult))))
+        return _poly(p.ring, lay, work, _quotients(work.values(), num, den * mult))
 
     def contains(self, p: MultiPoly, order="grevlex") -> bool:
         return not self.normal_form(p, order)
 
     def initial_ideal(self, order="grevlex") -> MonomialIdeal:
+        """The ideal of the leading monomials of the reduced basis; under
+        grevlex each lead is the largest packed key of its element."""
         basis = self.groebner(order)
-        key = order_key(order)
-        return MonomialIdeal(self.ring.n, [max(g.terms, key=key) for g in basis])
+        if order == "grevlex":
+            lay = self.ring.layout
+            leads = lay.unpack_all([max(g._pk(), key=lay.key) for g in basis])
+        else:
+            key = order_key(order)
+            leads = [max(g.terms, key=key) for g in basis]
+        return MonomialIdeal(self.ring.n, leads)
 

@@ -6,10 +6,11 @@ elimination, the pyramid superpotentials, and the cotangent weights with
 the extra dimension, from Hom(I, S/I) on the minimal generators of I.
 
 The Haiman equations have `int` coefficients. Elimination runs on the
-packed term format of `multipoly` (`PackedLayout`, `IntTerms`), with
-the coefficients kept as they are; its pivots on these equations are
-all units, so the local equations and the eliminated expressions stay
-integer. A non-unit pivot divides exactly through `Fraction`.
+packed terms that each `MultiPoly` holds under its ring's grevlex
+`PackedLayout`, with the coefficients kept as they are; its pivots on
+these equations are all units, so the local equations and the
+eliminated expressions stay integer. A non-unit pivot divides exactly
+through `Fraction`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .multipoly import (
     IntTerms,
     Monomial,
     MultiPoly,
-    PackedLayout,
     PolyRing,
     RingError,
     Weight,
@@ -83,9 +83,11 @@ class HaimanPresentation:
 
 
 def _check_weight_homogeneous(equations: Sequence[MultiPoly], weights: Sequence[Weight]):
-    """RingError unless every term of each equation has one torus weight."""
+    """RingError unless every term of each equation has one torus weight.
+    Reads the exponent tuples alone, so it holds an equation of any degree."""
     _, columns = weight_columns(weights)
-    _, packed = packed_weights(columns, max((eq.total_degree() for eq in equations), default=0))
+    degree = max((sum(e) for eq in equations for e in eq.terms), default=0)
+    _, packed = packed_weights(columns, degree)
     for eq in equations:
         if len({sum(map(mul, compress(packed, e), compress(e, e))) for e in eq.terms}) > 1:
             raise RingError(f"equation not weight-homogeneous: {eq.render()}")
@@ -116,11 +118,16 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
             e[u] += 1
         return tuple(e)
 
+    shifted: Dict[int, List[Tuple[Cell, Cell, bool]]] = {}  # b -> (k, k + e_b, in lam) per cell
+
     def pair_product_terms(terms: Dict, sup1: Cell, direction: int, l: Cell, sign: int):
         """Accumulate sign * sum_k c_k^{sup1} c_l^{k+e_direction}."""
-        for k in cells:
-            m = _mono_shift(k, direction)
-            if m in lam.cells:
+        steps = shifted.get(direction)
+        if steps is None:
+            ups = [_mono_shift(k, direction) for k in cells]
+            steps = shifted[direction] = [(k, m, m in lam.cells) for k, m in zip(cells, ups)]
+        for k, m, inside in steps:
+            if inside:
                 if m == l:
                     key = (index[(k, sup1)],)
                     terms[key] = terms.get(key, 0) + sign
@@ -155,19 +162,21 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
 
     A variable x is eliminated when some equation reads a*x - f with f
     free of x; pivots are chosen by smallest variable index, then
-    smallest equation index. The equations are packed on entry into
-    `PackedLayout(nvars, "grevlex")` ints with their exact coefficients,
-    so x's exponent is a shift and a mask, the pivot test is a lookup of
-    the packed x, and a product is an int add with a guard test: a degree
-    of 2^15 or more raises RingError. A unit pivot a = +-1 sends x to a*f
-    with no division, so integer equations stay integer; any other pivot
-    divides exactly through Fraction. Each equation and each eliminated
+    smallest equation index. Each equation's packed terms are taken as
+    they are: their layout, `PackedLayout(nvars, "grevlex")`, is the
+    ring's own. So x's exponent is a shift and a mask, the pivot test is
+    a lookup of the packed x, and a product is an int add with a guard
+    test: a degree of 2^15 or more raises RingError. A unit pivot
+    a = +-1 sends x to a*f with no division, so integer equations stay
+    integer; any other pivot divides exactly through Fraction. Each equation and each eliminated
     expression keeps its support mask, the bitwise or of its packed
     monomials, so whether it holds x is one mask test. The pivot is
     applied by rewriting only the entries that hold x, and in them only
     the terms that hold x: a term c*x^k*m becomes c*m*(f/a)^k, with the
     powers of f/a computed once per pivot, and every other term is copied
-    unchanged. The survivors are unpacked and renumbered at the end.
+    unchanged. At the end, equal equations are dropped on their packed
+    terms, whether an eliminated variable is left is one mask test per
+    monomial, and the survivors are unpacked and renumbered.
 
     The pivot rule reads the variable order, so the survivors depend on
     the orientation of the partition, not only on its S_r-class: the
@@ -179,10 +188,10 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     variables = pres.variables
     nvars = len(variables)
     min_glo = set(ideal_of_partition(lam).gens)
-    lay = PackedLayout(nvars, "grevlex")
+    lay = pres.ring.layout
     guard = lay.guard
     alive = [True] * nvars
-    eqs: List[IntTerms] = [dict(zip(lay.pack_all(eq.terms), eq.terms.values())) for eq in pres.equations]
+    eqs: List[IntTerms] = [eq._pk() for eq in pres.equations]  # replaced, never mutated
     masks = [reduce(or_, eq, 0) for eq in eqs]  # support mask of each equation
     subs: Dict[int, IntTerms] = {}  # eliminated var index -> expression (full ring)
     sub_masks: Dict[int, int] = {}
@@ -250,25 +259,23 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     survivors = [k for k in range(nvars) if alive[k]]
     new_vars = [variables[k] for k in survivors]
     new_ring = PolyRing([_var_name(v) for v in new_vars])
+    gone = reduce(or_, (lay.field(k)[1] for k in range(nvars) if not alive[k]), 0)
 
     def project(p: IntTerms) -> MultiPoly:
-        out = {}
-        for e, c in zip(lay.unpack_all(p), p.values()):
-            f = tuple([e[k] for k in survivors])
-            if sum(f) != sum(e):
-                raise RingError("eliminated variable reappeared")
-            out[f] = c
-        return MultiPoly(new_ring, out)
+        if any(m & gone for m in p):
+            raise RingError("eliminated variable reappeared")
+        terms = zip(lay.unpack_all(p), p.values())
+        return MultiPoly(new_ring, {tuple([e[k] for k in survivors]): c for e, c in terms})
 
+    # the projection is injective on terms free of `gone`, so equal
+    # equations are equal before it
     new_eqs = []
     seen = set()
     for eq in eqs:
-        if not eq:
-            continue
-        q = project(eq)
-        if q and frozenset(q.terms.items()) not in seen:
-            seen.add(frozenset(q.terms.items()))
-            new_eqs.append(q)
+        key = frozenset(eq.items())
+        if eq and key not in seen:
+            seen.add(key)
+            new_eqs.append(project(eq))
     eliminated = {variables[k]: project(expr) for k, expr in subs.items()}
     return HaimanPresentation(lam, new_vars, new_eqs, eliminated)
 

@@ -1,18 +1,22 @@
 """Sparse multivariate polynomials over Q and integer Laurent polynomials.
 
-Monomials are plain exponent tuples, one entry per ring variable, and
-coefficients are exact rationals of one canonical type, decided in
-`MultiPoly.__init__` alone: an integer is an `int` whatever type it
-arrives with, any other rational is a `Fraction` (whose denominator is
-then above 1), a float is read as its exact `Fraction`, and a value
-that is not a rational number raises RingError. So sums, products,
-powers and substitution on integer data run on ints. The two types
-compare and hash alike (`hash(2) == hash(Fraction(2))`), so equality
-and term sets do not see the type. Each operation on monomial tuples
-(product, quotient, shift) has one definition, among the `_mono_*`
-functions below; the cells of a partition are the same tuples. Lcm,
-colon and divisibility act on packed monomials only, and the tests
-compare them with tuple references. The monomial orders are lex and
+A `MultiPoly` computes on packed monomials: each `PolyRing` owns one
+grevlex `PackedLayout`, and sums, products, powers, scalar products,
+derivatives, degrees, substitution, division and elimination read and
+write the terms packed under it. Exponent tuples, one entry per ring
+variable, are the boundary: a polynomial built from tuples packs on its
+first packed use, and one built by an operation unpacks only when its
+`terms` are read. Coefficients are exact rationals of one canonical
+type, decided by `_canonical` alone, which both `MultiPoly`
+constructors call: an integer is an `int` whatever type it arrives
+with, any other rational is a `Fraction` (whose denominator is then
+above 1), a float is read as its exact `Fraction`, and a value that is
+not a rational number raises RingError. So arithmetic on integer data
+runs on ints. The two types compare and hash alike
+(`hash(2) == hash(Fraction(2))`), so equality and term sets do not see
+the type. The cells of a partition are exponent tuples too; the tuple
+operations that they and the Haiman variables need (quotient, shift)
+are the `_mono_*` functions below. The monomial orders are lex and
 grevlex. Laurent exponents live on a scaled lattice (1/D)Z^r with D a
 power of two, so half-integer weights are exact integer data: a
 weight's numerators and scale and a Laurent coefficient are integers,
@@ -21,22 +25,22 @@ Monomial entries and variable indices from outside go through
 `exponents`, `_var_index` or `PackedLayout`, which raise RingError for
 a non-integer entry instead of truncating it.
 
-This module is also the home of the packed term format, which division
-and Buchberger (`groebner`), monomial ideals (`groebner.MonomialIdeal`)
-and their K-polynomial recursion (`kpoly`), linear elimination
-(`localeq.simple_eliminate`) and back-substitution (`substitute`) work
-on: a `PackedLayout` stores an exponent vector and its total degree as
-one int of 16-bit fields whose top bits are guards (Bachmann &
-Schoenemann, "Monomial representations for Groebner bases
-computations", ISSAC 1998), and `IntTerms` maps packed monomials to
-coefficients. Product is `+`, quotient is `-`, divisibility is one
-subtraction and a mask test, a colon or an lcm is a few int operations
-(`PackedLayout.colon`), and the order compares one int key. Every
-packed sum of shifted terms (S-polynomials, products, elimination and
-back-substitution) is one call of `_add_shifted`. Tuples and packed ints
-are converted by one `struct.Struct` per layout; a whole polynomial
-crosses the boundary in one pass of `PackedLayout.pack_all` on the way
-in and of `PackedLayout.unpack_all` on the way out.
+The packed term format is also what division and Buchberger
+(`groebner`), monomial ideals (`groebner.MonomialIdeal`) and their
+K-polynomial recursion (`kpoly`) and linear elimination
+(`localeq.simple_eliminate`) work on: a `PackedLayout` stores an
+exponent vector and its total degree as one int of 16-bit fields whose
+top bits are guards (Bachmann & Schoenemann, "Monomial representations
+for Groebner bases computations", ISSAC 1998), and `IntTerms` maps
+packed monomials to coefficients. Product is `+`, quotient is `-`,
+divisibility is one subtraction and a mask test, a colon or an lcm is a
+few int operations (`PackedLayout.colon`), and the order compares one
+int key. Every packed sum of shifted terms (sums, products,
+S-polynomials, elimination and substitution) is one call of
+`_add_shifted`, which raises RingError for a monomial of degree 2^15 or
+more. Tuples and packed ints are converted by one `struct.Struct` per
+layout, a whole polynomial in one pass of `PackedLayout.pack_all` or
+`PackedLayout.unpack_all`.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class RingError(ValueError):
 class PolyRing:
     """A polynomial ring context: ordered variable names over Q."""
 
-    __slots__ = ("names", "n")
+    __slots__ = ("names", "n", "layout")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -66,6 +70,7 @@ class PolyRing:
             raise RingError("duplicate variable names")
         self.names = names
         self.n = len(names)
+        self.layout = PackedLayout(self.n, "grevlex")  # of every `MultiPoly._packed` here
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
@@ -77,13 +82,13 @@ class PolyRing:
         return f"PolyRing({list(self.names)})"
 
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
+        return MultiPoly._of_packed(self, {})
 
     def const(self, c) -> "MultiPoly":
-        return MultiPoly(self, {(0,) * self.n: c})
+        return MultiPoly._of_packed(self, {0: c})
 
     def var(self, i: int) -> "MultiPoly":
-        return MultiPoly(self, {_mono_shift((0,) * self.n, _var_index(i, self.n)): 1})
+        return MultiPoly._of_packed(self, {self.layout.field(_var_index(i, self.n))[0]: 1})
 
     def gens(self) -> Tuple["MultiPoly", ...]:
         return tuple(self.var(i) for i in range(self.n))
@@ -104,25 +109,33 @@ def exponents(entries: Iterable[int]) -> Monomial:
         raise RingError(f"exponents must be integers: {entries!r}") from None
 
 
+def _integer(k, what: str) -> int:
+    """k through `operator.index`; RingError, saying `what`, for a bool or
+    a non-integer."""
+    try:
+        if isinstance(k, bool):  # `index` would read True as 1
+            raise TypeError
+        return index(k)
+    except TypeError:
+        raise RingError(f"{what}: {k!r}") from None
+
+
 def _var_index(i, n: int) -> int:
     """i as the index of one of n variables; RingError for a bool, a
     non-integer or an index out of range, which a list index would wrap."""
-    try:
-        if isinstance(i, bool):  # `index` would read True as 1
-            raise TypeError
-        i = index(i)
-    except TypeError:
-        raise RingError(f"a variable index is an integer: {i!r}") from None
+    i = _integer(i, "a variable index is an integer")
     if not 0 <= i < n:
         raise RingError(f"no variable {i} among {n}")
     return i
 
 
-def _rational(c):
-    """The canonical coefficient of a value c that is not an `int`, for
-    `MultiPoly.__init__` and its scalar operators: an `int` when c is an
-    integer and a `Fraction` otherwise. A float is read exactly; RingError
-    for a value that is not a rational number."""
+def _coefficient(c):
+    """The canonical coefficient of a value c, for `_canonical` and the
+    scalar operators of `MultiPoly`: an `int` when c is an integer and a
+    `Fraction` otherwise. A float is read exactly; RingError for a value
+    that is not a rational number."""
+    if type(c) is int:
+        return c
     if type(c) is not Fraction:
         try:
             if isinstance(c, str):  # `Fraction` would parse it
@@ -133,8 +146,17 @@ def _rational(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
+_INT = {int}
+
+
+def _canonical(terms: dict) -> dict:
+    """The terms with each coefficient read by `_coefficient` and the zero
+    ones dropped: terms itself when every coefficient is a nonzero `int`,
+    which two C-level scans find, and otherwise a new dict."""
+    values = terms.values()
+    if {*map(type, values)} <= _INT and 0 not in values:
+        return terms
+    return {e: v for e, c in terms.items() if (v := c if type(c) is int else _coefficient(c))}
 
 
 def _mono_quot(a: Monomial, b: Monomial) -> Monomial:
@@ -356,128 +378,174 @@ def _render_terms(terms: Iterable[Tuple[object, str]]) -> str:
 
 
 class MultiPoly:
-    """Polynomial as a map from exponent tuples to nonzero coefficients.
+    """Polynomial over Q: nonzero coefficients on the monomials of a ring.
 
-    The constructor reads each coefficient as its canonical type: an
+    A polynomial holds its terms in one or both of two forms. `_packed`
+    maps the monomials packed under the ring's grevlex layout
+    (`PolyRing.layout`) to the coefficients; every operation reads and
+    writes this form. `terms`, the public view, maps exponent tuples to
+    the same coefficients. A polynomial built from tuples by the
+    constructor packs on its first packed use; one built by an operation
+    (`_of_packed`) unpacks only when `terms` is read. Each form is kept
+    once it is built, and neither is mutated after construction: every
+    operation builds a new polynomial.
+
+    Both constructors read each coefficient through `_canonical`: an
     `int` for an integer value (`Fraction(3)` is stored as 3), a
     `Fraction` for any other rational, the exact `Fraction` of a float,
-    and RingError for anything else. Every operation builds its result
-    through the constructor, so no other code decides the type.
+    and RingError for anything else, so no other code decides the type.
 
-    `terms` is never mutated after construction: every operation builds a
-    new polynomial. `_packed` relies on this. It holds the terms packed
-    under `PackedLayout(ring.n, "grevlex")`, filled by `substitute` the
-    first time the polynomial is an image there, and read by nothing else.
+    Arithmetic that would create a monomial of degree PACK_LIMIT or more
+    raises RingError, and so does any operation on a polynomial built
+    from tuples with such a monomial; that polynomial's `terms`, `==`
+    and `hash` still work. `==` and `hash` do not depend on the form a
+    polynomial holds, and a constant polynomial, zero included, equals
+    and hashes like its scalar.
     """
 
-    __slots__ = ("ring", "terms", "_packed")
+    __slots__ = ("ring", "_terms", "_packed")
 
     def __init__(self, ring: PolyRing, terms: Mapping[Monomial, object]):
         self.ring = ring
-        self.terms = {e: v for e, c in terms.items() if (v := c if type(c) is int else _rational(c))}
+        self._terms = _canonical(dict(terms))
         self._packed = None
+
+    @classmethod
+    def _of_packed(cls, ring: PolyRing, packed: IntTerms) -> "MultiPoly":
+        """The polynomial of terms packed under `ring.layout`; it takes
+        `packed` over, so the caller must not keep it."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p._terms = None
+        p._packed = _canonical(packed)
+        return p
+
+    @property
+    def terms(self) -> Dict[Monomial, object]:
+        """The terms keyed by exponent tuples; read it, never mutate it."""
+        t = self._terms
+        if t is None:
+            pk = self._packed
+            t = self._terms = dict(zip(self.ring.layout.unpack_all(pk), pk.values()))
+        return t
+
+    def _pk(self) -> IntTerms:
+        """The terms packed under `ring.layout`; RingError for a monomial of
+        degree PACK_LIMIT or more."""
+        pk = self._packed
+        if pk is None:
+            t = self._terms
+            pk = self._packed = dict(zip(self.ring.layout.pack_all(t), t.values()))
+        return pk
+
+    def _other(self, other) -> IntTerms:
+        """The packed terms of a polynomial of this ring or of a scalar."""
+        if not isinstance(other, MultiPoly):
+            other = self.ring.const(other)
+        self._check(other)
+        return other._pk()
+
+    def _scalar(self):
+        """The value of a constant polynomial, 0 for zero, and None for any other."""
+        if self._packed is None:
+            t, one = self._terms, (0,) * self.ring.n
+        else:
+            t, one = self._packed, 0
+        if len(t) > 1:
+            return None
+        return t.get(one) if t else 0
 
     def _check(self, other: "MultiPoly"):
         if self.ring != other.ring:
             raise RingError("ring context mismatch")
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms if self._packed is None else self._packed)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             try:
-                other = self.ring.const(other)
+                c = _coefficient(other)
             except RingError:  # not a rational number, so not a constant
                 return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+            s = self._scalar()
+            return s is not None and s == c
+        if self.ring != other.ring:
+            return False
+        if self._packed is not None and other._packed is not None:
+            return self._packed == other._packed
+        return self.terms == other.terms
 
     def __hash__(self):
+        s = self._scalar()
+        if s is not None:
+            return hash(s)
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = self.ring.const(other)
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-        return MultiPoly(self.ring, out)
+        out = dict(self._pk())
+        _add_shifted(out, self._other(other), 0, 1, self.ring.layout.guard)
+        return MultiPoly._of_packed(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of_packed(self.ring, {m: -c for m, c in self._pk().items()})
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = self.ring.const(other)
-        return self + (-other)
+        out = dict(self._pk())
+        _add_shifted(out, self._other(other), 0, -1, self.ring.layout.guard)
+        return MultiPoly._of_packed(self.ring, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            other = other if type(other) is int else _rational(other)
-            if not other:
-                return self.ring.zero()
-            return MultiPoly(self.ring, {e: c * other for e, c in self.terms.items()})
-        self._check(other)
-        out: Dict[Monomial, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _mono_mul(e1, e2)
-                nc = out.get(e)
-                if nc is None:
-                    out[e] = c1 * c2
-                else:
-                    nc += c1 * c2
-                    if nc:
-                        out[e] = nc
-                    else:
-                        del out[e]
-        return MultiPoly(self.ring, out)
+            c = _coefficient(other)
+            return MultiPoly._of_packed(self.ring, {m: v * c for m, v in self._pk().items()} if c else {})
+        product = _mul_packed(self._pk(), self._other(other), self.ring.layout.guard)
+        return MultiPoly._of_packed(self.ring, product)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise RingError("only nonnegative integer powers")
-        result = self.ring.const(1)
-        base = self
+    def __pow__(self, k):
+        k = _integer(k, "only nonnegative integer powers")
+        if k < 0:
+            raise RingError(f"only nonnegative integer powers: {k!r}")
+        guard = self.ring.layout.guard
+        result: IntTerms = {0: 1}
+        base = self._pk()
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = _mul_packed(result, base, guard)
             k >>= 1
-        return result
+            if k:
+                base = _mul_packed(base, base, guard)
+        return MultiPoly._of_packed(self.ring, result)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(self.ring.layout.degree, self._pk()), default=0)
 
     def sorted_terms(self, order: str = "grevlex"):
         key = order_key(order)
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def derivative(self, i: int) -> "MultiPoly":
-        i = _var_index(i, self.ring.n)
-        terms = self.terms.items()
-        return MultiPoly(self.ring, {_mono_shift(e, i, -1): c * e[i] for e, c in terms if e[i]})
+        unit, mask, shift = self.ring.layout.field(_var_index(i, self.ring.n))
+        return MultiPoly._of_packed(
+            self.ring, {m - unit: c * k for m, c in self._pk().items() if (k := (m & mask) >> shift)}
+        )
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending variable i to images[i].
 
         The images all live in one target ring, which may differ from this
         one; RingError when they do not, or when there is no image to take
-        the target from. Runs on packed monomials of the target ring, and a
-        degree of PACK_LIMIT or more raises RingError. Each image is packed
-        once for its lifetime, on its first use here, and kept in its
-        `_packed` slot, so a list of images sent to many calls is packed once.
+        the target from. Runs on the packed terms of the images and builds
+        its result packed in the target ring; a degree of PACK_LIMIT or
+        more raises RingError. Each image keeps its packed form, so a list
+        of images sent to many calls is packed once.
         """
         if len(images) != self.ring.n:
             raise RingError("every variable needs an image")
@@ -487,8 +555,7 @@ class MultiPoly:
         target = rings[0]
         if any(R != target for R in rings[1:]):
             raise RingError("images live in different rings")
-        lay = PackedLayout(target.n, "grevlex")
-        guard = lay.guard
+        guard = target.layout.guard
         powers: Dict[int, List[IntTerms]] = {}  # i -> [1, images[i], images[i]^2, ...], packed
         out: IntTerms = {}
         for e, c in self.terms.items():
@@ -498,11 +565,7 @@ class MultiPoly:
             for i, k in compress(enumerate(e), e):
                 pw = powers.get(i)
                 if pw is None:
-                    img = images[i]
-                    packed = img._packed
-                    if packed is None:
-                        packed = img._packed = dict(zip(lay.pack_all(img.terms), img.terms.values()))
-                    pw = powers[i] = [{0: 1}, packed]
+                    pw = powers[i] = [{0: 1}, images[i]._pk()]
                 while len(pw) <= k:
                     pw.append(_mul_packed(pw[-1], pw[1], guard))
                 if len(pw[k]) == 1:
@@ -515,7 +578,7 @@ class MultiPoly:
                 else:
                     term = pw[k] if term is None else _mul_packed(term, pw[k], guard)
             _add_shifted(out, {0: 1} if term is None else term, shift, c, guard)
-        return MultiPoly(target, dict(zip(lay.unpack_all(out), out.values())))
+        return MultiPoly._of_packed(target, out)
 
     def render(self, order: str = "grevlex") -> str:
         def mono(e: Monomial) -> str:
@@ -687,16 +750,35 @@ class LaurentPoly:
         if self.r != other.r:
             raise RingError("rank mismatch")
 
+    def _lift(self, other) -> "LaurentPoly":
+        """other as a Laurent polynomial of this rank: an integer c is the
+        constant c; RingError for any other scalar."""
+        if isinstance(other, LaurentPoly):
+            self._check(other)
+            return other
+        return LaurentPoly(self.r, {Weight((0,) * self.r): other})
+
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.r == other.r and self.terms == other.terms
+        if not isinstance(other, LaurentPoly):
+            try:
+                other = self._lift(other)
+            except RingError:  # not an integer, so not a constant
+                return NotImplemented
+        return self.r == other.r and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.r, frozenset(self.terms.items())))
+        """A constant, zero included, hashes like its integer."""
+        t = self.terms
+        if not t:
+            return hash(0)
+        if len(t) == 1:
+            (w, c), = t.items()
+            if w.is_zero():
+                return hash(c)
+        return hash((self.r, frozenset(t.items())))
 
     def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly(self.r, {Weight((0,) * self.r): other})
-        self._check(other)
+        other = self._lift(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             nc = out.get(w, 0) + c
@@ -712,9 +794,7 @@ class LaurentPoly:
         return LaurentPoly(self.r, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly(self.r, {Weight((0,) * self.r): other})
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def __rsub__(self, other):
         return (-self) + other

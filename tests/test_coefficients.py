@@ -1,7 +1,9 @@
 """Canonical coefficient types: an integer value is stored as an `int` and
 any other rational as a `Fraction`, whatever type it arrives with and
 whichever operation produced it. Each result is also checked against a
-reference computed on term dicts in `Fraction` alone."""
+reference computed on term dicts in `Fraction` alone. The operations are
+also checked on operands in each form a polynomial can hold its terms
+in: exponent tuples, packed ints, or both."""
 
 from fractions import Fraction
 from operator import add, ge
@@ -165,3 +167,94 @@ def test_bases_and_normal_forms_give_canonical_exact_coefficients(gens, query, o
         check(g, ref_by_lead[max(g.terms, key=key)])
     nf = Ideal(S2, polys).normal_form(MultiPoly(S2, query), order)
     check(nf, ref_remainder(ref_of(query), ref_basis, key))
+
+
+# A polynomial holds tuples when built from them, packed ints when built
+# by an operation, and both once the other form has been asked for
+
+
+FORMS = ("packed", "tuples", "both")
+form = st.sampled_from(FORMS)
+
+
+def in_form(ring, terms, which):
+    """The polynomial of the raw terms, holding them in form `which`."""
+    if which == "tuples":
+        p = MultiPoly(ring, terms)
+        assert p._packed is None
+        return p
+    p = ring.zero()
+    for e, c in terms.items():
+        m = ring.const(c)
+        for x, k in zip(ring.gens(), e):
+            m = m * x**k
+        p = p + m
+    assert p._terms is None
+    if which == "both":
+        p.terms
+    return p
+
+
+def agree(p, ref, packed=True):
+    """p reads back as ref, and equals and hashes like ref built in each
+    form; an operation's result holds packed ints alone until then, and
+    `packed=None` leaves the form of p unchecked."""
+    if packed is not None:
+        assert (p._terms is None) == packed
+    for which in FORMS:
+        q = in_form(p.ring, ref, which)
+        assert p == q and q == p and hash(p) == hash(q)
+    check(p, ref)
+
+
+def ref_derivative(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in a.items() if e[i]}
+
+
+@seeded
+@given(raw_terms(R3), raw_terms(R3), form, form, st.integers(0, 3), mixed, st.integers(0, 2))
+def test_ring_operations_agree_on_every_form(a, b, fa, fb, k, c, i):
+    p, q = in_form(R3, a, fa), in_form(R3, b, fb)
+    ra, rb = ref_of(a), ref_of(b)
+    agree(p + q, ref_add(ra, rb))
+    agree(p - q, ref_add(ra, {e: -d for e, d in rb.items()}))
+    agree(p * q, ref_mul(ra, rb))
+    agree(p**k, ref_pow(ra, k, R3.n))
+    agree(-p, {e: -d for e, d in ra.items()})
+    scaled = {e: d * c for e, d in ra.items() if d * c}
+    agree(p * c, scaled)
+    agree(c * p, scaled)
+    agree(p + c, ref_add(ra, ref_of({(0,) * R3.n: c})))
+    agree(p.derivative(i), ref_derivative(ra, i))
+    assert p.total_degree() == max(map(sum, ra), default=0)
+
+
+@seeded
+@given(
+    raw_terms(R3),
+    form,
+    st.lists(st.tuples(raw_terms(S2, max_exp=1, max_terms=3), form), min_size=3, max_size=3),
+)
+def test_substitute_agrees_on_every_form(a, fa, images):
+    p = in_form(R3, a, fa)
+    agree(
+        p.substitute([in_form(S2, img, which) for img, which in images]),
+        ref_substitute(ref_of(a), [ref_of(img) for img, _ in images], S2.n),
+    )
+
+
+@seeded
+@given(
+    st.lists(st.tuples(raw_terms(S2, max_terms=3), form), min_size=1, max_size=3),
+    raw_terms(S2, max_exp=3),
+    form,
+    st.sampled_from(["grevlex", "lex"]),
+)
+def test_normal_forms_agree_on_every_form(gens, query, fq, order):
+    key = order_key(order)
+    ideal = Ideal(S2, [in_form(S2, g, which) for g, which in gens])
+    ref_basis = ref_groebner([ref_of(g) for g, _ in gens], key)
+    nf = ideal.normal_form(in_form(S2, query, fq), order)
+    ref = ref_remainder(ref_of(query), ref_basis, key)
+    # a zero query comes back as it is; a grevlex remainder is built packed
+    agree(nf, ref, packed=order == "grevlex" if ref_of(query) else None)

@@ -189,13 +189,21 @@ def test_fraction_pivot_after_a_non_unit_pivot():
 
 @pytest.mark.parametrize("degree", [2**15 - 1, 2**15])
 def test_input_degree_at_the_packed_limit(degree):
-    pres = _presentation([C], lambda c: [c**degree])
+    # built from tuples, which hold any degree, so simple_eliminate is the
+    # first to pack the equation
+    pres = _presentation([C], lambda c: [c.ring.monomial((degree,))])
+    assert pres.equations[0].terms == {(degree,): 1}
+    c = pres.ring.var(0)
     if degree < 2**15:
         out = simple_eliminate(pres)
         assert out.equations == [MultiPoly(out.ring, {(degree,): 1})]
+        assert c**degree == pres.equations[0]
     else:
         with pytest.raises(RingError):
             simple_eliminate(pres)
+        # a power meets the same limit
+        with pytest.raises(RingError):
+            c**degree
 
 
 @pytest.mark.parametrize("k", [2**14 - 1, 2**14])

@@ -14,7 +14,6 @@ from hilb.multipoly import (
     PolyRing,
     RingError,
     Weight,
-    _mono_mul,
     _mul_packed,
     order_key,
     poly_from_terms,
@@ -23,7 +22,11 @@ from hilb.multipoly import (
 F = Fraction
 
 
-# Tuple references for the packed lcm, colon and divisibility of PackedLayout
+# Tuple references for the packed product, lcm, colon and divisibility of PackedLayout
+
+
+def _mono_mul(a, b):
+    return tuple([x + y for x, y in zip(a, b)])
 
 
 def _mono_lcm(a, b):
@@ -492,3 +495,87 @@ def test_monomial_exponents_must_be_integers():
 def test_laurent_render():
     L = LaurentPoly.char(Weight.of(2, -1), 1)
     assert L.render() == "t_1^2 t_2^{-1}"
+
+
+def test_a_constant_equals_and_hashes_like_its_scalar():
+    # R.const(3) == 3 once held while {R.const(3), 3} had two elements, and
+    # LaurentPoly.one(2) == 1 was False
+    R = PolyRing(["x"])
+    (x,) = R.gens()
+    constants = [
+        (R.const(3), 3),
+        (MultiPoly(R, {(0,): 3}), 3),
+        (x - x + 3, 3),
+        (R.zero(), 0),
+        (MultiPoly(R, {}), 0),
+        (x - x, 0),
+        (R.const(F(1, 2)), F(1, 2)),
+        (MultiPoly(R, {(0,): 0.5}), 0.5),
+    ]
+    for p, c in constants:
+        assert p == c and c == p and hash(p) == hash(c)
+        assert len({p, c}) == 1 and {p: 1}[c] == 1
+    assert x != 0 and x + 3 != 3 and R.const(3) != 4
+    L0, L1 = LaurentPoly.zero(2), LaurentPoly.one(2)
+    laurent = [(L1, 1), (L1 * 5, 5), (L0, 0), (L1 - L1, 0), (LaurentPoly.char(Weight((0, 0), 2), -2), -2)]
+    for p, c in laurent:
+        assert p == c and c == p and hash(p) == hash(c)
+        assert len({p, c}) == 1
+    t = LaurentPoly.char(Weight.of(1, 0))
+    assert t != 1 and t + 1 != 1 and L1 != 2 and (L1 == 0.5) is False and (L1 == "1") is False
+
+
+class _Index:
+    """An integer type other than int, as numpy's integers are."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __index__(self):
+        return self.k
+
+
+def test_power_reads_its_exponent_as_an_index():
+    # x ** True once returned x, and an index type such as numpy.int64 raised
+    R = PolyRing(["x", "y"])
+    x, y = R.gens()
+    assert (x + y) ** _Index(2) == (x + y) * (x + y) and x ** _Index(0) == 1
+    for bad in (True, False, -1, _Index(-2), 2.0, F(2), "2", None):
+        with pytest.raises(RingError):
+            x**bad
+
+
+def test_products_and_powers_raise_at_the_packed_limit():
+    R = PolyRing(["x", "y"])
+    x, y = R.gens()
+    half = R.monomial((PACK_LIMIT // 2, 0))
+    assert (half * R.monomial((PACK_LIMIT // 2 - 1, 0))).terms == {(PACK_LIMIT - 1, 0): 1}
+    assert (x ** (PACK_LIMIT - 1)).terms == {(PACK_LIMIT - 1, 0): 1}
+    assert ((x + y) ** 2 * x ** (PACK_LIMIT - 3)).total_degree() == PACK_LIMIT - 1
+    assert (x ** (PACK_LIMIT // 4 - 1) + y) ** 4 == poly_from_terms(
+        R, [((k * (PACK_LIMIT // 4 - 1), 4 - k), c) for k, c in enumerate((1, 4, 6, 4, 1))]
+    )
+    for op in (
+        lambda: half * half,
+        lambda: half * R.monomial((0, PACK_LIMIT // 2)),
+        lambda: x**PACK_LIMIT,
+        lambda: (x ** (PACK_LIMIT // 4) + y) ** 4,
+        lambda: (x + y) ** 2 * x ** (PACK_LIMIT - 2),
+    ):
+        with pytest.raises(RingError):
+            op()
+
+
+def test_tuple_built_polynomials_of_any_degree_read_back():
+    R = PolyRing(["x", "y"])
+    for terms in ({(PACK_LIMIT, 0): 1}, {(PACK_LIMIT, 3): F(1, 2), (1, 0): 2}, {(5 * PACK_LIMIT, 1): -1}):
+        p = MultiPoly(R, terms)
+        assert p.terms == terms and p == MultiPoly(R, dict(terms)) and p != 0
+        assert hash(p) == hash(MultiPoly(R, dict(reversed(terms.items()))))
+        assert p.render() and p.sorted_terms("lex")[0][0] == max(terms)
+        # arithmetic on it would pack a monomial of degree PACK_LIMIT or more
+        ops = (lambda: p + 1, lambda: p * 2, lambda: -p, lambda: p.derivative(0), lambda: p.total_degree())
+        for op in ops:
+            with pytest.raises(RingError):
+                op()
+        assert p.terms == terms
