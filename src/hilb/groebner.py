@@ -410,14 +410,7 @@ class Ideal:
         return not self.normal_form(p, order)
 
     def initial_ideal(self, order="grevlex") -> MonomialIdeal:
-        """The ideal of the leading monomials of the reduced basis; under
-        grevlex each lead is the largest packed key of its element."""
         basis = self.groebner(order)
-        if order == "grevlex":
-            lay = self.ring.layout
-            leads = lay.unpack_all([max(g._pk(), key=lay.key) for g in basis])
-        else:
-            key = order_key(order)
-            leads = [max(g.terms, key=key) for g in basis]
-        return MonomialIdeal(self.ring.n, leads)
+        key = order_key(order)
+        return MonomialIdeal(self.ring.n, [max(g.terms, key=key) for g in basis])
 

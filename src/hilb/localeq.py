@@ -83,11 +83,9 @@ class HaimanPresentation:
 
 
 def _check_weight_homogeneous(equations: Sequence[MultiPoly], weights: Sequence[Weight]):
-    """RingError unless every term of each equation has one torus weight.
-    Reads the exponent tuples alone, so it holds an equation of any degree."""
+    """RingError unless every term of each equation has one torus weight."""
     _, columns = weight_columns(weights)
-    degree = max((sum(e) for eq in equations for e in eq.terms), default=0)
-    _, packed = packed_weights(columns, degree)
+    _, packed = packed_weights(columns, max((eq.total_degree() for eq in equations), default=0))
     for eq in equations:
         if len({sum(map(mul, compress(packed, e), compress(e, e))) for e in eq.terms}) > 1:
             raise RingError(f"equation not weight-homogeneous: {eq.render()}")

@@ -1,29 +1,30 @@
 """Sparse multivariate polynomials over Q and integer Laurent polynomials.
 
 A `MultiPoly` computes on packed monomials: each `PolyRing` owns one
-grevlex `PackedLayout`, and sums, products, powers, scalar products,
-derivatives, degrees, substitution, division and elimination read and
-write the terms packed under it. Exponent tuples, one entry per ring
-variable, are the boundary: a polynomial built from tuples packs on its
-first packed use, and one built by an operation unpacks only when its
-`terms` are read. Coefficients are exact rationals of one canonical
-type, decided by `_canonical` alone, which both `MultiPoly`
-constructors call: an integer is an `int` whatever type it arrives
-with, any other rational is a `Fraction` (whose denominator is then
-above 1), a float is read as its exact `Fraction`, and a value that is
-not a rational number raises RingError. So arithmetic on integer data
-runs on ints. The two types compare and hash alike
-(`hash(2) == hash(Fraction(2))`), so equality and term sets do not see
-the type. The cells of a partition are exponent tuples too; the tuple
-operations that they and the Haiman variables need (quotient, shift)
-are the `_mono_*` functions below. The monomial orders are lex and
-grevlex. Laurent exponents live on a scaled lattice (1/D)Z^r with D a
-power of two, so half-integer weights are exact integer data: a
-weight's numerators and scale and a Laurent coefficient are integers,
-and anything else raises RingError rather than being truncated.
-Monomial entries and variable indices from outside go through
-`exponents`, `_var_index` or `PackedLayout`, which raise RingError for
-a non-integer entry instead of truncating it.
+grevlex `PackedLayout`, and sums, products, powers, derivatives,
+substitution, division and elimination read and write the terms packed
+under it. Negation, scalar products and the total degree make no
+monomial, so they read whichever form a polynomial holds. Exponent
+tuples, one entry per ring variable, are the boundary: a polynomial
+built from tuples packs on its first packed use, and one built by an
+operation unpacks only when its `terms` are read. Coefficients are exact
+rationals of one canonical type, decided by `_canonical` alone, which
+both `MultiPoly` constructors call: an integer is an `int` whatever type
+it arrives with, any other rational is a `Fraction` (whose denominator
+is then above 1), a float is read as its exact `Fraction`, and a value
+that is not a rational number raises RingError. So arithmetic on integer
+data runs on ints. The two types compare and hash alike (`hash(2) ==
+hash(Fraction(2))`), so equality and term sets do not see the type. The
+cells of a partition are exponent tuples too; the tuple operations that
+they and the Haiman variables need (quotient, shift) are the `_mono_*`
+functions below. The monomial orders are lex and grevlex. Laurent
+exponents live on a scaled lattice (1/D)Z^r with D a power of two, so
+half-integer weights are exact integer data: a weight's numerators and
+scale and a Laurent coefficient are integers, and anything else raises
+RingError rather than being truncated. Monomial entries and variable
+indices from outside go through `exponents`, `_var_index` or
+`PackedLayout`, which raise RingError for a non-integer entry instead of
+truncating it.
 
 The packed term format is also what division and Buchberger
 (`groebner`), monomial ideals (`groebner.MonomialIdeal`) and their
@@ -156,7 +157,7 @@ def _canonical(terms: dict) -> dict:
     values = terms.values()
     if {*map(type, values)} <= _INT and 0 not in values:
         return terms
-    return {e: v for e, c in terms.items() if (v := c if type(c) is int else _coefficient(c))}
+    return {e: v for e, c in terms.items() if (v := _coefficient(c))}
 
 
 def _mono_quot(a: Monomial, b: Monomial) -> Monomial:
@@ -396,11 +397,13 @@ class MultiPoly:
     and RingError for anything else, so no other code decides the type.
 
     Arithmetic that would create a monomial of degree PACK_LIMIT or more
-    raises RingError, and so does any operation on a polynomial built
-    from tuples with such a monomial; that polynomial's `terms`, `==`
-    and `hash` still work. `==` and `hash` do not depend on the form a
-    polynomial holds, and a constant polynomial, zero included, equals
-    and hashes like its scalar.
+    raises RingError, and so does an operation that makes monomials (a
+    sum, product, power, derivative or substitution) on a polynomial
+    built from tuples with such a monomial. Negation, scalar products
+    and `total_degree` make none and read the form held, so they work
+    on that polynomial, as do `terms`, `==` and `hash`. `==` and `hash`
+    do not depend on the form a polynomial holds, and a constant
+    polynomial, zero included, equals and hashes like its scalar.
     """
 
     __slots__ = ("ring", "_terms", "_packed")
@@ -489,8 +492,15 @@ class MultiPoly:
 
     __radd__ = __add__
 
+    def _scaled(self, c) -> "MultiPoly":
+        """c times this polynomial, for a canonical scalar c, in the form
+        this one holds: no monomial is made, so it holds at any degree."""
+        if self._packed is None:
+            return MultiPoly(self.ring, {e: v * c for e, v in self._terms.items()})
+        return MultiPoly._of_packed(self.ring, {m: v * c for m, v in self._packed.items()})
+
     def __neg__(self):
-        return MultiPoly._of_packed(self.ring, {m: -c for m, c in self._pk().items()})
+        return self._scaled(-1)
 
     def __sub__(self, other):
         out = dict(self._pk())
@@ -502,8 +512,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = _coefficient(other)
-            return MultiPoly._of_packed(self.ring, {m: v * c for m, v in self._pk().items()} if c else {})
+            return self._scaled(_coefficient(other))
         product = _mul_packed(self._pk(), self._other(other), self.ring.layout.guard)
         return MultiPoly._of_packed(self.ring, product)
 
@@ -525,7 +534,11 @@ class MultiPoly:
         return MultiPoly._of_packed(self.ring, result)
 
     def total_degree(self) -> int:
-        return max(map(self.ring.layout.degree, self._pk()), default=0)
+        """The largest total degree of a term, 0 for zero; read from the
+        form held, so it holds at any degree."""
+        if self._packed is None:
+            return max(map(sum, self._terms), default=0)
+        return max(map(self.ring.layout.degree, self._packed), default=0)
 
     def sorted_terms(self, order: str = "grevlex"):
         key = order_key(order)

@@ -573,9 +573,12 @@ def test_tuple_built_polynomials_of_any_degree_read_back():
         assert p.terms == terms and p == MultiPoly(R, dict(terms)) and p != 0
         assert hash(p) == hash(MultiPoly(R, dict(reversed(terms.items()))))
         assert p.render() and p.sorted_terms("lex")[0][0] == max(terms)
-        # arithmetic on it would pack a monomial of degree PACK_LIMIT or more
-        ops = (lambda: p + 1, lambda: p * 2, lambda: -p, lambda: p.derivative(0), lambda: p.total_degree())
-        for op in ops:
+        # negation, scalar products and the degree make no monomial
+        assert p.total_degree() == max(map(sum, terms))
+        assert (-p).terms == {e: -c for e, c in terms.items()}
+        assert (p * 2).terms == (2 * p).terms == {e: 2 * c for e, c in terms.items()}
+        # a sum, product or derivative would pack a monomial of degree PACK_LIMIT or more
+        for op in (lambda: p + 1, lambda: p * p, lambda: p.derivative(0)):
             with pytest.raises(RingError):
                 op()
         assert p.terms == terms
