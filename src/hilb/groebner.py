@@ -9,14 +9,16 @@ stripped polynomials, so rational input costs one denominator clearing
 up front, the hot loop is pure integer arithmetic, and a result builds a
 `Fraction` only for a coefficient that is not an integer. Buchberger and
 division also run on the packed term format of `multipoly`
-(`PackedLayout`, `IntTerms`), which `MultiPoly` itself holds: terms are
-dicts from packed ints to integer coefficients, products are int
+(`PackedLayout`, `IntTerms`), the one working form of `MultiPoly`: terms
+are dicts from packed ints to integer coefficients, products are int
 additions, an S-polynomial is two `_add_shifted` calls, divisibility is
 a guard-mask test, and the division heap holds plain int keys. Under
 grevlex, the ring's own layout, `_int_terms` reads a polynomial's packed
-terms as they are and results are built packed; under lex the terms
-are packed from `MultiPoly.terms` on entry and results unpacked on
-exit, one `PackedLayout.pack_all` or `unpack_all` pass per polynomial.
+terms as they are and results are built packed. The lex layout is not
+the ring's, so under lex the terms cross the exponent-tuple view: they
+are packed from `MultiPoly.terms` on entry, and a result is built from
+the tuples of `PackedLayout.unpack_all` on exit, which the ring's layout
+packs on the result's first use.
 An exponent or degree of 2^15 or more raises RingError. The zero ideal
 has the empty basis, so
 its normal forms are the input and its initial ideal is empty. Division

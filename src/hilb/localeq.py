@@ -5,12 +5,13 @@ quadratic equations attached to adjacent glove pairs, linear-pivot
 elimination, the pyramid superpotentials, and the cotangent weights with
 the extra dimension, from Hom(I, S/I) on the minimal generators of I.
 
-The Haiman equations have `int` coefficients. Elimination runs on the
-packed terms that each `MultiPoly` holds under its ring's grevlex
-`PackedLayout`, with the coefficients kept as they are; its pivots on
-these equations are all units, so the local equations and the
-eliminated expressions stay integer. A non-unit pivot divides exactly
-through `Fraction`.
+Every polynomial here is built packed under its ring's grevlex
+`PackedLayout`, a monomial as the sum of its variables' packed units,
+and read packed: the weight check, and elimination, which keeps the
+coefficients as they are. The Haiman equations have `int`
+coefficients, and the elimination pivots on them are all units, so the
+local equations and the eliminated expressions stay integer. A non-unit
+pivot divides exactly through `Fraction`.
 """
 
 from __future__ import annotations
@@ -53,11 +54,15 @@ def var_weight(v: HaimanVar) -> Weight:
 class HaimanPresentation:
     """Variables, their torus weights, and weight-homogeneous equations.
 
-    Construction raises RingError for an equation outside the ring of the
-    variables or one that is not weight-homogeneous. For the weight check
-    each variable weight is one int of signed fields (`packed_weights`,
-    wide enough for the largest term degree), so the weight of a term is
-    one exact sum over its nonzero exponents.
+    The ring is that of the first equation, or else of the first
+    eliminated expression, when its names are the variables', so that the
+    presentation and its polynomials share one ring object; otherwise it
+    is a new ring. Construction raises RingError for an equation outside
+    the ring of the variables or one that is not weight-homogeneous. For
+    the weight check each variable weight is one int of signed fields
+    (`packed_weights`, wide enough for the largest term degree), so the
+    weight of a term is one exact sum over the nonzero exponents that its
+    packed monomial unpacks to.
     """
 
     def __init__(
@@ -69,9 +74,13 @@ class HaimanPresentation:
     ):
         self.lam = lam
         self.variables = list(variables)
-        self.ring = PolyRing([_var_name(v) for v in self.variables])
         self.equations = list(equations)
         self.eliminated = dict(eliminated or {})
+        names = tuple(map(_var_name, self.variables))
+        polys = [*self.equations, *self.eliminated.values()]
+        # the polynomials' own ring object when it has these names, so that
+        # ring checks on them and on `ring.var(k)` are identity tests
+        self.ring = polys[0].ring if polys and polys[0].ring.names == names else PolyRing(names)
         for eq in self.equations:
             if eq.ring != self.ring:
                 raise RingError("equation outside the presentation ring")
@@ -87,7 +96,8 @@ def _check_weight_homogeneous(equations: Sequence[MultiPoly], weights: Sequence[
     _, columns = weight_columns(weights)
     _, packed = packed_weights(columns, max((eq.total_degree() for eq in equations), default=0))
     for eq in equations:
-        if len({sum(map(mul, compress(packed, e), compress(e, e))) for e in eq.terms}) > 1:
+        exps = eq.ring.layout.unpack_all(eq._pk())
+        if len({sum(map(mul, compress(packed, e), compress(e, e))) for e in exps}) > 1:
             raise RingError(f"equation not weight-homogeneous: {eq.render()}")
 
 
@@ -97,8 +107,8 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
     For k in the partition, k+e_b always lands in the partition or its
     glove, so superscripts either hit the Kronecker-delta convention or
     stay inside the variable set; anything else is a hard error. Each
-    term is built keyed by its sorted variable indices, (u,) or (u, v),
-    and becomes an exponent tuple once, when its equation is complete.
+    term is keyed by its packed monomial, the sum of its variables'
+    packed units, so c_u c_v and c_v c_u meet on one key.
     """
     if not lam.cells:
         raise RingError("need a nonempty partition")
@@ -106,19 +116,11 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
     glo = sorted(glove(lam))
     glo_set = set(glo)
     variables: List[HaimanVar] = [(i, j) for i in cells for j in glo]
-    index = {v: k for k, v in enumerate(variables)}
     ring = PolyRing([_var_name(v) for v in variables])
-    nvars = len(variables)
-
-    def dense(key: Tuple[int, ...]) -> Monomial:
-        e = [0] * nvars
-        for u in key:
-            e[u] += 1
-        return tuple(e)
-
+    unit = {v: ring.layout.field(k)[0] for k, v in enumerate(variables)}  # the packed variable
     shifted: Dict[int, List[Tuple[Cell, Cell, bool]]] = {}  # b -> (k, k + e_b, in lam) per cell
 
-    def pair_product_terms(terms: Dict, sup1: Cell, direction: int, l: Cell, sign: int):
+    def pair_product_terms(terms: IntTerms, sup1: Cell, direction: int, l: Cell, sign: int):
         """Accumulate sign * sum_k c_k^{sup1} c_l^{k+e_direction}."""
         steps = shifted.get(direction)
         if steps is None:
@@ -127,11 +129,10 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
         for k, m, inside in steps:
             if inside:
                 if m == l:
-                    key = (index[(k, sup1)],)
+                    key = unit[(k, sup1)]
                     terms[key] = terms.get(key, 0) + sign
             elif m in glo_set:
-                u, v = index[(k, sup1)], index[(l, m)]
-                key = (u, v) if u <= v else (v, u)
+                key = unit[(k, sup1)] + unit[(l, m)]
                 terms[key] = terms.get(key, 0) + sign
             else:
                 raise RingError(f"superscript {m} escapes the glove")
@@ -141,14 +142,14 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
         for l in cells:
             if b is None:
                 # p = q + e_a: c_l^p = sum_k c_k^q c_l^{k+e_a}
-                terms: Dict = {(index[(l, p)],): 1}
+                terms: IntTerms = {unit[(l, p)]: 1}
                 pair_product_terms(terms, q, a, l, -1)
             else:
                 # p = q + e_a - e_b: both expansions of c_l^{q+e_a} = c_l^{p+e_b} agree
                 terms = {}
                 pair_product_terms(terms, q, a, l, 1)
                 pair_product_terms(terms, p, b, l, -1)
-            eq = MultiPoly(ring, {dense(key): c for key, c in terms.items() if c})
+            eq = MultiPoly._of_packed(ring, {m: c for m, c in terms.items() if c})
             if eq:
                 equations.append(eq)
 
@@ -160,13 +161,13 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
 
     A variable x is eliminated when some equation reads a*x - f with f
     free of x; pivots are chosen by smallest variable index, then
-    smallest equation index. Each equation's packed terms are taken as
-    they are: their layout, `PackedLayout(nvars, "grevlex")`, is the
-    ring's own. So x's exponent is a shift and a mask, the pivot test is
-    a lookup of the packed x, and a product is an int add with a guard
-    test: a degree of 2^15 or more raises RingError. A unit pivot
-    a = +-1 sends x to a*f with no division, so integer equations stay
-    integer; any other pivot divides exactly through Fraction. Each equation and each eliminated
+    smallest equation index. It works on each equation's packed terms,
+    under the ring's layout, `PackedLayout(nvars, "grevlex")`. So x's
+    exponent is a shift and a mask, the pivot test is a lookup of the
+    packed x, and a product is an int add with a guard test: a degree of
+    2^15 or more raises RingError. A unit pivot a = +-1 sends x to a*f
+    with no division, so integer equations stay integer; any other pivot
+    divides exactly through Fraction. Each equation and each eliminated
     expression keeps its support mask, the bitwise or of its packed
     monomials, so whether it holds x is one mask test. The pivot is
     applied by rewriting only the entries that hold x, and in them only
@@ -174,7 +175,8 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     powers of f/a computed once per pivot, and every other term is copied
     unchanged. At the end, equal equations are dropped on their packed
     terms, whether an eliminated variable is left is one mask test per
-    monomial, and the survivors are unpacked and renumbered.
+    monomial, and the survivors are renumbered and packed under the new
+    ring's layout.
 
     The pivot rule reads the variable order, so the survivors depend on
     the orientation of the partition, not only on its S_r-class: the
@@ -257,13 +259,14 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     survivors = [k for k in range(nvars) if alive[k]]
     new_vars = [variables[k] for k in survivors]
     new_ring = PolyRing([_var_name(v) for v in new_vars])
+    new_lay = new_ring.layout
     gone = reduce(or_, (lay.field(k)[1] for k in range(nvars) if not alive[k]), 0)
 
     def project(p: IntTerms) -> MultiPoly:
         if any(m & gone for m in p):
             raise RingError("eliminated variable reappeared")
-        terms = zip(lay.unpack_all(p), p.values())
-        return MultiPoly(new_ring, {tuple([e[k] for k in survivors]): c for e, c in terms})
+        monos = [tuple([e[k] for k in survivors]) for e in lay.unpack_all(p)]
+        return MultiPoly._of_packed(new_ring, dict(zip(new_lay.pack_all(monos), p.values())))
 
     # the projection is injective on terms free of `gone`, so equal
     # equations are equal before it
@@ -379,27 +382,21 @@ def pyramid_potential(n: int) -> Tuple[MultiPoly, List[HaimanVar]]:
     if n < 2:
         raise RingError("pyramid potential needs n >= 2")
     variables = pyramid_layer_vars(3, n)
-    index = {v: k for k, v in enumerate(variables)}
     ring = PolyRing([_var_name(v) for v in variables])
+    unit = {v: ring.layout.field(k)[0] for k, v in enumerate(variables)}  # the packed variable
     tops = sorted({i for i, _ in variables})
 
-    def add(t: Dict, i: Cell, j: Cell, k: Cell, d1: int, d2: int, d3: int, sign: int):
-        v1 = (j, _mono_shift(i, d1))
-        v2 = (k, _mono_shift(j, d2))
-        v3 = (i, _mono_shift(k, d3))
-        e = [0] * len(variables)
-        for v in (v1, v2, v3):
-            e[index[v]] += 1
-        e = tuple(e)
-        t[e] = t.get(e, 0) + sign
+    def add(t: IntTerms, i: Cell, j: Cell, k: Cell, d1: int, d2: int, d3: int, sign: int):
+        m = unit[(j, _mono_shift(i, d1))] + unit[(k, _mono_shift(j, d2))] + unit[(i, _mono_shift(k, d3))]
+        t[m] = t.get(m, 0) + sign
 
-    terms: Dict = {}
+    terms: IntTerms = {}
     for i in tops:
         for j in tops:
             for k in tops:
                 add(terms, i, j, k, 2, 0, 1, -1)
                 add(terms, i, j, k, 2, 1, 0, 1)
-    F = MultiPoly(ring, {e: c for e, c in terms.items() if c})
+    F = MultiPoly._of_packed(ring, {m: c for m, c in terms.items() if c})
     return F, variables
 
 

@@ -1,14 +1,13 @@
 """Sparse multivariate polynomials over Q and integer Laurent polynomials.
 
-A `MultiPoly` computes on packed monomials: each `PolyRing` owns one
-grevlex `PackedLayout`, and sums, products, powers, derivatives,
-substitution, division and elimination read and write the terms packed
-under it. Negation, scalar products and the total degree make no
-monomial, so they read whichever form a polynomial holds. Exponent
-tuples, one entry per ring variable, are the boundary: a polynomial
-built from tuples packs on its first packed use, and one built by an
-operation unpacks only when its `terms` are read. Coefficients are exact
-rationals of one canonical type, decided by `_canonical` alone, which
+A `MultiPoly` has one working form, packed monomials: each `PolyRing`
+owns one grevlex `PackedLayout`, and every method of a polynomial, from
+`==` and the total degree to substitution, division and elimination,
+reads the terms packed under it. Exponent tuples, one entry per ring
+variable, are only input and view: a polynomial built from tuples is
+packed, and so checked, on its first use, whatever the use, and one
+built packed unpacks only when its `terms` are read. Coefficients are
+exact rationals of one canonical type, decided by `_canonical` alone, which
 both `MultiPoly` constructors call: an integer is an `int` whatever type
 it arrives with, any other rational is a `Fraction` (whose denominator
 is then above 1), a float is read as its exact `Fraction`, and a value
@@ -195,10 +194,6 @@ def pack_overflow() -> RingError:
     return RingError(f"an exponent or degree reaches {PACK_LIMIT}, the packed field limit")
 
 
-def _pack_entry_error() -> RingError:
-    return RingError("packed monomials have nonnegative integer exponents")
-
-
 class PackedLayout:
     """Monomials of one (nvars, order) pair packed into ints.
 
@@ -214,9 +209,10 @@ class PackedLayout:
     The conversion is one `struct.Struct` of nvars + 1 unsigned 16-bit
     fields, (e_0, ..., e_{n-1}, degree), read as a little-endian int
     under grevlex and as a big-endian int under lex. `pack_all` and
-    `unpack_all` convert a whole polynomial in one pass; `pack` and
-    `unpack` convert one monomial. A negative or non-integer exponent
-    raises RingError, as does a degree of PACK_LIMIT or more.
+    `unpack_all` convert a whole polynomial in one pass; `unpack`
+    converts one monomial. A negative or non-integer exponent, a
+    monomial of the wrong length or a degree of PACK_LIMIT or more
+    raises RingError.
 
     The max-first key is `m - ((m & flip) << 1)`, with `flip` the
     variable fields under grevlex (degree first, then the reversed
@@ -250,18 +246,9 @@ class PackedLayout:
         self._ones = ones << 16 if grevlex else ones
         self._down = 0 if grevlex else 16 * nvars
 
-    def pack(self, e: Monomial) -> int:
-        try:
-            deg = sum(e)
-            if deg >= PACK_LIMIT:
-                raise pack_overflow()
-            return int.from_bytes(self._struct.pack(*e, deg), self._byteorder)
-        except (StructError, TypeError):
-            raise _pack_entry_error() from None
-
     def pack_all(self, monos: Collection[Monomial]) -> List[int]:
-        """`pack` of each monomial, in order; `monos` is read twice, so a
-        list or the keys of a term dict, not an iterator."""
+        """The packed int of each monomial, in order; `monos` is read twice,
+        so a list or the keys of a term dict, not an iterator."""
         pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
         try:
             degs = [sum(e) for e in monos]
@@ -269,7 +256,7 @@ class PackedLayout:
                 raise pack_overflow()
             return [from_bytes(pack(*e, d), byteorder) for e, d in zip(monos, degs)]
         except (StructError, TypeError):
-            raise _pack_entry_error() from None
+            raise RingError("a packed monomial has one nonnegative integer exponent per variable") from None
 
     def unpack(self, m: int) -> Monomial:
         return self._struct.unpack(m.to_bytes(self._struct.size, self._byteorder))[: self._nvars]
@@ -381,29 +368,25 @@ def _render_terms(terms: Iterable[Tuple[object, str]]) -> str:
 class MultiPoly:
     """Polynomial over Q: nonzero coefficients on the monomials of a ring.
 
-    A polynomial holds its terms in one or both of two forms. `_packed`
-    maps the monomials packed under the ring's grevlex layout
-    (`PolyRing.layout`) to the coefficients; every operation reads and
-    writes this form. `terms`, the public view, maps exponent tuples to
-    the same coefficients. A polynomial built from tuples by the
-    constructor packs on its first packed use; one built by an operation
-    (`_of_packed`) unpacks only when `terms` is read. Each form is kept
-    once it is built, and neither is mutated after construction: every
-    operation builds a new polynomial.
+    Its one working form, `_pk()`, maps the monomials packed under the
+    ring's grevlex layout (`PolyRing.layout`) to the coefficients, and
+    every method reads it. `terms`, the view, maps exponent tuples to the
+    same coefficients. A polynomial built from tuples by the constructor
+    packs on its first use, whatever the use (`terms`, `render`, `==` and
+    `hash` included), so a monomial that the packed format cannot hold,
+    with an entry that is negative or not an integer, with the wrong
+    number of entries, or of degree PACK_LIMIT or more, raises RingError
+    there. One built packed (`_of_packed`) unpacks only when `terms` is
+    read. Each form is kept once it is built, and neither is mutated
+    after construction: every operation builds a new polynomial.
 
     Both constructors read each coefficient through `_canonical`: an
     `int` for an integer value (`Fraction(3)` is stored as 3), a
     `Fraction` for any other rational, the exact `Fraction` of a float,
     and RingError for anything else, so no other code decides the type.
-
     Arithmetic that would create a monomial of degree PACK_LIMIT or more
-    raises RingError, and so does an operation that makes monomials (a
-    sum, product, power, derivative or substitution) on a polynomial
-    built from tuples with such a monomial. Negation, scalar products
-    and `total_degree` make none and read the form held, so they work
-    on that polynomial, as do `terms`, `==` and `hash`. `==` and `hash`
-    do not depend on the form a polynomial holds, and a constant
-    polynomial, zero included, equals and hashes like its scalar.
+    raises RingError. A constant polynomial, zero included, equals and
+    hashes like its scalar.
     """
 
     __slots__ = ("ring", "_terms", "_packed")
@@ -426,15 +409,16 @@ class MultiPoly:
     @property
     def terms(self) -> Dict[Monomial, object]:
         """The terms keyed by exponent tuples; read it, never mutate it."""
+        pk = self._pk()
         t = self._terms
         if t is None:
-            pk = self._packed
             t = self._terms = dict(zip(self.ring.layout.unpack_all(pk), pk.values()))
         return t
 
     def _pk(self) -> IntTerms:
-        """The terms packed under `ring.layout`; RingError for a monomial of
-        degree PACK_LIMIT or more."""
+        """The terms packed under `ring.layout`, packed from the tuples of
+        the constructor on the first call; RingError for a monomial that
+        does not pack."""
         pk = self._packed
         if pk is None:
             t = self._terms
@@ -450,20 +434,17 @@ class MultiPoly:
 
     def _scalar(self):
         """The value of a constant polynomial, 0 for zero, and None for any other."""
-        if self._packed is None:
-            t, one = self._terms, (0,) * self.ring.n
-        else:
-            t, one = self._packed, 0
-        if len(t) > 1:
+        pk = self._pk()
+        if len(pk) > 1:
             return None
-        return t.get(one) if t else 0
+        return pk.get(0) if pk else 0
 
     def _check(self, other: "MultiPoly"):
         if self.ring != other.ring:
             raise RingError("ring context mismatch")
 
     def __bool__(self):
-        return bool(self._terms if self._packed is None else self._packed)
+        return bool(self._pk())
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -473,17 +454,13 @@ class MultiPoly:
                 return NotImplemented
             s = self._scalar()
             return s is not None and s == c
-        if self.ring != other.ring:
-            return False
-        if self._packed is not None and other._packed is not None:
-            return self._packed == other._packed
-        return self.terms == other.terms
+        return self._pk() == other._pk() and self.ring == other.ring
 
     def __hash__(self):
         s = self._scalar()
         if s is not None:
             return hash(s)
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self._pk().items())))
 
     def __add__(self, other):
         out = dict(self._pk())
@@ -493,11 +470,8 @@ class MultiPoly:
     __radd__ = __add__
 
     def _scaled(self, c) -> "MultiPoly":
-        """c times this polynomial, for a canonical scalar c, in the form
-        this one holds: no monomial is made, so it holds at any degree."""
-        if self._packed is None:
-            return MultiPoly(self.ring, {e: v * c for e, v in self._terms.items()})
-        return MultiPoly._of_packed(self.ring, {m: v * c for m, v in self._packed.items()})
+        """c times this polynomial, for a canonical scalar c."""
+        return MultiPoly._of_packed(self.ring, {m: v * c for m, v in self._pk().items()})
 
     def __neg__(self):
         return self._scaled(-1)
@@ -534,11 +508,8 @@ class MultiPoly:
         return MultiPoly._of_packed(self.ring, result)
 
     def total_degree(self) -> int:
-        """The largest total degree of a term, 0 for zero; read from the
-        form held, so it holds at any degree."""
-        if self._packed is None:
-            return max(map(sum, self._terms), default=0)
-        return max(map(self.ring.layout.degree, self._packed), default=0)
+        """The largest total degree of a term, 0 for zero."""
+        return max(map(self.ring.layout.degree, self._pk()), default=0)
 
     def sorted_terms(self, order: str = "grevlex"):
         key = order_key(order)
@@ -553,25 +524,27 @@ class MultiPoly:
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending variable i to images[i].
 
-        The images all live in one target ring, which may differ from this
-        one; RingError when they do not, or when there is no image to take
-        the target from. Runs on the packed terms of the images and builds
-        its result packed in the target ring; a degree of PACK_LIMIT or
-        more raises RingError. Each image keeps its packed form, so a list
-        of images sent to many calls is packed once.
+        The images all live in one target ring, that of images[0], which
+        may differ from this one; RingError when an image's ring is neither
+        that object nor equal to it, or when there is no image to take the
+        target from. Reads the packed terms of this polynomial, with its
+        exponents unpacked once, and of the images, and builds its result
+        packed in the target ring; a degree of PACK_LIMIT or more raises
+        RingError. Each image keeps its packed form, so a list of images
+        sent to many calls is packed once.
         """
         if len(images) != self.ring.n:
             raise RingError("every variable needs an image")
-        rings = list({id(p.ring): p.ring for p in images}.values())  # one per object
-        if not rings:
+        if not images:
             raise RingError("no image to take the target ring from")
-        target = rings[0]
-        if any(R != target for R in rings[1:]):
+        target = images[0].ring
+        if any(p.ring is not target and p.ring != target for p in images):
             raise RingError("images live in different rings")
         guard = target.layout.guard
         powers: Dict[int, List[IntTerms]] = {}  # i -> [1, images[i], images[i]^2, ...], packed
         out: IntTerms = {}
-        for e, c in self.terms.items():
+        pk = self._pk()
+        for e, c in zip(self.ring.layout.unpack_all(pk), pk.values()):
             # a factor with one term scales and shifts every monomial of the
             # product alike, so it is applied after the multi-term factors
             term, shift = None, 0

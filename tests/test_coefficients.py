@@ -2,8 +2,9 @@
 any other rational as a `Fraction`, whatever type it arrives with and
 whichever operation produced it. Each result is also checked against a
 reference computed on term dicts in `Fraction` alone. The operations are
-also checked on operands in each form a polynomial can hold its terms
-in: exponent tuples, packed ints, or both."""
+also checked on operands built in each of the two ways a polynomial can
+be: from exponent tuples by the constructor, which packs them on first
+use, or packed, by arithmetic."""
 
 from fractions import Fraction
 from operator import add, ge
@@ -169,38 +170,29 @@ def test_bases_and_normal_forms_give_canonical_exact_coefficients(gens, query, o
     check(nf, ref_remainder(ref_of(query), ref_basis, key))
 
 
-# A polynomial holds tuples when built from them, packed ints when built
-# by an operation, and both once the other form has been asked for
+# A polynomial is built from tuples by the constructor, or packed by an
+# operation; each reference comparison takes operands of both kinds
 
 
-FORMS = ("packed", "tuples", "both")
+FORMS = ("tuples", "arithmetic")
 form = st.sampled_from(FORMS)
 
 
 def in_form(ring, terms, which):
-    """The polynomial of the raw terms, holding them in form `which`."""
+    """The polynomial of the raw terms, built the way `which` names."""
     if which == "tuples":
-        p = MultiPoly(ring, terms)
-        assert p._packed is None
-        return p
+        return MultiPoly(ring, terms)
     p = ring.zero()
     for e, c in terms.items():
         m = ring.const(c)
         for x, k in zip(ring.gens(), e):
             m = m * x**k
         p = p + m
-    assert p._terms is None
-    if which == "both":
-        p.terms
     return p
 
 
-def agree(p, ref, packed=True):
-    """p reads back as ref, and equals and hashes like ref built in each
-    form; an operation's result holds packed ints alone until then, and
-    `packed=None` leaves the form of p unchecked."""
-    if packed is not None:
-        assert (p._terms is None) == packed
+def agree(p, ref):
+    """p reads back as ref, and equals and hashes like ref built either way."""
     for which in FORMS:
         q = in_form(p.ring, ref, which)
         assert p == q and q == p and hash(p) == hash(q)
@@ -216,15 +208,12 @@ def ref_derivative(a, i):
 def test_ring_operations_agree_on_every_form(a, b, fa, fb, k, c, i):
     p, q = in_form(R3, a, fa), in_form(R3, b, fb)
     ra, rb = ref_of(a), ref_of(b)
-    # negation and scalar products make no monomial, so they keep the form
-    # held, and the degree reads it; checked before a sum packs p
-    packed = fa != "tuples"
-    agree(-p, {e: -d for e, d in ra.items()}, packed)
+    # negation, scalar products and the degree first, before a sum uses p
+    agree(-p, {e: -d for e, d in ra.items()})
     scaled = {e: d * c for e, d in ra.items() if d * c}
-    agree(p * c, scaled, packed)
-    agree(c * p, scaled, packed)
+    agree(p * c, scaled)
+    agree(c * p, scaled)
     assert p.total_degree() == max(map(sum, ra), default=0)
-    assert (p._packed is None) == (fa == "tuples")
     agree(p + q, ref_add(ra, rb))
     agree(p - q, ref_add(ra, {e: -d for e, d in rb.items()}))
     agree(p * q, ref_mul(ra, rb))
@@ -259,6 +248,4 @@ def test_normal_forms_agree_on_every_form(gens, query, fq, order):
     ideal = Ideal(S2, [in_form(S2, g, which) for g, which in gens])
     ref_basis = ref_groebner([ref_of(g) for g, _ in gens], key)
     nf = ideal.normal_form(in_form(S2, query, fq), order)
-    ref = ref_remainder(ref_of(query), ref_basis, key)
-    # a zero query comes back as it is; a grevlex remainder is built packed
-    agree(nf, ref, packed=order == "grevlex" if ref_of(query) else None)
+    agree(nf, ref_remainder(ref_of(query), ref_basis, key))

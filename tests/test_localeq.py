@@ -115,6 +115,14 @@ def test_step0_132_count():
     assert len(pres.variables) == 24
 
 
+def test_a_presentation_shares_its_ring_object_with_its_polynomials():
+    # so the ring checks of a back-substitution are identity tests
+    for lam in (LAM_121, LAM_131, Partition(2, [(0, 0), (1, 0), (0, 1)])):  # the last keeps no equation
+        for pres in (haiman_equations(lam), step0(lam)):
+            polys = [*pres.equations, *pres.eliminated.values()]
+            assert polys and all(p.ring is pres.ring for p in polys)
+
+
 def test_step0_back_substitution_consistent():
     # eliminated expressions must turn raw generators into members of the
     # eliminated ideal

@@ -42,6 +42,11 @@ def _mono_divides(a, b):
     return all(map(le, a, b))
 
 
+def pack(lay, e):
+    """One monomial packed by `PackedLayout.pack_all`."""
+    return lay.pack_all([e])[0]
+
+
 def test_lex_basic():
     # x^2 vs x y with x before y
     key = order_key("lex")
@@ -96,6 +101,17 @@ def test_substitute_identity():
 def test_substitute_needs_an_image_to_take_the_target_ring_from():
     with pytest.raises(RingError):
         PolyRing([]).const(3).substitute([])
+
+
+def test_substitute_takes_its_target_ring_from_the_first_image():
+    x, y, z = R3.gens()
+    u, v = S2.gens()
+    twin = PolyRing(S2.names)  # equal to S2, another object
+    image = (x * y).substitute([u, twin.var(1), v])
+    assert image == u * v and image.ring is S2
+    for images in ([u, v, PolyRing(["a"]).var(0)], [u, v, R3.var(0)]):  # z has no term
+        with pytest.raises(RingError):
+            (x * y).substitute(images)
 
 
 def test_substitute_is_homomorphism():
@@ -186,13 +202,13 @@ def test_packed_layout_matches_the_tuple_operations(case):
     monos, order = case
     lay = PackedLayout(len(monos[0]), order)
     key = order_key(order)
-    packed = [lay.pack(e) for e in monos]
+    packed = [pack(lay, e) for e in monos]
     assert [lay.unpack(m) for m in packed] == monos
     for i in range(len(monos[0])):
         unit, mask, shift = lay.field(i)
-        assert unit == lay.pack(tuple(int(k == i) for k in range(len(monos[0]))))
+        assert unit == pack(lay, tuple(int(k == i) for k in range(len(monos[0]))))
         assert [(m & mask) >> shift for m in packed] == [e[i] for e in monos]
-    assert sorted(monos, key=lambda e: lay.key(lay.pack(e))) == sorted(monos, key=key)
+    assert sorted(monos, key=lambda e: lay.key(pack(lay, e))) == sorted(monos, key=key)
     for a, pa in zip(monos, packed):
         for b, pb in zip(monos, packed):
             assert ((pb - pa) & lay.guard == 0) == _mono_divides(a, b)
@@ -200,7 +216,7 @@ def test_packed_layout_matches_the_tuple_operations(case):
             product = pa + pb
             if sum(a) + sum(b) < PACK_LIMIT:
                 assert product & lay.guard == 0
-                assert product == lay.pack(_mono_mul(a, b))
+                assert product == pack(lay, _mono_mul(a, b))
             else:
                 assert product & lay.guard
 
@@ -238,7 +254,7 @@ def test_pack_all_is_pack_of_each_monomial(case):
             lay.pack_all(monos)
         return
     packed = lay.pack_all(monos)
-    assert packed == [lay.pack(e) for e in monos]
+    assert packed == [pack(lay, e) for e in monos]  # a batch packs as its monomials do one at a time
     assert lay.unpack_all(packed) == [lay.unpack(m) for m in packed] == monos
     assert lay.unpack_all(sorted(packed, key=lay.key)) == sorted(monos, key=order_key(order))
 
@@ -266,14 +282,14 @@ colon_cases = st.tuples(
 def test_packed_colon_and_lcm_match_the_tuple_ones(case):
     (a, b), order = case
     lay = PackedLayout(len(a), order)
-    pa, pb = lay.pack(a), lay.pack(b)
+    pa, pb = pack(lay, a), pack(lay, b)
     colon = lay.colon(pa, pb)
-    assert colon == lay.pack(_mono_colon(a, b))
+    assert colon == pack(lay, _mono_colon(a, b))
     assert lay.unpack(colon) == _mono_colon(a, b)
     assert lay.degree(colon) == sum(_mono_colon(a, b))
     lcm = pb + colon
     if sum(_mono_lcm(a, b)) < PACK_LIMIT:
-        assert lcm == lay.pack(_mono_lcm(a, b))
+        assert lcm == pack(lay, _mono_lcm(a, b))
         assert lay.unpack(lcm) == _mono_lcm(a, b)
         assert lay.degree(lcm) == sum(_mono_lcm(a, b))
     else:
@@ -283,13 +299,13 @@ def test_packed_colon_and_lcm_match_the_tuple_ones(case):
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 def test_packing_rejects_what_a_field_cannot_hold(order):
     lay = PackedLayout(3, order)
-    assert lay.unpack(lay.pack((PACK_LIMIT - 1, 0, 0))) == (PACK_LIMIT - 1, 0, 0)
+    assert lay.unpack(pack(lay, (PACK_LIMIT - 1, 0, 0))) == (PACK_LIMIT - 1, 0, 0)
     assert lay.pack_all([]) == [] and lay.unpack_all([]) == []
     bad = [(PACK_LIMIT, 0, 0), (0, 0, PACK_LIMIT), (PACK_LIMIT // 2, PACK_LIMIT // 2, 0), (1, -1, 0)]
-    bad += [(1.5, 0, 0), (F(1, 2), F(1, 2), 0), (F(1), 0, 0)]
+    bad += [(1.5, 0, 0), (F(1, 2), F(1, 2), 0), (F(1), 0, 0), (1, 2), (1, 2, 3, 4)]
     for e in bad:
         with pytest.raises(RingError):
-            lay.pack(e)
+            pack(lay, e)
         with pytest.raises(RingError):
             lay.pack_all([(1, 2, 3), e])
     with pytest.raises(RingError):
@@ -319,12 +335,12 @@ def test_packed_product_matches_the_tuple_product(case):
     lay = PackedLayout(n, order)
     # (a + b) * (a - b) cancels its cross terms
     for f, g in ((a, b), (a + b, a - b)):
-        pf, pg = ({lay.pack(e): c for e, c in p.terms.items()} for p in (f, g))
+        pf, pg = ({pack(lay, e): c for e, c in p.terms.items()} for p in (f, g))
         if f and g and f.total_degree() + g.total_degree() >= PACK_LIMIT:
             with pytest.raises(RingError):
                 _mul_packed(pf, pg, lay.guard)
         else:
-            expected = [(lay.pack(e), c) for e, c in (f * g).terms.items()]
+            expected = [(pack(lay, e), c) for e, c in (f * g).terms.items()]
             assert list(_mul_packed(pf, pg, lay.guard).items()) == expected
 
 
@@ -566,19 +582,29 @@ def test_products_and_powers_raise_at_the_packed_limit():
             op()
 
 
-def test_tuple_built_polynomials_of_any_degree_read_back():
+def test_tuple_built_polynomials_that_do_not_pack_raise_on_first_use():
+    # a degree of PACK_LIMIT, a negative entry, a non-integer entry and an
+    # entry too many: packing checks them, on the first use whatever it is
     R = PolyRing(["x", "y"])
-    for terms in ({(PACK_LIMIT, 0): 1}, {(PACK_LIMIT, 3): F(1, 2), (1, 0): 2}, {(5 * PACK_LIMIT, 1): -1}):
-        p = MultiPoly(R, terms)
-        assert p.terms == terms and p == MultiPoly(R, dict(terms)) and p != 0
-        assert hash(p) == hash(MultiPoly(R, dict(reversed(terms.items()))))
-        assert p.render() and p.sorted_terms("lex")[0][0] == max(terms)
-        # negation, scalar products and the degree make no monomial
-        assert p.total_degree() == max(map(sum, terms))
-        assert (-p).terms == {e: -c for e, c in terms.items()}
-        assert (p * 2).terms == (2 * p).terms == {e: 2 * c for e, c in terms.items()}
-        # a sum, product or derivative would pack a monomial of degree PACK_LIMIT or more
-        for op in (lambda: p + 1, lambda: p * p, lambda: p.derivative(0)):
-            with pytest.raises(RingError):
-                op()
-        assert p.terms == terms
+    x, y = R.gens()
+    uses = (
+        lambda p: p.terms,
+        lambda p: p.render(),
+        lambda p: p == MultiPoly(R, {(1, 0): 1}),
+        lambda p: p == 1,
+        hash,
+        bool,
+        lambda p: -p,
+        lambda p: p * 2,
+        lambda p: 2 * p,
+        lambda p: p.total_degree(),
+        lambda p: p.substitute([x, y]),
+        lambda p: p + 1,
+        lambda p: x + p,
+    )
+    for terms in ({(PACK_LIMIT, 0): 1}, {(-1, 0): 1}, {(1.5, 0): 1}, {(1, 2, 3): 1}):
+        for use in uses:
+            p = MultiPoly(R, terms)
+            for _ in range(2):  # and on every use after it
+                with pytest.raises(RingError):
+                    use(p)
