@@ -1,6 +1,7 @@
 """Exact computer algebra for Hilbert schemes of points.
 
-Modules cover multivariate and Laurent polynomials over Q (`multipoly`),
+Modules cover multivariate polynomials over Q and integer Laurent
+polynomials (`multipoly`),
 Groebner bases (`groebner`), r-dimensional partitions (`partitions`),
 local equations of Hilbert schemes at monomial ideals (`localeq`), and
 multigraded Hilbert series with exact checks of their identities

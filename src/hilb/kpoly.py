@@ -4,13 +4,15 @@ Numerators are integer Laurent polynomials in the torus characters;
 denominators stay factored, one (1 - t^w) per ambient variable. The
 series of a monomial ideal is its K-polynomial (`kpoly_monomial`) over
 those factors, and `hilbert_series` takes a polynomial `Ideal` to the
-K-polynomial of its initial ideal. The K-polynomial recursion runs on
-packed ints: the packed lex generators a `MonomialIdeal` holds, and
-numerator weights as single ints over one power-of-two scale, with
-Weight keys built only for its result.
-Identities between series, such as equality and self-reciprocity, are
-decided exactly as identities between Laurent polynomials, after
-clearing the factored denominators.
+K-polynomial of its initial ideal. Numerators stay in the packed form of
+`LaurentPoly` from the colon recursion to the checks: the recursion
+adds packed weights to Laurent keys and hands its memo entry over as the
+result, twists and reflections in `series_equal` and `reciprocity_check`
+are one int operation per term, and `Weight` objects are read as input
+and built only when a caller reads `LaurentPoly.terms`. Identities
+between series, such as equality and self-reciprocity, are decided
+exactly as identities between Laurent polynomials, after clearing the
+factored denominators.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from operator import mul
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .groebner import Ideal, MonomialIdeal
-from .multipoly import LaurentPoly, RingError, Weight, packed_weights, weight_columns
+from .multipoly import LaurentPoly, RingError, Weight, packed_weights
 from .partitions import Partition
 
 
@@ -33,30 +35,25 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     Generators are the ascending `J.packed` ints of `J.layout`, whose
     order is that of the exponent tuples, so nothing is packed here; a
     colon is `PackedLayout.colon` and a minimalization
-    `PackedLayout.minimal`. The weights are put on their largest
-    power-of-two scale, and each numerator weight is one int: its
-    integer entries packed in signed fields of a width that holds the
-    weight of every monomial of degree at most the sum of the generator
-    degrees. That sum bounds the degree of the lcm of the generators,
-    and every numerator weight is the weight of a divisor of it. Adding
-    weights is then adding ints, and each is unpacked to a Weight once,
-    for the result. The result is built from the decoded ints without
-    checking them again, by the private constructors `Weight._exact` and
-    `LaurentPoly._exact`; on a scale above 1 a weight whose numerators
-    are all even is reduced as `Weight` reduces it, so the keys stay
-    canonical. The unit ideal needs no special case: its one
-    generator 1 gives K = 1 - t^0 = 0.
+    `PackedLayout.minimal`. The numerator is a dict of `LaurentPoly`
+    keys on the weights' largest scale, in fields that `packed_weights`
+    makes wide enough for the weight of every monomial of degree at most
+    the sum of the generator degrees. That sum bounds the degree of the
+    lcm of the generators, and every numerator weight is the weight of a
+    divisor of it, so no field leaves its range. Adding a weight is
+    adding its packed int to a key, and the dict of the whole ideal is
+    the result, with no decoding. The unit ideal needs no special case:
+    its one generator 1 gives K = 1 - t^0 = 0.
     """
     if len(weights) != J.nvars:
         raise RingError("weight list does not cover the variables")
     if not weights:
         raise RingError("no weights: the torus rank is unknown")
     r = weights[0].r
-    scale, columns = weight_columns(weights)
     lay = J.layout
-    bits, var_weights = packed_weights(columns, sum(map(lay.degree, J.packed)))
+    scale, bits, zero, var_weights = packed_weights(weights, sum(map(lay.degree, J.packed)))
     colon, minimal, unpack = lay.colon, lay.minimal, lay.unpack
-    one = {0: 1}
+    one = {zero: 1}
     memo: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
     def run(gens: Tuple[int, ...]) -> Dict[int, int]:
@@ -81,15 +78,7 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
 
     numerator = run(J.packed)
     del run  # run refers to itself through its cell; free it and memo without the cyclic GC
-    mask, half = (1 << bits) - 1, 1 << bits - 1
-    bias = sum(half << bits * k for k in range(r))  # each signed field x + half is in [0, mask]
-    shifts = range(0, bits * r, bits)
-    exact = Weight._exact
-    terms = {}
-    for w, c in numerator.items():
-        w += bias
-        terms[exact(tuple([(w >> s & mask) - half for s in shifts]), scale)] = c
-    return LaurentPoly._exact(r, terms)
+    return LaurentPoly._of(r, scale, bits, numerator)
 
 
 class HilbertSeries:
@@ -143,11 +132,7 @@ def _esym_points(k: int, power: int = 1):
 
 
 def _lp6(points) -> LaurentPoly:
-    terms: Dict[Weight, int] = {}
-    for e in points:
-        w = Weight(e)
-        terms[w] = terms.get(w, 0) + 1
-    return LaurentPoly(6, terms)
+    return LaurentPoly._of_nums(6, 1, Counter(points).items())
 
 
 def schur_K_G26() -> LaurentPoly:
@@ -225,16 +210,18 @@ def reciprocity_check(h: HilbertSeries, lam: Partition, rng=None) -> bool:
 
         N(t) = (-1)^(n+m) t^(sum_{c in lam} c - n*1 + sum_i w_i) N(t^-1),
 
-    with w_1..w_m the denominator weights. It is decided exactly, so the
-    answer is the same for every `rng`; the argument is accepted for
-    callers that still pass one and is otherwise unused.
+    with w_1..w_m the denominator weights. The shift is summed as an int
+    vector on the largest scale, and the right side is one reflection of
+    N's keys. It is decided exactly, so the answer is the same for every
+    `rng`; the argument is accepted for callers that still pass one and
+    is otherwise unused.
     """
-    n = lam.n
-    shift = Weight((-n,) * lam.r)
-    for cell in lam.cells:
-        shift = shift + Weight(cell)
+    if lam.r != h.r:
+        raise RingError("rank mismatch")
+    n, N = lam.n, h.numerator
+    scale = max([N.scale, *(w.scale for w in h.denom_weights)])
+    shift = [scale * (sum(col) - n) for col in zip(*lam.cells)] if lam.cells else [0] * lam.r
     for w in h.denom_weights:
-        shift = shift + w
-    sign = (-1) ** (n + len(h.denom_weights))
-    mirrored = LaurentPoly(h.r, {shift - w: sign * c for w, c in h.numerator.terms.items()})
-    return h.numerator == mirrored
+        m = scale // w.scale
+        shift = [s + x * m for s, x in zip(shift, w.nums)]
+    return N == N._reflected(shift, scale, (-1) ** (n + len(h.denom_weights)))

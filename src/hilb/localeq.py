@@ -34,7 +34,6 @@ from .multipoly import (
     _mono_shift,
     _mul_packed,
     packed_weights,
-    weight_columns,
 )
 from .partitions import Cell, Partition, adjacent_pairs, glove, ideal_of_partition, pyramid
 
@@ -93,8 +92,7 @@ class HaimanPresentation:
 
 def _check_weight_homogeneous(equations: Sequence[MultiPoly], weights: Sequence[Weight]):
     """RingError unless every term of each equation has one torus weight."""
-    _, columns = weight_columns(weights)
-    _, packed = packed_weights(columns, max((eq.total_degree() for eq in equations), default=0))
+    *_, packed = packed_weights(weights, max((eq.total_degree() for eq in equations), default=0))
     for eq in equations:
         exps = eq.ring.layout.unpack_all(eq._pk())
         if len({sum(map(mul, compress(packed, e), compress(e, e))) for e in exps}) > 1:

@@ -1,29 +1,25 @@
 """Sparse multivariate polynomials over Q and integer Laurent polynomials.
 
-A `MultiPoly` has one working form, packed monomials: each `PolyRing`
-owns one grevlex `PackedLayout`, and every method of a polynomial, from
-`==` and the total degree to substitution, division and elimination,
-reads the terms packed under it. Exponent tuples, one entry per ring
-variable, are only input and view: a polynomial built from tuples is
-packed, and so checked, on its first use, whatever the use, and one
-built packed unpacks only when its `terms` are read. Coefficients are
-exact rationals of one canonical type, decided by `_canonical` alone, which
-both `MultiPoly` constructors call: an integer is an `int` whatever type
-it arrives with, any other rational is a `Fraction` (whose denominator
-is then above 1), a float is read as its exact `Fraction`, and a value
-that is not a rational number raises RingError. So arithmetic on integer
-data runs on ints. The two types compare and hash alike (`hash(2) ==
-hash(Fraction(2))`), so equality and term sets do not see the type. The
-cells of a partition are exponent tuples too; the tuple operations that
-they and the Haiman variables need (quotient, shift) are the `_mono_*`
-functions below. The monomial orders are lex and grevlex. Laurent
-exponents live on a scaled lattice (1/D)Z^r with D a power of two, so
-half-integer weights are exact integer data: a weight's numerators and
-scale and a Laurent coefficient are integers, and anything else raises
-RingError rather than being truncated. Monomial entries and variable
-indices from outside go through `exponents`, `_var_index` or
-`PackedLayout`, which raise RingError for a non-integer entry instead of
-truncating it.
+Both work on packed ints, with tuples only at the boundary. A `MultiPoly`
+has one working form, packed monomials: each `PolyRing` owns one grevlex
+`PackedLayout`, and every method of a polynomial, from `==` and the
+total degree to substitution, division and elimination, reads the terms
+packed under it. Exponent tuples, one entry per ring variable, are only
+input and view: a polynomial built from tuples is packed, and so
+checked, on its first use, whatever the use, and one built packed
+unpacks only when its `terms` are read. Coefficients are exact rationals
+of one canonical type, decided by `_canonical` alone, which both
+`MultiPoly` constructors call: an integer is an `int` whatever type it
+arrives with, any other rational is a `Fraction` (whose denominator is
+then above 1), a float is read as its exact `Fraction`, and a value that
+is not a rational number raises RingError. The two types compare and
+hash alike, so equality and term sets do not see the type. The cells of
+a partition are exponent tuples too; the tuple operations that they and
+the Haiman variables need (quotient, shift) are the `_mono_*` functions
+below. The monomial orders are lex and grevlex. Monomial entries,
+variable indices and weight entries from outside go through
+`exponents`, `_integer` or `PackedLayout`, which raise RingError for a
+non-integer entry instead of truncating it.
 
 The packed term format is also what division and Buchberger
 (`groebner`), monomial ideals (`groebner.MonomialIdeal`) and their
@@ -41,13 +37,22 @@ S-polynomials, elimination and substitution) is one call of
 more. Tuples and packed ints are converted by one `struct.Struct` per
 layout, a whole polynomial in one pass of `PackedLayout.pack_all` or
 `PackedLayout.unpack_all`.
+
+A `LaurentPoly` has exponents on a scaled lattice (1/D)Z^r, D a power of
+two, so half-integer weights are exact integer data. Its one working
+form is `IntTerms` too: one D per polynomial, and each term's numerator
+vector as one int of signed, guarded fields, so a twist or a product is
+an int add per term, and the `kpoly` recursion builds its result in this
+form directly. A `Weight`, numerators over a scale, is the input type
+and the key type of the `LaurentPoly.terms` view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
-from operator import add, index, neg, sub
+from functools import reduce
+from itertools import chain, compress
+from operator import index, lshift, neg, or_, sub
 from struct import Struct
 from struct import error as StructError
 from typing import Callable, Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -589,34 +594,31 @@ def poly_from_terms(ring: PolyRing, pairs: Iterable[Tuple[Sequence[int], object]
 
 
 class Weight:
-    """Vector in (1/D)Z^r: integer numerators over a power-of-two scale."""
+    """Vector in (1/D)Z^r: integer numerators over a power-of-two scale.
+
+    The input type of torus weights: `LaurentPoly` and `kpoly` read
+    Weights passed in and return them only through `LaurentPoly.terms`.
+    Entries and scale are read by `_integer`, so a bool or a non-integer
+    raises RingError, and the weight is kept on its least scale, so equal
+    weights have equal fields.
+    """
 
     __slots__ = ("nums", "scale")
 
-    def __init__(self, nums: Sequence[int], scale: int = 1):
+    def __init__(self, nums: Iterable[int], scale: int = 1):
         try:
-            nums = tuple(map(index, nums))
-            scale = index(scale)
+            nums = tuple(nums)
         except TypeError:
-            raise RingError(f"weight entries and scale must be integers: {nums!r}, {scale!r}") from None
+            raise RingError(f"weight entries come as a sequence: {nums!r}") from None
+        if not {*map(type, nums)} <= _INT:  # a bool is not an int here
+            nums = tuple([_integer(x, "a weight entry is an integer") for x in nums])
+        if type(scale) is not int:
+            scale = _integer(scale, "a weight scale is an integer")
         if scale < 1 or scale & (scale - 1):
             raise RingError("scale must be a power of two")
-        self._reduce(nums, scale)
-
-    @classmethod
-    def _exact(cls, nums: Tuple[int, ...], scale: int) -> "Weight":
-        """The Weight nums / scale, unchecked: for an int tuple and a power
-        of two that the library has computed."""
-        w = cls.__new__(cls)
-        w._reduce(nums, scale)
-        return w
-
-    def _reduce(self, nums: Tuple[int, ...], scale: int) -> None:
-        """Store nums / scale on its smallest scale, so that equal weights
-        have equal fields."""
-        while scale > 1 and all(x % 2 == 0 for x in nums):
-            nums = tuple(x // 2 for x in nums)
-            scale //= 2
+        while scale > 1 and not any(x & 1 for x in nums):
+            nums = tuple([x >> 1 for x in nums])
+            scale >>= 1
         self.nums = nums
         self.scale = scale
 
@@ -628,24 +630,16 @@ class Weight:
     def r(self) -> int:
         return len(self.nums)
 
-    def _align(self, other: "Weight") -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    def __add__(self, other: "Weight") -> "Weight":
         if self.r != other.r:
             raise RingError("weight rank mismatch")
         scale = max(self.scale, other.scale)
-        a = tuple(x * (scale // self.scale) for x in self.nums)
-        b = tuple(x * (scale // other.scale) for x in other.nums)
-        return scale, a, b
+        a, b = scale // self.scale, scale // other.scale
+        return Weight([x * a + y * b for x, y in zip(self.nums, other.nums)], scale)
 
-    def __add__(self, other):
-        scale, a, b = self._align(other)
-        return Weight(tuple(map(add, a, b)), scale)
-
-    def __sub__(self, other):
-        scale, a, b = self._align(other)
-        return Weight(tuple(map(sub, a, b)), scale)
-
-    def __mul__(self, k: int):
-        return Weight(tuple(k * x for x in self.nums), self.scale)
+    def __mul__(self, k: int) -> "Weight":
+        k = _integer(k, "a weight is scaled by an integer")
+        return Weight([k * x for x in self.nums], self.scale)
 
     __rmul__ = __mul__
 
@@ -667,25 +661,62 @@ class Weight:
         return f"Weight({self.nums}, scale={self.scale})"
 
 
-def weight_columns(weights: Sequence[Weight]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """The weights on their largest scale, as (scale, columns) for `packed_weights`."""
-    if len({w.r for w in weights}) > 1:
-        raise RingError("weight rank mismatch")
-    scale = max((w.scale for w in weights), default=1)
-    return scale, tuple(zip(*(tuple(x * (scale // w.scale) for x in w.nums) for w in weights)))
+def _width(reach: int) -> int:
+    """Bits per Laurent key field for the numerators x in [-reach - 1, reach]:
+    at least 3, so that the field of 0, 2^(b-2), is even."""
+    return max(reach.bit_length(), 1) + 2
 
 
-def packed_weights(columns: Sequence[Tuple[int, ...]], degree: int) -> Tuple[int, List[int]]:
-    """(bits, packed): the weight of variable i as the int packed[i], its
-    k-th numerator in the k-th signed field of `bits` bits.
+def _ones(r: int, bits: int) -> int:
+    """The int with a 1 at the bottom of each of r fields of `bits` bits."""
+    return ((1 << bits * r) - 1) // ((1 << bits) - 1)
 
-    `columns` are as `weight_columns` returns them. The fields are wide
-    enough for the weight of any monomial of total degree at most
-    `degree`, so the packed weight of such a monomial is the sum of its
-    variables' packed weights, and two of them are equal iff the weights are.
+
+def _key(nums: Iterable[int], bits: int) -> int:
+    """The Laurent key of a numerator vector, each entry fitting its field."""
+    half = 1 << bits - 2
+    return sum((x + half) << bits * k for k, x in enumerate(nums))
+
+
+def _nums(key: int, r: int, bits: int) -> Tuple[int, ...]:
+    """The numerator vector of a Laurent key."""
+    mask, half = (1 << bits) - 1, 1 << bits - 2
+    return tuple([((key >> bits * k) & mask) - half for k in range(r)])
+
+
+def packed_weights(weights: Sequence[Weight], degree: int) -> Tuple[int, int, int, List[int]]:
+    """(scale, bits, zero, packed): the weights on their largest scale, the
+    numerators of weight i packed as the plain sum of x_k << bits*k, and
+    `zero`, the `LaurentPoly` key of 0 in fields of `bits` bits.
+
+    The fields are wide enough for the weight of any monomial of total
+    degree at most `degree`, so the weight of such a monomial packs to
+    the sum of its variables' packed weights, two of them are equal iff
+    the weights are, and its Laurent key is that sum plus `zero`.
+    RingError when the ranks differ.
     """
-    bits = (degree * max((abs(x) for col in columns for x in col), default=0)).bit_length() + 1
-    return bits, [sum(x << bits * k for k, x in enumerate(w)) for w in zip(*columns)]
+    r = weights[0].r if weights else 0
+    scale = max([w.scale for w in weights], default=1)
+    cols = [w.nums if w.scale == scale else [x * (scale // w.scale) for x in w.nums] for w in weights]
+    if any(len(v) != r for v in cols):
+        raise RingError("weight rank mismatch")
+    bits = _width(degree * max(map(abs, chain.from_iterable(cols)), default=0))
+    fields = range(0, bits * r, bits)
+    return scale, bits, _ones(r, bits) << bits - 2, [sum(map(lshift, v, fields)) for v in cols]
+
+
+def _pack_terms(scale: int, terms: Sequence[Tuple[Sequence[int], int]]) -> Tuple[int, int, IntTerms]:
+    """(scale, bits, keys) of (numerator vector over `scale`, nonzero int)
+    pairs with distinct vectors: on the least scale, in the narrowest fields."""
+    acc = reduce(or_, (x for v, _ in terms for x in v), 0)
+    halve = scale.bit_length() - 1  # as often as every numerator stays an integer
+    if acc:
+        halve = min(halve, (acc & -acc).bit_length() - 1)
+    if halve:
+        terms = [([x >> halve for x in v], c) for v, c in terms]
+        scale >>= halve
+    bits = _width(reduce(or_, (x if x >= 0 else ~x for v, _ in terms for x in v), 0))
+    return scale, bits, {_key(v, bits): c for v, c in terms}
 
 
 def _laurent_coeff(c) -> int:
@@ -697,116 +728,166 @@ def _laurent_coeff(c) -> int:
 
 
 class LaurentPoly:
-    """Integer combination of torus characters t^w on a scaled lattice."""
+    """Integer combination of torus characters t^w, w in (1/D)Z^r.
 
-    __slots__ = ("r", "terms")
+    The working form is packed. `scale` is the polynomial's one power of
+    two D, the least that makes every D*w integral, and `_keys` maps the
+    numerator vector D*w of each term, as one int, to its nonzero int
+    coefficient: entry x_k sits in field k of `_bits` bits as
+    x_k + 2^(b-2), so a field holds [-2^(b-2), 2^(b-2)) and its top bit
+    is a guard, clear in every key. A product adds keys less the key of
+    0 (a twist is a product by one term), and a reflection subtracts a
+    key from a constant; an entry that leaves its field leaves its guard
+    set, and the result is built again in fields twice as wide. So a
+    field never wraps and entries have no bound. Operands are first
+    recast to the larger scale and width, entry by entry. The width is
+    not canonical: `==` tests that the difference is zero, and `hash`
+    reads the rank, scale and coefficients. `Weight` is the boundary:
+    the constructor and `char` read Weights, and `terms`, the view keyed
+    by them, is built on its first read.
+    """
+
+    __slots__ = ("r", "scale", "_bits", "_keys", "_terms")
 
     def __init__(self, r: int, terms: Mapping[Weight, int] | None = None):
-        self.r = r
-        out: Dict[Weight, int] = {}
+        view: Dict[Weight, int] = {}
         for w, c in (terms or {}).items():
             if w.r != r:
                 raise RingError("weight rank mismatch")
             if c := _laurent_coeff(c):
-                out[w] = c
-        self.terms = out
+                view[w] = c
+        scale = max((w.scale for w in view), default=1)
+        vectors = [([x * (scale // w.scale) for x in w.nums], c) for w, c in view.items()]
+        self.r = r
+        self.scale, self._bits, self._keys = _pack_terms(scale, vectors)
+        self._terms = view
 
     @classmethod
-    def _exact(cls, r: int, terms: Dict[Weight, int]) -> "LaurentPoly":
-        """The polynomial of terms, kept as it is: for a dict of rank-r
-        weights to nonzero ints that the library has computed."""
+    def _of(cls, r: int, scale: int, bits: int, keys: IntTerms) -> "LaurentPoly":
+        """The polynomial of `keys` (taken over) in `bits`-bit fields on
+        `scale`, which is lowered when every numerator is even."""
+        if scale > 1 and not reduce(or_, keys, 0) & _ones(r, bits):  # the zero field is even
+            scale, bits, keys = _pack_terms(scale, [(_nums(k, r, bits), c) for k, c in keys.items()])
         p = cls.__new__(cls)
-        p.r = r
-        p.terms = terms
+        p.r, p.scale, p._bits, p._keys, p._terms = r, scale, bits, keys, None
         return p
 
     @classmethod
+    def _of_nums(cls, r: int, scale: int, terms: Iterable[Tuple[Sequence[int], int]]) -> "LaurentPoly":
+        """The polynomial of (numerator vector over `scale`, nonzero int)
+        pairs with distinct vectors."""
+        return cls._of(r, *_pack_terms(scale, list(terms)))
+
+    @classmethod
     def zero(cls, r: int) -> "LaurentPoly":
-        return cls(r, {})
+        return cls(r)
 
     @classmethod
     def one(cls, r: int) -> "LaurentPoly":
-        return cls(r, {Weight((0,) * r): 1})
+        return cls._of_nums(r, 1, [((0,) * r, 1)])
 
     @classmethod
     def char(cls, w: Weight, coeff: int = 1) -> "LaurentPoly":
         return cls(w.r, {w: coeff})
 
-    def _check(self, other):
-        if self.r != other.r:
-            raise RingError("rank mismatch")
+    @property
+    def terms(self) -> Dict[Weight, int]:
+        """The terms keyed by `Weight`; read it, never mutate it."""
+        t = self._terms
+        if t is None:
+            r, bits, scale = self.r, self._bits, self.scale
+            t = self._terms = {Weight(_nums(k, r, bits), scale): c for k, c in self._keys.items()}
+        return t
 
     def _lift(self, other) -> "LaurentPoly":
         """other as a Laurent polynomial of this rank: an integer c is the
         constant c; RingError for any other scalar."""
-        if isinstance(other, LaurentPoly):
-            self._check(other)
-            return other
-        return LaurentPoly(self.r, {Weight((0,) * self.r): other})
+        if not isinstance(other, LaurentPoly):
+            return LaurentPoly.one(self.r)._scaled(_laurent_coeff(other))
+        if self.r != other.r:
+            raise RingError("rank mismatch")
+        return other
+
+    def _recast(self, scale: int, bits: int) -> IntTerms | None:
+        """The keys on `scale`, a multiple of this polynomial's, in fields of
+        `bits` bits; None when an entry leaves them."""
+        if scale == self.scale and bits == self._bits:
+            return self._keys
+        m, r, old, half = scale // self.scale, self.r, self._bits, 1 << bits - 2
+        out: IntTerms = {}
+        for k, c in self._keys.items():
+            v = [x * m for x in _nums(k, r, old)]
+            if not all(-half <= x < half for x in v):
+                return None
+            out[_key(v, bits)] = c
+        return out
+
+    def _pair(self, other, combine: Callable[[IntTerms, IntTerms, int], IntTerms]) -> "LaurentPoly":
+        """`combine(keys, other's keys, key of 0)` on one scale and width,
+        the fields doubled until the operands fit and the result sets no guard."""
+        other = self._lift(other)
+        scale, bits = max(self.scale, other.scale), max(self._bits, other._bits)
+        while True:
+            a, b = self._recast(scale, bits), other._recast(scale, bits)
+            if a is not None and b is not None:
+                ones = _ones(self.r, bits)
+                out = combine(a, b, ones << bits - 2)
+                if not reduce(or_, out, 0) & ones << bits - 1:
+                    return LaurentPoly._of(self.r, scale, bits, out)
+            bits *= 2
 
     def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            try:
-                other = self._lift(other)
-            except RingError:  # not an integer, so not a constant
-                return NotImplemented
-        return self.r == other.r and self.terms == other.terms
+        if isinstance(other, LaurentPoly) and other.r != self.r:
+            return False
+        try:
+            return not (self - other)._keys
+        except RingError:  # not an integer, so not a constant
+            return NotImplemented
 
     def __hash__(self):
         """A constant, zero included, hashes like its integer."""
-        t = self.terms
-        if not t:
+        keys = self._keys
+        if not keys:
             return hash(0)
-        if len(t) == 1:
-            (w, c), = t.items()
-            if w.is_zero():
+        if len(keys) == 1:
+            (k, c), = keys.items()
+            if k == _ones(self.r, self._bits) << self._bits - 2:
                 return hash(c)
-        return hash((self.r, frozenset(t.items())))
+        return hash((self.r, self.scale, tuple(sorted(keys.values()))))
 
     def __add__(self, other):
-        other = self._lift(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) + c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return LaurentPoly(self.r, out)
+        return self._pair(other, _plus)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.r, {w: -c for w, c in self.terms.items()})
+        return self._scaled(-1)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self + -self._lift(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, c: int) -> "LaurentPoly":
+        keys = {k: v * c for k, v in self._keys.items()} if c else {}
+        return LaurentPoly._of(self.r, self.scale, self._bits, keys)
+
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
-            if not (other := _laurent_coeff(other)):
-                return LaurentPoly.zero(self.r)
-            return LaurentPoly(self.r, {w: c * other for w, c in self.terms.items()})
-        self._check(other)
-        out: Dict[Weight, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                nc = out.get(w, 0) + c1 * c2
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
-        return LaurentPoly(self.r, out)
+            return self._scaled(_laurent_coeff(other))
+        return self._pair(other, _times)
 
     __rmul__ = __mul__
 
     def twist(self, w: Weight) -> "LaurentPoly":
-        """Multiply by the character t^w."""
-        return LaurentPoly(self.r, {wt + w: c for wt, c in self.terms.items()})
+        """Multiply by the character t^w: one int add per term."""
+        return self * LaurentPoly.char(w)
+
+    def _reflected(self, nums: Sequence[int], scale: int, c: int) -> "LaurentPoly":
+        """c t^(nums/scale), c a nonzero int, times this polynomial at t^-1:
+        one int subtraction per term."""
+        return self._pair(LaurentPoly._of_nums(self.r, scale, [(nums, c)]), _mirrored)
 
     def render(self, var: str = "t") -> str:
         def mono(w: Weight) -> str:
@@ -827,3 +908,29 @@ class LaurentPoly:
         return _render_terms((c, mono(w)) for w, c in terms)
 
     __repr__ = render
+
+
+# The `combine` arguments of `LaurentPoly._pair`. Each passes guard 0 to
+# `_add_shifted`: `_pair` tests the guards of the result.
+
+
+def _plus(a: IntTerms, b: IntTerms, zero: int) -> IntTerms:
+    out = dict(a)
+    _add_shifted(out, b, 0, 1, 0)
+    return out
+
+
+def _times(a: IntTerms, b: IntTerms, zero: int) -> IntTerms:
+    if len(a) < len(b):
+        a, b = b, a
+    out: IntTerms = {}
+    for k, c in b.items():
+        _add_shifted(out, a, k - zero, c, 0)
+    return out
+
+
+def _mirrored(a: IntTerms, b: IntTerms, zero: int) -> IntTerms:
+    """b, one term c t^v, times a at t^-1: each key k goes to key(v) + zero - k."""
+    (s, d), = b.items()
+    s += zero
+    return {s - k: c * d for k, c in a.items()}

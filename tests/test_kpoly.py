@@ -4,7 +4,7 @@ import gc
 import itertools
 import random
 from collections import Counter
-from operator import le
+from operator import add, le
 
 import pytest
 
@@ -155,8 +155,9 @@ class TestKpolyMonomial:
             assert kpoly_monomial(J, weights) == expected
 
     def test_result_weights_are_canonical(self):
-        # the result keys skip the checks of `Weight(...)`, so each must be
-        # the weight that constructor builds from its fields. On the Plucker
+        # the view builds each key from the numerators on the polynomial's
+        # one scale, so each must be the weight that `Weight(...)` reduces
+        # its own fields to. On the Plucker
         # weights u/2 of ROADMAP item 3, every u has odd entries: a sum of
         # two is even and reduces to scale 1, a sum of three stays at scale 2
         plucker = [Weight(u, 2) for u in [(-1, -1, 3), (-1, 1, 1), (-1, 3, -1), (1, -1, 1), (1, 1, -1), (3, -1, -1)]]
@@ -309,6 +310,63 @@ class TestSeriesEqual:
         assert series_equal(h2, h1)
         h3 = HilbertSeries(LaurentPoly.one(1) - LaurentPoly.char(t), [2 * t])
         assert not series_equal(h1, h3)
+
+
+# The Plucker weights u_0..u_5 of ROADMAP item 3, on scale 2
+PLUCKER = [(-1, -1, 3), (-1, 1, 1), (-1, 3, -1), (1, -1, 1), (1, 1, -1), (3, -1, -1)]
+
+
+def g26_model_series():
+    """`schur_K_G26` at t_i = t^(u_i), over its 18 factors: the 15 sums
+    u_i + u_j and e1, e2, e3. Each u_i is half of an odd vector, so the
+    weights are summed on scale 2; every term of the model has even
+    degree, and its weights reduce to scale 1."""
+    model = Counter()
+    for w, c in schur_K_G26().terms.items():
+        model[Weight([sum(k * u[j] for k, u in zip(w.nums, PLUCKER)) for j in range(3)], 2)] += c
+    sums = [Weight(tuple(map(add, u, v)), 2) for u, v in itertools.combinations(PLUCKER, 2)]
+    return HilbertSeries(LaurentPoly(3, model), sums + [E1, E2, E3])
+
+
+class TestG26Model:
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_the_model_is_the_series_of_the_pyramid_jacobian(self, order):
+        # the cone over G(2,6), at (1) < (2,1): the Jacobian ideal of the n=2
+        # pyramid superpotential has the model's series, under either order
+        F, variables = pyramid_potential(2)
+        h = hilbert_series(Ideal(F.ring, jacobian_ideal(F)), [var_weight(v) for v in variables], order=order)
+        model = g26_model_series()
+        assert series_equal(model, h) and series_equal(h, model)
+        assert not series_equal(HilbertSeries(model.numerator + 1, model.denom_weights), h)
+
+    def test_the_model_is_self_reciprocal(self):
+        model = g26_model_series()
+        lam = parse_chain("(1) < (2,1)")
+        assert reciprocity_check(model, lam)
+        assert not reciprocity_check(HilbertSeries(model.numerator.twist(E1), model.denom_weights), lam)
+
+
+def test_the_series_path_builds_no_weights(monkeypatch):
+    # the colon recursion and the reciprocity check run on packed keys: no
+    # Weight is made until a caller reads `terms`, which makes one per term
+    made = []
+    init = Weight.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    unit = {r: [Weight(tuple(int(i == b) for i in range(r))) for b in range(r)] for r in (3, 4)}
+    lams = enumerate_partitions(3, 6)[::7] + enumerate_partitions(4, 4)[::9]
+    ideals = [(ideal_of_partition(lam), unit[lam.r]) for lam in lams]
+    F, variables = pyramid_potential(2)
+    h = hilbert_series(Ideal(F.ring, jacobian_ideal(F)), [var_weight(v) for v in variables])
+    lam = parse_chain("(1) < (2,1)")
+    monkeypatch.setattr(Weight, "__init__", counting_init)
+    Ks = [kpoly_monomial(J, weights) for J, weights in ideals]
+    assert reciprocity_check(h, lam)
+    assert made == []
+    assert sum(len(K.terms) for K in Ks) == len(made) > 0
 
 
 def test_recursions_leave_no_reference_cycles():

@@ -357,8 +357,8 @@ def test_packed_weight_check_sees_the_last_field():
 
 
 def test_packed_weight_fields_hold_a_difference_of_weights():
-    # weights (4, 0) and (-4, 1) differ by (8, -1); in 3-bit fields, one bit
-    # short of what `packed_weights` gives, both would pack to 4
+    # weights (4, 0) and (-4, 1) differ by (8, -1); in 3-bit fields, narrower
+    # than what `packed_weights` gives, both would pack to 4
     x, y = PolyRing(["x", "y"]).gens()
     with pytest.raises(RingError):
         _check_weight_homogeneous([x + y], [Weight.of(4, 0), Weight.of(-4, 1)])

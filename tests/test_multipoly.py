@@ -608,3 +608,127 @@ def test_tuple_built_polynomials_that_do_not_pack_raise_on_first_use():
             for _ in range(2):  # and on every use after it
                 with pytest.raises(RingError):
                     use(p)
+
+
+def test_weight_entries_and_scale_reject_bools():
+    # `operator.index` read True as 1: Weight((True, 0)) was Weight.of(1, 0),
+    # and a scale of True was accepted
+    for nums, scale in [((True, 0), 1), ((1, False), 2), ((1, 0), True), ((1, 0), False)]:
+        with pytest.raises(RingError):
+            Weight(nums, scale)
+    with pytest.raises(RingError):
+        Weight.of(1, 2) * True
+    with pytest.raises(RingError):
+        Weight(3)
+    assert Weight((_Index(2), 4), _Index(2)) == Weight.of(1, 2)
+
+
+# Weight-dict references for the packed LaurentPoly arithmetic
+
+
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out.get(w, 0) + sign * c
+    return {w: c for w, c in out.items() if c}
+
+
+def _ref_product(a, b):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            out[w] = out.get(w, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def _ref_shifted(a, v, reflect=False):
+    """t^v times a, at t^-1 when `reflect`."""
+    return {v + (-1 if reflect else 1) * w: c for w, c in a.items() if c}
+
+
+# small entries, and entries at the edge of a 16-bit key field ([-2^14, 2^14)) and far past it
+_ENTRIES = st.one_of(
+    st.integers(-4, 4), st.sampled_from([2**14 - 1, 2**14, -(2**14), -(2**14) - 1, 2**40 + 1, -(2**40)])
+)
+
+
+@st.composite
+def laurent_cases(draw):
+    """(r, a, b, v): two Weight dicts and a weight of rank r, on scales 1, 2 and 4."""
+    r = draw(st.integers(1, 3))
+    weight = st.builds(Weight, st.lists(_ENTRIES, min_size=r, max_size=r), st.sampled_from([1, 2, 4]))
+    poly = st.dictionaries(weight, st.integers(-3, 3), max_size=5)
+    return r, draw(poly), draw(poly), draw(weight)
+
+
+@seeded
+@given(laurent_cases())
+def test_packed_laurent_arithmetic_matches_weight_dicts(case):
+    r, a, b, v = case
+    A, B = LaurentPoly(r, a), LaurentPoly(r, b)
+    cases = [
+        (A + B, _ref_sum(a, b)),
+        (A - B, _ref_sum(a, b, -1)),
+        (A * B, _ref_product(a, b)),
+        (-A, _ref_sum({}, a, -1)),
+        (3 * A, _ref_sum({}, {w: 3 * c for w, c in a.items()})),
+        (A.twist(v), _ref_shifted(a, v)),
+        (A._reflected(v.nums, v.scale, -2), _ref_sum({}, _ref_shifted(a, v, reflect=True), -2)),
+    ]
+    for got, ref in cases:
+        assert got.terms == ref
+        want = LaurentPoly(r, ref)
+        assert got == want and want == got and hash(got) == hash(want)
+        # the one scale is the least: that of the view's finest weight
+        assert got.scale == max((w.scale for w in ref), default=1)
+        assert (got == A) == (ref == _ref_sum({}, a))
+
+
+def test_equal_laurent_polynomials_hash_alike_across_scales_and_widths():
+    # t^(1/2, 1/2) squared is computed on scale 2 and lands on scale 1
+    half = LaurentPoly.char(Weight((1, 1), 2))
+    whole = LaurentPoly.char(Weight.of(1, 1))
+    assert half.scale == 2 and (half * half).scale == 1
+    assert half * half == whole and hash(half * half) == hash(whole) and len({half * half, whole}) == 1
+    inverse = LaurentPoly.char(Weight((-1, -1), 2))
+    assert half * inverse == 1 and hash(half * inverse) == hash(1)
+    # a product through wide fields equals the same polynomial built narrow
+    narrow = LaurentPoly.one(2) + LaurentPoly.char(Weight.of(1, 0))
+    far, back = Weight.of(2**40, -(2**40)), Weight.of(-(2**40), 2**40)
+    wide = narrow.twist(far) * LaurentPoly.char(back)
+    assert wide._bits > narrow._bits
+    assert wide == narrow and narrow == wide and hash(wide) == hash(narrow) and len({wide, narrow}) == 1
+    assert wide != narrow.twist(Weight.of(1, 0)) and wide != narrow * 2
+
+
+def test_a_numerator_at_the_field_limit_widens_and_never_wraps():
+    # 2^14 - 1 and -2^14 are the ends of a 16-bit key field; one step past
+    # either sets the field's guard, and the result is built in wider
+    # fields, whichever field overflows and whatever its neighbour holds
+    top, bottom = 2**14 - 1, -(2**14)
+    steps = [
+        ((top, 0), (1, 0)),
+        ((0, top), (0, 1)),
+        ((bottom, 5), (-1, 0)),
+        ((3, bottom), (0, -1)),
+        ((top, bottom), (1, -1)),
+    ]
+    for nums, step in steps:
+        L = LaurentPoly.char(Weight.of(*nums), 7)
+        assert L._bits == 16
+        moved = L.twist(Weight.of(*step))
+        assert moved.terms == {Weight.of(*(x + y for x, y in zip(nums, step))): 7}
+        assert moved._bits > 16
+        assert moved.twist(Weight.of(*(-y for y in step))) == L
+    # a reflection negates -2^14 to 2^14, and a product sums two entries that fit
+    assert LaurentPoly.char(Weight.of(bottom, 1))._reflected((0, 0), 1, 1).terms == {Weight.of(-bottom, -1): 1}
+    product = LaurentPoly.char(Weight.of(top, bottom)) * LaurentPoly.char(Weight.of(1, -1))
+    assert product.terms == {Weight.of(top + 1, bottom - 1): 1}
+    # on scale 2 the limit is on the numerators: 2^14 halves is 2^13
+    assert LaurentPoly.char(Weight((top, 1), 2)).twist(Weight((1, 1), 2)).terms == {Weight.of(2**13, 1): 1}
+    # moving to scale 4 multiplies every numerator by 4, which a field cannot hold
+    quarter = LaurentPoly.char(Weight((1, 3), 4))
+    for A, B in [(LaurentPoly.char(Weight.of(top, 1)), quarter), (quarter, LaurentPoly.char(Weight.of(1, bottom)))]:
+        assert (A * B).terms == _ref_product(A.terms, B.terms)
+        assert (A + B).terms == _ref_sum(A.terms, B.terms)
