@@ -12,18 +12,16 @@ division also run on the packed term format of `multipoly`
 (`PackedLayout`, `IntTerms`), the one working form of `MultiPoly`: terms
 are dicts from packed ints to integer coefficients, products are int
 additions, an S-polynomial is two `_add_shifted` calls, divisibility is
-a guard-mask test, and the division heap holds plain int keys. Under
-grevlex, the ring's own layout, `_int_terms` reads a polynomial's packed
-terms as they are and results are built packed. The lex layout is not
-the ring's, so under lex the terms cross the exponent-tuple view: they
-are packed from `MultiPoly.terms` on entry, and a result is built from
-the tuples of `PackedLayout.unpack_all` on exit, which the ring's layout
-packs on the result's first use.
+a guard-mask test, and the division heap holds plain int keys. Both
+orders take one path with no exponent tuples: `_int_terms` recodes a
+polynomial's packed terms into the order's layout (`PackedLayout.recode`),
+and `_poly` recodes a result into the ring's layout and builds it packed.
 An exponent or degree of 2^15 or more raises RingError. The zero ideal
 has the empty basis, so
 its normal forms are the input and its initial ideal is empty. Division
 by a basis has one entry point, `Ideal.normal_form`, which packs the
-basis of each order once and keeps it. A hard S-pair budget turns
+basis of each order once and keeps it; `Ideal.initial_ideal` reads the
+leads of the same packed basis. A hard S-pair budget turns
 blowups into a structured failure instead of an endless run.
 `MonomialIdeal`, such as an initial ideal, holds its minimal generators
 as packed lex ints, so its membership test and minimalization are the
@@ -79,18 +77,18 @@ def _layout(ring: PolyRing, order: str) -> PackedLayout:
 
 
 def _int_terms(p: MultiPoly, lay: PackedLayout) -> Tuple[IntTerms, int, int]:
-    """The packed primitive integer terms of a nonzero p, and the content
-    of p = (num / den) * terms as (num, den).
+    """The primitive integer terms of a nonzero p packed under `lay`, and
+    the content of p = (num / den) * terms as (num, den).
 
-    Under grevlex the terms are p's own packed ones, and under lex they
-    are packed from `p.terms`. The coefficients of p are canonical, so den
-    is 1 exactly when all of them are `int`; they are then taken as they
-    are, and only their `int.denominator` is read.
+    p's own packed terms are recoded from its ring's layout into `lay`,
+    and taken without a copy when that layout is `lay`: a copy would
+    hash every packed key again. The coefficients of p are canonical, so
+    den is 1 exactly when all of them are `int`; they are then taken as
+    they are, and only their `int.denominator` is read.
     """
-    if lay.order == "grevlex":
-        t = p._pk()
-    else:
-        t = dict(zip(lay.pack_all(p.terms), p.terms.values()))
+    pk = p._pk()
+    ms = lay.recode(pk, p.ring.layout)
+    t = pk if ms is pk else dict(zip(ms, pk.values()))
     den = lcm(*[c.denominator for c in t.values()])
     if den != 1:
         t = {m: c.numerator * (den // c.denominator) for m, c in t.items()}
@@ -99,11 +97,9 @@ def _int_terms(p: MultiPoly, lay: PackedLayout) -> Tuple[IntTerms, int, int]:
 
 
 def _poly(ring: PolyRing, lay: PackedLayout, terms: IntTerms, coeffs: Iterable) -> MultiPoly:
-    """The polynomial of the packed monomials `terms` with the coefficients
-    `coeffs`: packed as it is under grevlex, unpacked under lex."""
-    if lay.order == "grevlex":
-        return MultiPoly._of_packed(ring, dict(zip(terms, coeffs)))
-    return MultiPoly(ring, dict(zip(lay.unpack_all(terms), coeffs)))
+    """The polynomial of the monomials `terms`, packed under `lay`, with the
+    coefficients `coeffs`, built packed under the ring's layout."""
+    return MultiPoly._of_packed(ring, dict(zip(ring.layout.recode(terms, lay), coeffs)))
 
 
 def _quotients(values: Iterable[int], num: int, den: int) -> List[object]:
@@ -350,8 +346,9 @@ class MonomialIdeal:
 class Ideal:
     """Polynomial ideal with cached reduced Groebner bases per order.
 
-    Next to each cached basis it keeps, once a normal form asks for it,
-    the packed basis (`PackedBasis`) that division reads.
+    Next to each cached basis it keeps the basis packed under the order's
+    layout (`PackedBasis`), built once by `_packed_basis`: normal forms
+    divide by it, and the initial ideal is the ideal of its leads.
     """
 
     def __init__(self, ring: PolyRing, gens: Iterable[MultiPoly]):
@@ -379,17 +376,10 @@ class Ideal:
         self._gb[order] = basis
         self._packed.pop(order, None)
 
-    def normal_form(self, p: MultiPoly, order="grevlex") -> MultiPoly:
-        """Remainder of p under full division by the reduced basis of `order`.
-
-        Deterministic: each term is divided by the first basis element, in
-        list order, whose leading monomial divides it. The basis is packed
-        on the first call for an order and kept; under grevlex p is read
-        and the result built on packed terms alone.
-        """
-        order_key(order)
-        if p.ring != self.ring:
-            raise RingError("polynomial outside the ring")
+    def _packed_basis(self, order) -> PackedBasis:
+        """The reduced basis of `order` packed under its layout, built on the
+        first call for an order and kept."""
+        order_key(order)  # RingError for an unknown order, before the cache lookup
         packed = self._packed.get(order)
         if packed is None:
             lay = _layout(self.ring, order)
@@ -401,9 +391,20 @@ class Ideal:
                 basis_lead.append((ge, gt[ge]))
                 basis_terms.append(gt)
             packed = self._packed[order] = (lay, basis_lead, basis_terms)
+        return packed
+
+    def normal_form(self, p: MultiPoly, order="grevlex") -> MultiPoly:
+        """Remainder of p under full division by the reduced basis of `order`.
+
+        Deterministic: each term is divided by the first basis element, in
+        list order, whose leading monomial divides it. p is read and the
+        result built on packed terms alone.
+        """
+        if p.ring != self.ring:
+            raise RingError("polynomial outside the ring")
+        lay, basis_lead, basis_terms = self._packed_basis(order)
         if not p:
             return p
-        lay, basis_lead, basis_terms = packed
         terms, num, den = _int_terms(p, lay)
         work, mult = _divide_int(terms, basis_lead, basis_terms, lay)
         return _poly(p.ring, lay, work, _quotients(work.values(), num, den * mult))
@@ -412,7 +413,6 @@ class Ideal:
         return not self.normal_form(p, order)
 
     def initial_ideal(self, order="grevlex") -> MonomialIdeal:
-        basis = self.groebner(order)
-        key = order_key(order)
-        return MonomialIdeal(self.ring.n, [max(g.terms, key=key) for g in basis])
+        lay, basis_lead, _ = self._packed_basis(order)
+        return MonomialIdeal(self.ring.n, lay.unpack_all([e for e, _ in basis_lead]))
 

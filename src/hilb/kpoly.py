@@ -93,8 +93,10 @@ class HilbertSeries:
                 raise RingError("denominator weights must be nonzero")
             if w.r != numerator.r:
                 raise RingError("weight rank mismatch")
+        # the numerators on the largest scale sort as the weights do
+        scale = max([w.scale for w in denom], default=1)
         self.numerator = numerator
-        self.denom_weights = tuple(sorted(denom, key=lambda w: w.sort_key()))
+        self.denom_weights = tuple(sorted(denom, key=lambda w: [x * (scale // w.scale) for x in w.nums]))
 
     @property
     def r(self) -> int:
@@ -105,7 +107,7 @@ class HilbertSeries:
         for w in self.denom_weights:
             mult[w] = mult.get(w, 0) + 1
         factors = []
-        for w in sorted(mult, key=lambda w: w.sort_key()):
+        for w in mult:  # sorted, as `denom_weights` is
             base = f"(1 - {LaurentPoly.char(w).render(var)})"
             factors.append(base if mult[w] == 1 else f"{base}^{mult[w]}")
         return f"({self.numerator.render(var)}) / " + " ".join(factors)

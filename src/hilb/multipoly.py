@@ -214,10 +214,11 @@ class PackedLayout:
     The conversion is one `struct.Struct` of nvars + 1 unsigned 16-bit
     fields, (e_0, ..., e_{n-1}, degree), read as a little-endian int
     under grevlex and as a big-endian int under lex. `pack_all` and
-    `unpack_all` convert a whole polynomial in one pass; `unpack`
-    converts one monomial. A negative or non-integer exponent, a
-    monomial of the wrong length or a degree of PACK_LIMIT or more
-    raises RingError.
+    `unpack_all` convert a whole polynomial in one pass, `unpack`
+    converts one monomial, and `recode` moves packed monomials from one
+    layout to another without tuples. A negative or non-integer
+    exponent, a monomial of the wrong length or a degree of PACK_LIMIT
+    or more raises RingError.
 
     The max-first key is `m - ((m & flip) << 1)`, with `flip` the
     variable fields under grevlex (degree first, then the reversed
@@ -270,6 +271,20 @@ class PackedLayout:
         """`unpack` of each packed monomial, in order."""
         unpack, size, byteorder, n = self._struct.unpack, self._struct.size, self._byteorder, self._nvars
         return [unpack(m.to_bytes(size, byteorder))[:n] for m in ms]
+
+    def recode(self, ms: Collection[int], source: "PackedLayout") -> Collection[int]:
+        """The monomials `ms`, packed under `source`, packed under this layout,
+        in order: `ms` itself when `source` is this layout, and RingError
+        when the variable counts differ. Both layouts hold the fields
+        (e_0, ..., e_{n-1}, degree), so each monomial is one struct unpack
+        and pack."""
+        if source is self:
+            return ms
+        if source._nvars != self._nvars:
+            raise RingError("recoding between layouts of different variable counts")
+        pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
+        unpack, size, source_order = source._struct.unpack, source._struct.size, source._byteorder
+        return [from_bytes(pack(*unpack(m.to_bytes(size, source_order))), byteorder) for m in ms]
 
     def key(self, m: int) -> int:
         """Sort key whose max is the leading monomial, as `order_key` on the unpacked tuples."""
@@ -777,10 +792,6 @@ class LaurentPoly:
         """The polynomial of (numerator vector over `scale`, nonzero int)
         pairs with distinct vectors."""
         return cls._of(r, *_pack_terms(scale, list(terms)))
-
-    @classmethod
-    def zero(cls, r: int) -> "LaurentPoly":
-        return cls(r)
 
     @classmethod
     def one(cls, r: int) -> "LaurentPoly":

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -386,21 +387,81 @@ def _sympy_reduced_basis(term_lists, nvars, order):
     return sorted(out)
 
 
+def _random_term_lists(rng):
+    """Term lists of two or three random polynomials in three variables."""
+    return [
+        [(tuple(rng.randint(0, 2) for _ in range(3)), rng.randint(-3, 3)) for _ in range(rng.randint(2, 3))]
+        for _ in range(rng.randint(2, 3))
+    ]
+
+
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
 def test_reduced_basis_matches_sympy(order):
     R = PolyRing(["x", "y", "z"])
     rng = random.Random(3)
     for _ in range(20):
-        term_lists = [
-            [
-                (tuple(rng.randint(0, 2) for _ in range(3)), rng.randint(-3, 3))
-                for _ in range(rng.randint(2, 3))
-            ]
-            for _ in range(rng.randint(2, 3))
-        ]
+        term_lists = _random_term_lists(rng)
         gens = [p for p in (poly_from_terms(R, t) for t in term_lists) if p]
         ours = sorted(sorted(g.terms.items()) for g in groebner_basis(gens, order))
         assert ours == _sympy_reduced_basis(term_lists, 3, order)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_initial_ideal_is_the_ideal_of_the_basis_leads(order):
+    # the tuple definition: the largest monomial of each basis element
+    R = PolyRing(["x", "y", "z"])
+    rng = random.Random(3)
+    for _ in range(20):
+        I = Ideal(R, [poly_from_terms(R, t) for t in _random_term_lists(rng)])
+        leads = [max(g.terms, key=order_key(order)) for g in I.groebner(order)]
+        assert I.initial_ideal(order) == MonomialIdeal(3, leads)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_normal_form_of_a_polynomial_in_an_equal_ring(order):
+    # R and S are equal rings but not one object, so are their layouts
+    R, S = PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"])
+    x, y, z = R.gens()
+    I = Ideal(R, [x * x - z, y * y - z * z, x * y * z - 1])
+    rng = random.Random(37)
+    for _ in range(10):
+        t = [(tuple(rng.randint(0, 3) for _ in range(3)), rng.randint(-5, 5)) for _ in range(4)]
+        got = I.normal_form(poly_from_terms(S, t), order)
+        assert got.ring is S
+        assert got.terms == I.normal_form(poly_from_terms(R, t), order).terms
+
+
+def test_the_packed_path_crosses_no_tuple_view(monkeypatch):
+    # a lex basis and lex normal forms of polynomials built packed neither
+    # pack nor unpack a tuple nor call the tuple constructor, and initial
+    # ideals read the packed leads, not the `terms` view
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for cls, name in ((PackedLayout, "pack_all"), (PackedLayout, "unpack_all"), (MultiPoly, "__init__")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    monkeypatch.setattr(MultiPoly, "terms", property(counting("terms", MultiPoly.terms.fget)))
+    R = PolyRing(["x", "y", "z"])
+    x, y, z = R.gens()
+    gens = [x * x - z, y * y - z * z, x * y * z - 1]
+    I = Ideal(R, gens)
+    I.set_groebner("lex", groebner_basis(gens, "lex"))
+    queries = [x ** 3 * y - 2 * z, (x + y + z) ** 3, 3 * x * y * z - 3, R.const(5)]
+    remainders = [I.normal_form(p, "lex") for p in queries]
+    assert calls == {}
+    leads = {order: I.initial_ideal(order) for order in ("lex", "grevlex")}
+    assert calls["terms"] == 0
+    monkeypatch.undo()
+    for order, J in leads.items():
+        assert J == MonomialIdeal(3, [max(g.terms, key=order_key(order)) for g in I.groebner(order)])
+    assert [I.contains(p - r, "lex") for p, r in zip(queries, remainders)] == [True] * 4
+    assert remainders[2] == 0 and remainders[3] == 5
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])

@@ -2,8 +2,9 @@
 imports, every definition of the library is referenced somewhere, every
 private definition of the library is referenced by the library, every
 public one by the library or by perfbench unless it awaits a caller
-named in `AWAITING_CALLERS`, and the library holds no `assert` statement
-and raises no `AssertionError`.
+named in `AWAITING_CALLERS`, the library holds no `assert` statement
+and raises no `AssertionError`, and no library module but `multipoly`
+reads a `.terms` view.
 
 Stdlib `ast` checks, so the tier-1 run catches an unused import or a dead
 definition without a linter. An import counts as used when the name
@@ -21,6 +22,9 @@ owner: a method counts as used when any method of that name is, so
 vanishes under `python -O`, so a condition the library must check raises
 an error instead, and a `raise AssertionError` is an assertion by
 another name: the library raises its own errors, such as `RingError`.
+The `terms` views of `MultiPoly` and `LaurentPoly` are the boundary, for
+callers outside the library: inside it, every other module works on the
+packed forms.
 """
 
 import ast
@@ -213,4 +217,23 @@ def test_the_check_finds_a_raised_assertion_error():
 
 def test_no_assertion_errors_raised_in_the_library():
     found = {str(path.relative_to(ROOT)): assertion_raises(path.read_text()) for path in LIBRARY}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def terms_reads(source: str):
+    """Line of each read of a `.terms` attribute, at any depth."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "terms" and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_the_check_finds_a_terms_read():
+    source = "def f(p):\n    return p.terms\n\nx = max(g.terms, key=k)\nterms = p._pk()\np.terms = {}\n"
+    assert terms_reads(source) == [2, 4]
+
+
+def test_only_multipoly_reads_terms_in_the_library():
+    found = {str(path.relative_to(ROOT)): terms_reads(path.read_text()) for path in LIBRARY if path.name != "multipoly.py"}
     assert {path: lines for path, lines in found.items() if lines} == {}

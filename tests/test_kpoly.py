@@ -23,7 +23,7 @@ def taylor_kpoly(J, weights):
     generator count, so only for small inputs.
     """
     r = weights[0].r
-    total = LaurentPoly.zero(r)
+    total = LaurentPoly(r)
     for k in range(len(J.gens) + 1):
         for S in itertools.combinations(J.gens, k):
             lcm = (0,) * J.nvars
@@ -101,7 +101,7 @@ class TestKpolyMonomial:
 
     def test_zero_and_unit_ideal(self):
         assert kpoly_monomial(MonomialIdeal(2, []), [Weight.of(1, 0), Weight.of(0, 1)]) == LaurentPoly.one(2)
-        assert kpoly_monomial(MonomialIdeal(2, [(0, 0)]), [Weight.of(1, 0), Weight.of(0, 1)]) == LaurentPoly.zero(2)
+        assert kpoly_monomial(MonomialIdeal(2, [(0, 0)]), [Weight.of(1, 0), Weight.of(0, 1)]) == LaurentPoly(2)
 
     def test_matches_taylor_oracle_on_random_ideals(self):
         # mixed scales: the recursion rescales every weight to the largest one
@@ -214,6 +214,17 @@ class TestHilbertSeries:
         # 1 / ((1 - t_1)(1 - t_2)(1 - t_3)): numerator 1, one factor per variable
         assert h.numerator == LaurentPoly.one(3)
         assert h.denom_weights == (E3, E2, E1)
+
+    def test_denominator_weights_sort_across_scales(self):
+        # scales 1, 2 and 4 in one denominator, sorted as the rational vectors
+        w = [
+            Weight((1, 3), 4), Weight.of(1, 0), Weight((1, 1), 2), Weight((-3, 1), 4),
+            Weight.of(0, -1), Weight((1, -1), 2), Weight((2, 1), 4), Weight.of(1, 0),
+        ]
+        h = HilbertSeries(LaurentPoly.one(2), w)
+        assert h.denom_weights == tuple(sorted(w, key=lambda v: v.sort_key()))
+        # -3/4 < 0 < 1/4 < 1/2 = 1/2 = 2/4 < 1, ties broken by the second entry
+        assert h.denom_weights == (w[3], w[4], w[0], w[5], w[6], w[2], w[1], w[7])
 
     def test_lex_and_grevlex_routes_agree(self):
         # twisted cubic, multigraded by its monomial parametrization
