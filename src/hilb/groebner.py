@@ -4,28 +4,26 @@ Buchberger with the sugar selection strategy. Pairs are pruned once, when
 an element is added, by the Gebauer-Moller update (Gebauer & Moller, J.
 Symb. Comp. 1988, in the form of Becker & Weispfenning's UPDATE):
 criteria B, M and F on the packed lcm stored with each pair, then the
-coprime test. Division runs fraction-free over Z on content-
-stripped polynomials, so rational input costs one denominator clearing
-up front, the hot loop is pure integer arithmetic, and a result builds a
-`Fraction` only for a coefficient that is not an integer. Buchberger and
-division also run on the packed term format of `multipoly`
-(`PackedLayout`, `IntTerms`), the one working form of `MultiPoly`: terms
-are dicts from packed ints to integer coefficients, products are int
-additions, an S-polynomial is two `_add_shifted` calls, divisibility is
-a guard-mask test, and the division heap holds plain int keys. Both
-orders take one path with no exponent tuples: `_int_terms` recodes a
-polynomial's packed terms into the order's layout (`PackedLayout.recode`),
-and `_poly` recodes a result into the ring's layout and builds it packed.
-An exponent or degree of 2^15 or more raises RingError. The zero ideal
-has the empty basis, so
-its normal forms are the input and its initial ideal is empty. Division
-by a basis has one entry point, `Ideal.normal_form`, which packs the
-basis of each order once and keeps it; `Ideal.initial_ideal` reads the
-leads of the same packed basis. A hard S-pair budget turns
+coprime test. Division runs fraction-free over Z on content-stripped
+polynomials, so the hot loop is pure integer arithmetic, and a result
+builds a `Fraction` only for a coefficient that is not an integer. Terms
+are dicts in the packed format of `multipoly` (`PackedLayout`,
+`IntTerms`), keyed by the order's min-first heap key (`heap_key`), which
+is additive and its own inverse: a product is one int add, the division
+heap holds the dict's own keys, a lead is the least key, and a term's
+monomial is recovered once, for the guard test against the flat list of
+leads. Leads, lcms, pair criteria and initial ideals stay on monomials.
+A shifted term reaches PACK_LIMIT exactly when its degree does, so each
+reduction step and S-pair makes one degree test, against the degree gap
+each basis element stores (nonzero only under lex). Both orders take one
+path without tuples: `_int_terms` recodes a polynomial's packed terms
+into the order's layout (`PackedLayout.recode`) and keys them, and
+`_poly` maps a result back and builds it packed. An exponent or degree
+of 2^15 or more raises RingError. The zero ideal has the empty basis.
+`Ideal.normal_form` keys the basis of each order once and keeps it, and
+`Ideal.initial_ideal` reads one lead per element. A hard S-pair budget turns
 blowups into a structured failure instead of an endless run.
-`MonomialIdeal`, such as an initial ideal, holds its minimal generators
-as packed lex ints, so its membership test and minimalization are the
-packed ones of `PackedLayout`.
+`MonomialIdeal` holds its minimal generators as packed lex ints.
 """
 
 from __future__ import annotations
@@ -34,9 +32,10 @@ import heapq
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
 from .multipoly import (
+    PACK_LIMIT,
     IntTerms,
     Monomial,
     MultiPoly,
@@ -60,14 +59,31 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-# a layout with the packed (lead, lead coefficient) and terms of each basis element
-PackedBasis = Tuple[PackedLayout, List[Tuple[int, int]], List[IntTerms]]
+# a basis element as a divisor: its lead's heap key, its positive lead
+# coefficient, its tail keyed by heap keys, and its degree gap, the
+# amount by which the tail's top degree exceeds the lead's (0 when none does)
+Reducer = Tuple[int, int, IntTerms, int]
+# the reducers of a basis by lead monomial, in list order: the first
+# element of each lead, since only that one is ever the first divisor
+PackedBasis = Dict[int, Reducer]
 
 
 def _primitive_int(d: IntTerms) -> Tuple[IntTerms, int]:
     """d divided by the gcd g of its coefficients, and g."""
     g = gcd(*d.values())
     return ({e: v // g for e, v in d.items()} if g > 1 else d), g
+
+
+def _reducer(t: IntTerms, lay: PackedLayout) -> Tuple[int, Reducer]:
+    """The lead monomial of the nonzero terms t, keyed by heap keys under
+    `lay`, and t as a primitive `Reducer`. The lead is taken out of t."""
+    t, _ = _primitive_int(t)
+    h = min(t)
+    c = t.pop(h)
+    if c < 0:
+        t, c = {k: -v for k, v in t.items()}, -c
+    lead = lay.heap_key(h)
+    return lead, (h, c, t, max(lay.top_degree(t) - lay.degree(lead), 0))
 
 
 def _layout(ring: PolyRing, order: str) -> PackedLayout:
@@ -77,29 +93,33 @@ def _layout(ring: PolyRing, order: str) -> PackedLayout:
 
 
 def _int_terms(p: MultiPoly, lay: PackedLayout) -> Tuple[IntTerms, int, int]:
-    """The primitive integer terms of a nonzero p packed under `lay`, and
-    the content of p = (num / den) * terms as (num, den).
+    """The primitive integer terms of a nonzero p, keyed by their heap keys
+    under `lay`, and the content of p = (num / den) * terms as (num, den).
 
-    p's own packed terms are recoded from its ring's layout into `lay`,
-    and taken without a copy when that layout is `lay`: a copy would
-    hash every packed key again. The coefficients of p are canonical, so
-    den is 1 exactly when all of them are `int`; they are then taken as
-    they are, and only their `int.denominator` is read.
+    p's own packed terms are recoded from its ring's layout into `lay`.
+    The coefficients of p are canonical, so den is 1 exactly when all of
+    them are `int`; they are then taken as they are, and only their
+    `int.denominator` is read.
     """
     pk = p._pk()
     ms = lay.recode(pk, p.ring.layout)
-    t = pk if ms is pk else dict(zip(ms, pk.values()))
-    den = lcm(*[c.denominator for c in t.values()])
+    cs = list(pk.values())
+    den = lcm(*[c.denominator for c in cs])
     if den != 1:
-        t = {m: c.numerator * (den // c.denominator) for m, c in t.items()}
-    t, g = _primitive_int(t)
-    return t, g, den
+        cs = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*cs)
+    if g > 1:
+        cs = [c // g for c in cs]
+    flip = lay.flip
+    return {((m & flip) << 1) - m: c for m, c in zip(ms, cs)}, g, den
 
 
 def _poly(ring: PolyRing, lay: PackedLayout, terms: IntTerms, coeffs: Iterable) -> MultiPoly:
-    """The polynomial of the monomials `terms`, packed under `lay`, with the
+    """The polynomial of the terms keyed by heap keys under `lay`, with the
     coefficients `coeffs`, built packed under the ring's layout."""
-    return MultiPoly._of_packed(ring, dict(zip(ring.layout.recode(terms, lay), coeffs)))
+    flip = lay.flip
+    ms = ring.layout.recode([((h & flip) << 1) - h for h in terms], lay)
+    return MultiPoly._of_packed(ring, dict(zip(ms, coeffs)))
 
 
 def _quotients(values: Iterable[int], num: int, den: int) -> List[object]:
@@ -113,69 +133,69 @@ def _quotients(values: Iterable[int], num: int, den: int) -> List[object]:
     return [v // den * num if not v % den else Fraction(v * num, den) for v in values]
 
 
-def _divide_int(
-    terms: IntTerms,
-    basis_lead: Sequence[Tuple[int, int]],
-    basis_terms: Sequence[IntTerms],
-    lay: PackedLayout,
-) -> Tuple[IntTerms, int]:
-    """Fraction-free full reduction; returns (result, multiplier).
+def _divide_int(work: IntTerms, basis: PackedBasis, lay: PackedLayout) -> Tuple[IntTerms, int]:
+    """Fraction-free full reduction of the terms `work`, keyed by heap keys,
+    which it takes over; returns (result, multiplier), keyed alike.
 
     result = multiplier * (input reduced by the basis), multiplier a
-    positive integer. Terms are visited leading first, from a heap of
-    min-first int keys. The divisor tried for each term is the first
-    basis element in list order whose leading monomial divides it.
+    positive integer. The dict's own keys form the heap, so terms are
+    visited leading first, and a product term's key is the sum of two
+    keys. The divisor tried for each term is the first basis element in
+    list order whose lead monomial divides it, found by a guard test of
+    the term's monomial against each lead. A shifted tail term reaches
+    PACK_LIMIT exactly when its degree does, so one degree test per step
+    guards a product, and only for a reducer whose tail out-degrees its
+    lead. New terms sort below the term reduced, so no step touches a
+    term already popped: a cancelled term stays as a zero until it pops,
+    and each key is pushed once.
     """
-    guard, flip = lay.guard, lay.flip
-    work = dict(terms)
+    guard, flip, degree = lay.guard, lay.flip, lay.degree
     mult = 1
-    heap = [((e & flip) << 1) - e for e in work]
+    heap = list(work)
     heapq.heapify(heap)
-    done = set()
     steps = 0
     while heap:
         h = heapq.heappop(heap)
-        e = ((h & flip) << 1) - h
-        c = work.get(e)
-        if not c or e in done:
+        c = work[h]
+        if not c:
             continue
-        for (ge, gc), gt in zip(basis_lead, basis_terms):
-            shift = e - ge
-            if shift & guard:
-                continue
-            d = gcd(c, gc)
-            a = abs(gc // d)
-            b = c // d if gc > 0 else -(c // d)
-            if a != 1:
-                for m in work:
-                    work[m] *= a
-                mult *= a
-            for f, fc in gt.items():
-                m = f + shift
-                if m & guard:
-                    raise pack_overflow()
-                prev = work.get(m)
-                nv = (prev or 0) - b * fc
-                if nv:
-                    work[m] = nv
-                    if prev is None and m != e:
-                        heapq.heappush(heap, ((m & flip) << 1) - m)
-                elif prev is not None:
-                    del work[m]
-            steps += 1
-            if steps % 64 == 0 and mult.bit_length() > 64:
-                g0 = mult
-                for v in work.values():
-                    g0 = gcd(g0, v)
-                    if g0 == 1:
-                        break
-                if g0 > 1:
-                    mult //= g0
-                    work = {m: v // g0 for m, v in work.items()}
-            break
+        m = ((h & flip) << 1) - h
+        for ge in basis:
+            if not (m - ge) & guard:
+                break
         else:
-            done.add(e)
-    return work, mult
+            continue
+        gh, gc, tail, gap = basis[ge]
+        if gap and degree(m) + gap >= PACK_LIMIT:
+            raise pack_overflow()
+        shift = h - gh
+        d = gcd(c, gc)
+        a = gc // d
+        b = c // d
+        del work[h]
+        if a != 1:
+            for k in work:
+                work[k] *= a
+            mult *= a
+        for f, fc in tail.items():
+            k = f + shift
+            prev = work.get(k)
+            if prev is None:
+                work[k] = -b * fc
+                heapq.heappush(heap, k)
+            else:
+                work[k] = prev - b * fc
+        steps += 1
+        if steps % 64 == 0 and mult.bit_length() > 64:
+            g0 = mult
+            for v in work.values():
+                g0 = gcd(g0, v)
+                if g0 == 1:
+                    break
+            if g0 > 1:
+                mult //= g0
+                work = {k: v // g0 for k, v in work.items()}
+    return {k: v for k, v in work.items() if v}, mult
 
 
 def groebner_basis(
@@ -197,22 +217,20 @@ def groebner_basis(
         if g.ring != ring:
             raise RingError("generators live in different rings")
     lay = _layout(ring, order)
-    key, guard, colon, degree = lay.key, lay.guard, lay.colon, lay.degree
+    guard, colon, degree = lay.guard, lay.colon, lay.degree
 
-    basis_terms: List[IntTerms] = []
-    basis_lead: List[Tuple[int, int]] = []
+    basis: List[Reducer] = []
+    leads: List[int] = []  # the lead monomial of each element
+    reducers: PackedBasis = {}
     ecart: List[int] = []  # sugar minus lead degree, per element
     heap: List[Tuple[int, int, int, int]] = []  # (sugar, new, old, lcm): ties pop in creation order
 
     def add_int(t: IntTerms, s: int):
-        t, _ = _primitive_int(t)
-        lead = max(t, key=key)
-        if t[lead] < 0:
-            t = {e: -v for e, v in t.items()}
-        h, ec = len(basis_terms), s - degree(lead)
+        lead, red = _reducer(t, lay)
+        h, ec = len(basis), s - degree(lead)
         # Gebauer-Moller update (Becker & Weispfenning's UPDATE) on the lcms
         # of the new lead with each old one
-        lcms = [lead + colon(g, lead) for g, _ in basis_lead]
+        lcms = [lead + colon(g, lead) for g in leads]
         if any(m & guard for m in lcms):
             raise pack_overflow()
         # criterion B: drop an old pair whose lcm the new lead divides,
@@ -228,17 +246,19 @@ def groebner_basis(
         new_lcms: List[int] = []  # of the new pairs kept so far
         for g in reversed(range(h)):
             m = lcms[g]
-            coprime = m == lead + basis_lead[g][0]
+            coprime = m == lead + leads[g]
             if coprime or all((m - x) & guard for x in itertools.chain(lcms[:g], new_lcms)):
                 new_lcms.append(m)
                 if not coprime:
                     heapq.heappush(heap, (degree(m) + max(ec, ecart[g]), h, g, m))
-        basis_terms.append(t)
-        basis_lead.append((lead, t[lead]))
+        basis.append(red)
+        leads.append(lead)
+        reducers.setdefault(lead, red)
         ecart.append(ec)
 
     packed = [(_int_terms(g, lay)[0], g.total_degree()) for g in gens]
-    for t, s in sorted(packed, key=lambda ts: key(max(ts[0], key=key))):
+    # ascending leads; the least heap key is the lead's
+    for t, s in sorted(packed, key=lambda ts: -min(ts[0])):
         add_int(t, s)
 
     used = 0
@@ -247,52 +267,48 @@ def groebner_basis(
         used += 1
         if used > budget:
             raise BudgetExceeded(used, budget)
-        li, ci = basis_lead[i]
-        lj, cj = basis_lead[j]
+        hi, ci, tail_i, gap_i = basis[i]
+        hj, cj, tail_j, gap_j = basis[j]
+        # the leads cancel, and a shifted tail term reaches PACK_LIMIT
+        # exactly when its degree does
+        if degree(t) + max(gap_i, gap_j) >= PACK_LIMIT:
+            raise pack_overflow()
+        ht = lay.heap_key(t)
         d = gcd(ci, cj)
         s: IntTerms = {}
-        _add_shifted(s, basis_terms[i], t - li, cj // d, guard)
-        _add_shifted(s, basis_terms[j], t - lj, -(ci // d), guard)
+        _add_shifted(s, tail_i, ht - hi, cj // d, 0)
+        _add_shifted(s, tail_j, ht - hj, -(ci // d), 0)
         if not s:
             continue
-        r, _ = _divide_int(s, basis_lead, basis_terms, lay)
+        r, _ = _divide_int(s, reducers, lay)
         if r:
             add_int(r, pair_sugar)
 
-    reduced = _reduce_int_basis(basis_terms, basis_lead, lay, ring)
+    reduced = _reduce_int_basis(reducers, lay, ring)
     if want_stats:
         return reduced, used
     return reduced
 
 
-def _reduce_int_basis(
-    basis_terms: List[IntTerms],
-    basis_lead: List[Tuple[int, int]],
-    lay: PackedLayout,
-    ring: PolyRing,
-) -> List[MultiPoly]:
-    # minimalize: keep the elements with minimal leading monomials, the
-    # first in list order where several share one
-    first: Dict[int, int] = {}
-    for i, (e, _) in enumerate(basis_lead):
-        first.setdefault(e, i)
-    keep = [first[e] for e in lay.minimal(first)]
-    key = lay.key
-    keep.sort(key=lambda i: key(basis_lead[i][0]))
-    # inter-reduce tails against the other minimal elements; a tail term
-    # sorts below its lead, which no other minimal lead divides, so the
-    # output keeps the leads and their order
+def _reduce_int_basis(reducers: PackedBasis, lay: PackedLayout, ring: PolyRing) -> List[MultiPoly]:
+    """The reduced basis of a Groebner basis given by its reducers.
+
+    Minimalizes to the elements with minimal leads, the first in list
+    order where several share one, then reduces their tails in ascending
+    lead order, each by the already reduced smaller elements only: a tail
+    term sorts below its lead, and a lead that divides a monomial sorts
+    at or below it, so no larger lead divides a tail term. The output
+    keeps the leads, ascending.
+    """
+    done: PackedBasis = {}
     out: List[MultiPoly] = []
-    for i in keep:
-        others = [k for k in keep if k != i]
-        r, _ = _divide_int(
-            basis_terms[i],
-            [basis_lead[k] for k in others],
-            [basis_terms[k] for k in others],
-            lay,
-        )
-        lc = r[basis_lead[i][0]]
-        out.append(_poly(ring, lay, r, _quotients(r.values(), 1, lc)))
+    for lead in sorted(lay.minimal(reducers), key=lay.key):
+        h, c, tail, _ = reducers[lead]
+        r, mult = _divide_int(dict(tail), done, lay)
+        lc = c * mult
+        t = {h: lc, **r}
+        out.append(_poly(ring, lay, t, _quotients(t.values(), 1, lc)))
+        done[lead] = _reducer(t, lay)[1]
     return out
 
 
@@ -314,6 +330,17 @@ class MonomialIdeal:
         self.nvars = nvars
         self.layout = PackedLayout(nvars, "lex")
         self.packed = tuple(self.layout.minimal(self._pack_all(list(gens))))
+
+    @classmethod
+    def _of_packed(cls, nvars: int, ms: Collection[int], source: PackedLayout) -> "MonomialIdeal":
+        """The ideal of the monomials `ms` packed under `source`, a layout of
+        nvars variables, recoded into the lex layout without tuples (as
+        they are, under lex)."""
+        self = cls.__new__(cls)
+        self.nvars = nvars
+        self.layout = layout = PackedLayout(nvars, "lex")
+        self.packed = tuple(layout.minimal(layout.recode(ms, source)))
+        return self
 
     def _pack_all(self, monos: Sequence[Monomial]) -> List[int]:
         if any(len(e) != self.nvars for e in monos):
@@ -346,9 +373,10 @@ class MonomialIdeal:
 class Ideal:
     """Polynomial ideal with cached reduced Groebner bases per order.
 
-    Next to each cached basis it keeps the basis packed under the order's
-    layout (`PackedBasis`), built once by `_packed_basis`: normal forms
-    divide by it, and the initial ideal is the ideal of its leads.
+    Next to each cached basis it keeps the basis as the reducers of the
+    order's layout (`PackedBasis`), built once by `_packed_basis` for
+    normal forms to divide by. The initial ideal needs no reducers: it
+    reads one lead from the packed terms of each basis element.
     """
 
     def __init__(self, ring: PolyRing, gens: Iterable[MultiPoly]):
@@ -359,7 +387,7 @@ class Ideal:
         self.ring = ring
         self.gens = list(gens)
         self._gb: Dict[object, List[MultiPoly]] = {}
-        self._packed: Dict[object, PackedBasis] = {}
+        self._packed: Dict[object, Tuple[PackedLayout, PackedBasis]] = {}
 
     def groebner(self, order="grevlex") -> List[MultiPoly]:
         order_key(order)  # RingError for an unknown order, before the cache lookup
@@ -376,21 +404,18 @@ class Ideal:
         self._gb[order] = basis
         self._packed.pop(order, None)
 
-    def _packed_basis(self, order) -> PackedBasis:
-        """The reduced basis of `order` packed under its layout, built on the
-        first call for an order and kept."""
+    def _packed_basis(self, order) -> Tuple[PackedLayout, PackedBasis]:
+        """The reduced basis of `order` as reducers under its layout, built on
+        the first call for an order and kept."""
         order_key(order)  # RingError for an unknown order, before the cache lookup
         packed = self._packed.get(order)
         if packed is None:
             lay = _layout(self.ring, order)
-            basis_lead = []
-            basis_terms = []
+            reducers: PackedBasis = {}
             for g in self.groebner(order):
-                gt, _, _ = _int_terms(g, lay)
-                ge = max(gt, key=lay.key)
-                basis_lead.append((ge, gt[ge]))
-                basis_terms.append(gt)
-            packed = self._packed[order] = (lay, basis_lead, basis_terms)
+                lead, red = _reducer(_int_terms(g, lay)[0], lay)
+                reducers.setdefault(lead, red)
+            packed = self._packed[order] = (lay, reducers)
         return packed
 
     def normal_form(self, p: MultiPoly, order="grevlex") -> MultiPoly:
@@ -402,17 +427,22 @@ class Ideal:
         """
         if p.ring != self.ring:
             raise RingError("polynomial outside the ring")
-        lay, basis_lead, basis_terms = self._packed_basis(order)
+        lay, reducers = self._packed_basis(order)
         if not p:
             return p
         terms, num, den = _int_terms(p, lay)
-        work, mult = _divide_int(terms, basis_lead, basis_terms, lay)
+        work, mult = _divide_int(terms, reducers, lay)
         return _poly(p.ring, lay, work, _quotients(work.values(), num, den * mult))
 
     def contains(self, p: MultiPoly, order="grevlex") -> bool:
         return not self.normal_form(p, order)
 
     def initial_ideal(self, order="grevlex") -> MonomialIdeal:
-        lay, basis_lead, _ = self._packed_basis(order)
-        return MonomialIdeal(self.ring.n, lay.unpack_all([e for e, _ in basis_lead]))
-
+        """The ideal of the leads of the reduced basis of `order`: the lead of
+        each element is read from its packed terms, recoded into the
+        order's layout, and the leads are recoded into the lex layout of
+        `MonomialIdeal`, which under lex keeps them as they are."""
+        lay = _layout(self.ring, order)
+        source, key = self.ring.layout, lay.key
+        leads = [max(lay.recode(g._pk(), source), key=key) for g in self.groebner(order)]
+        return MonomialIdeal._of_packed(self.ring.n, leads, lay)

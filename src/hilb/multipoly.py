@@ -223,10 +223,16 @@ class PackedLayout:
     The max-first key is `m - ((m & flip) << 1)`, with `flip` the
     variable fields under grevlex (degree first, then the reversed
     exponents negated) and 0 under lex (the key is m itself). Its
-    negation `((m & flip) << 1) - m` is the min-first heap key, and the
-    same map sends a heap key back to m. Under both orders a proper
-    divisor packs to a smaller int: its degree is smaller, and under lex
-    its tuple is smaller too. Sorted lex ints are the sorted tuples.
+    negation `heap_key(m) = ((m & flip) << 1) - m` is the min-first heap
+    key, and the same map sends a heap key back to m. The heap key is
+    additive, heap_key(a + b) = heap_key(a) + heap_key(b) whenever a + b
+    is a valid monomial, because a valid sum carries out of no field: so
+    a product of terms keyed by heap keys is one int add as well, and the
+    least key of a term dict is the key of its lead. The degree field of
+    a heap key holds minus the degree, under both orders. Under both
+    orders a proper divisor packs to a smaller int: its degree is
+    smaller, and under lex its tuple is smaller too. Sorted lex ints are
+    the sorted tuples.
     """
 
     __slots__ = (
@@ -274,14 +280,14 @@ class PackedLayout:
 
     def recode(self, ms: Collection[int], source: "PackedLayout") -> Collection[int]:
         """The monomials `ms`, packed under `source`, packed under this layout,
-        in order: `ms` itself when `source` is this layout, and RingError
-        when the variable counts differ. Both layouts hold the fields
-        (e_0, ..., e_{n-1}, degree), so each monomial is one struct unpack
-        and pack."""
-        if source is self:
-            return ms
+        in order: `ms` itself when `source` packs as this layout does (the
+        same order), and RingError when the variable counts differ. Both
+        layouts hold the fields (e_0, ..., e_{n-1}, degree), so each
+        monomial is one struct unpack and pack."""
         if source._nvars != self._nvars:
             raise RingError("recoding between layouts of different variable counts")
+        if source.order == self.order:
+            return ms
         pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
         unpack, size, source_order = source._struct.unpack, source._struct.size, source._byteorder
         return [from_bytes(pack(*unpack(m.to_bytes(size, source_order))), byteorder) for m in ms]
@@ -290,9 +296,20 @@ class PackedLayout:
         """Sort key whose max is the leading monomial, as `order_key` on the unpacked tuples."""
         return m - ((m & self.flip) << 1)
 
+    def heap_key(self, m: int) -> int:
+        """The min-first heap key of a packed monomial, and the monomial of a
+        heap key: the map is its own inverse."""
+        return ((m & self.flip) << 1) - m
+
     def degree(self, m: int) -> int:
         """The total degree of a packed monomial, read from its degree field."""
         return (m & self._degmask) >> self._degshift
+
+    def top_degree(self, keys: Iterable[int]) -> int:
+        """The largest total degree among the monomials of the heap keys
+        `keys`, read from the negated degree field of each key; 0 for none."""
+        shift = self._degshift
+        return max((-(k >> shift) & 0xFFFF for k in keys), default=0)
 
     def colon(self, a: int, b: int) -> int:
         """The packed lcm(a, b) / b, the generator of (a) : b; the packed
@@ -528,8 +545,11 @@ class MultiPoly:
         return MultiPoly._of_packed(self.ring, result)
 
     def total_degree(self) -> int:
-        """The largest total degree of a term, 0 for zero."""
-        return max(map(self.ring.layout.degree, self._pk()), default=0)
+        """The largest total degree of a term, 0 for zero: the degree field is
+        the top field of the ring's grevlex layout, so the largest packed
+        int has it."""
+        pk = self._pk()
+        return self.ring.layout.degree(max(pk)) if pk else 0
 
     def sorted_terms(self, order: str = "grevlex"):
         key = order_key(order)

@@ -314,6 +314,30 @@ def test_packed_colon_and_lcm_match_the_tuple_ones(case):
         assert lcm & lay.guard
 
 
+heap_key_cases = st.tuples(
+    st.integers(3, 12).flatmap(lambda n: st.lists(full_range_monomials(n), min_size=1, max_size=6)),
+    st.sampled_from(["lex", "grevlex"]),
+)
+
+
+@seeded
+@given(heap_key_cases)
+def test_heap_keys_add_and_invert_and_put_the_lead_first(case):
+    # the facts Groebner division on heap-keyed term dicts rests on
+    monos, order = case
+    lay = PackedLayout(len(monos[0]), order)
+    packed = [pack(lay, e) for e in monos]
+    keys = [lay.heap_key(m) for m in packed]
+    assert [lay.heap_key(k) for k in keys] == packed
+    for a, pa, ka in zip(monos, packed, keys):
+        for b, pb, kb in zip(monos, packed, keys):
+            if sum(a) + sum(b) < PACK_LIMIT:
+                assert lay.heap_key(pa + pb) == ka + kb
+    lead = max(monos, key=order_key(order))
+    assert min(keys) == lay.heap_key(pack(lay, lead))
+    assert lay.top_degree(keys) == max(map(sum, monos))
+
+
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 def test_packing_rejects_what_a_field_cannot_hold(order):
     lay = PackedLayout(3, order)
