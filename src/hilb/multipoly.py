@@ -30,9 +30,10 @@ top bits are guards (Bachmann & Schoenemann, "Monomial representations
 for Groebner bases computations", ISSAC 1998), and `IntTerms` maps
 packed monomials to coefficients. Product is `+`, quotient is `-`,
 divisibility is one subtraction and a mask test, a colon or an lcm is a
-few int operations (`PackedLayout.colon`), and the order compares one
-int key. Every packed sum of shifted terms (sums, products,
-S-polynomials, elimination and substitution) is one call of
+few int operations (`PackedLayout.colon`), the number of monomials each
+variable divides is one sum (`PackedLayout.support_counts`), and the
+order compares one int key. Every packed sum of shifted terms (sums,
+products, S-polynomials, elimination and substitution) is one call of
 `_add_shifted`, which raises RingError for a monomial of degree 2^15 or
 more. Tuples and packed ints are converted by one `struct.Struct` per
 layout, a whole polynomial in one pass of `PackedLayout.pack_all` or
@@ -237,7 +238,7 @@ class PackedLayout:
 
     __slots__ = (
         "order", "guard", "flip", "_struct", "_byteorder", "_nvars",
-        "_varguard", "_degmask", "_degshift", "_ones", "_down",
+        "_varguard", "_degmask", "_degshift", "_ones", "_down", "_fill",
     )
 
     def __init__(self, nvars: int, order: str):
@@ -252,6 +253,7 @@ class PackedLayout:
         self._degshift = 16 * nvars if grevlex else 0
         self._degmask = 0xFFFF << self._degshift
         self._varguard = self.guard & ~self._degmask
+        self._fill = (self._varguard >> 15) * 0x7FFF  # 2^15 - 1 in each variable field
         # c * _ones holds the sum of the variable fields of c in field
         # nvars, and `>> _down` moves that field onto the degree field
         ones = int.from_bytes(b"\x01\x00" * nvars, "little")
@@ -340,6 +342,21 @@ class PackedLayout:
             else:
                 kept.append(m)
         return kept
+
+    def support_counts(self, ms: Collection[int]) -> Monomial:
+        """For each variable, the number of the packed monomials `ms` that it
+        divides; RingError for 2^16 monomials or more.
+
+        A variable field of `m + fill` reaches its guard bit iff its exponent
+        is at least 1, and carries out of no field, since an exponent is at
+        most 2^15 - 1. Shifted down by 15, the guard bits are one bit at the
+        foot of each variable field, so the sum of the shifted ints holds
+        each count in its variable's field, unpacked as a monomial.
+        """
+        if len(ms) >= 1 << 16:
+            raise RingError("support counts of 2^16 monomials or more overflow a field")
+        fill, varguard = self._fill, self._varguard
+        return self.unpack(sum([((m + fill) & varguard) >> 15 for m in ms]))
 
     def field(self, i: int) -> Tuple[int, int, int]:
         """(unit, mask, shift) of variable i: unit is the packed e_i, and the

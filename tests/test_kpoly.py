@@ -4,7 +4,7 @@ import gc
 import itertools
 import random
 from collections import Counter
-from operator import add, le
+from operator import add, le, mul
 
 import pytest
 
@@ -16,29 +16,43 @@ from hilb.partitions import Partition, enumerate_partitions, ideal_of_partition,
 from test_localeq import mono_weight
 
 
+def weight_columns(weights):
+    """(scale, columns): the largest scale of the weights and, for each
+    torus coordinate, the numerators of all weights on it, so the weight
+    of a monomial m is the vector of the sums of m times each column."""
+    scale = max(w.scale for w in weights)
+    return scale, list(zip(*(tuple(x * (scale // w.scale) for x in w.nums) for w in weights)))
+
+
 def taylor_kpoly(J, weights):
     """Inclusion-exclusion over generator subsets: sum (-1)^|S| t^lcm(S).
 
-    Independent oracle for the colon recursion; exponential in the
-    generator count, so only for small inputs.
+    Independent oracle for the recursion; each generator in turn adds the
+    lcm with it of every subset so far, with the opposite sign, to a
+    `Counter` of lcms, where equal lcms merge. Exponential in the
+    generator count in the worst case, so only for small inputs.
     """
-    r = weights[0].r
-    total = LaurentPoly(r)
-    for k in range(len(J.gens) + 1):
-        for S in itertools.combinations(J.gens, k):
-            lcm = (0,) * J.nvars
-            for g in S:
-                lcm = tuple(max(a, b) for a, b in zip(lcm, g))
-            total = total + LaurentPoly.char(mono_weight(lcm, weights), (-1) ** k)
-    return total
+    lcms = Counter({(0,) * J.nvars: 1})
+    for g in J.gens:
+        for m, c in list(lcms.items()):
+            lcms[tuple(map(max, m, g))] -= c
+    scale, columns = weight_columns(weights)
+    total = Counter()
+    for m, c in lcms.items():
+        total[tuple(sum(map(mul, m, col)) for col in columns)] += c
+    return LaurentPoly(weights[0].r, {Weight(nums, scale): c for nums, c in total.items()})
 
 
 def tuple_kpoly(J, weights):
-    """The colon recursion of kpoly_monomial on exponent tuples and `Weight`
-    arithmetic: the same memo keys and order, with no packing. The colon is
-    the tuple lcm(g, f) / f, and the minimalization the pairwise definition."""
+    """The colon recursion on exponent tuples, as an oracle:
+    K(f_1..f_m) = K(f_1..f_{m-1}) - t^{w(f_m)} K((f_1..f_{m-1}) : f_m),
+    memoized, at every generator count, where `kpoly_monomial` splits long
+    generator tuples on a variable instead. The colon is the tuple
+    lcm(g, f) / f, the minimalization the pairwise definition, and a weight
+    an int vector on the largest scale, made a `Weight` only at the end."""
     r = weights[0].r
-    memo = {(): {Weight((0,) * r): 1}}
+    scale, columns = weight_columns(weights)
+    memo = {(): {(0,) * r: 1}}
 
     def minimal(monos):
         monos = set(monos)
@@ -48,15 +62,15 @@ def tuple_kpoly(J, weights):
         if gens not in memo:
             f, rest = gens[-1], gens[:-1]
             out = dict(run(rest))
-            shift = mono_weight(f, weights)
+            shift = [sum(map(mul, f, col)) for col in columns]
             colon = (tuple(x - y if x > y else 0 for x, y in zip(g, f)) for g in rest)
             for w, c in run(minimal(colon)).items():
-                w += shift
+                w = tuple(map(add, w, shift))
                 out[w] = out.get(w, 0) - c
             memo[gens] = {w: c for w, c in out.items() if c}
         return memo[gens]
 
-    return LaurentPoly(r, run(J.gens))
+    return LaurentPoly(r, {Weight(nums, scale): c for nums, c in run(J.gens).items()})
 
 
 def random_monomial_ideal(rng, nvars, max_gens=5, max_exp=4, finite=False):
@@ -139,6 +153,43 @@ class TestKpolyMonomial:
             entry = rng.choice(entries)
             weights = [Weight(tuple(entry() for _ in range(r)), rng.choice((1, 2, 8))) for _ in range(nv)]
             assert kpoly_monomial(J, weights) == tuple_kpoly(J, weights)
+
+    def test_long_generator_tuples_split_on_a_variable(self):
+        # more than 12 minimal generators and a variable that divides two
+        # send the recursion into its pivot branch: quadrics and cubics,
+        # some pure powers, some exponents near the packed limit, and
+        # weights of both signs on scales 1, 2 and mixed. In a quarter of
+        # the ideals every generator holds x_0 near the limit, so the pivot
+        # exponent is large, and pivots on x_0^1 would recurse past
+        # Python's depth limit
+        rng = random.Random(29)
+        for _ in range(32):
+            nv = rng.randint(6, 18)
+            big = (PACK_LIMIT - 1) // (2 * nv)
+            target = rng.randint(13, 24)
+            heavy = rng.random() < 0.25
+            gens = []
+            J = MonomialIdeal(nv, gens)
+            while len(J.packed) < target:
+                e = [0] * nv
+                if rng.random() < 0.15:
+                    e[rng.randrange(heavy, nv)] = rng.randint(2, 4)
+                else:
+                    for i in rng.choices(range(heavy, nv), k=rng.randint(2, 3)):
+                        e[i] += 1
+                if heavy or rng.random() < 0.15:
+                    e[0 if heavy else rng.randrange(nv)] = big - rng.randint(0, 9)
+                gens.append(tuple(e))
+                J = MonomialIdeal(nv, gens)
+            assert len(J.gens) > 12
+            assert max(sum(e[i] > 0 for e in J.gens) for i in range(nv)) >= 2
+            r = rng.randint(1, 3)
+            scales = rng.choice([(1,), (2,), (1, 2)])
+            weights = [Weight(tuple(rng.randint(-3, 3) for _ in range(r)), rng.choice(scales)) for _ in range(nv)]
+            K = kpoly_monomial(J, weights)
+            assert K == tuple_kpoly(J, weights)
+            if len(J.gens) <= 14:
+                assert K == taylor_kpoly(J, weights)
 
     def test_is_the_factors_times_the_standard_monomials(self):
         # for finite colength, K = prod_i (1 - t^{w_i}) * sum over m outside J
@@ -385,8 +436,12 @@ def test_recursions_leave_no_reference_cycles():
     # breaks that cycle on return, so its memo is freed without the cyclic GC
     J = MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)])
     w = [Weight.of(1, 0), Weight.of(0, 1)]
+    # the 15 quartics in three variables: more than 12 generators take the pivot branch
+    quartics = MonomialIdeal(3, [e for e in itertools.product(range(5), repeat=3) if sum(e) == 4])
+    assert len(quartics.packed) == 15
     calls = [
         lambda: kpoly_monomial(J, w),
+        lambda: kpoly_monomial(quartics, [E1, E2, E3]),
         lambda: enumerate_partitions(3, 5),
     ]
     gc.collect()

@@ -314,6 +314,34 @@ def test_packed_colon_and_lcm_match_the_tuple_ones(case):
         assert lcm & lay.guard
 
 
+support_cases = st.tuples(
+    st.integers(1, 18).flatmap(
+        lambda n: st.tuples(st.lists(full_range_monomials(n), max_size=12), st.integers(0, n - 1), st.just(n))
+    ),
+    st.sampled_from(["lex", "grevlex"]),
+)
+
+
+@seeded
+@given(support_cases)
+def test_support_counts_are_the_tuple_counts(case):
+    # a field at 2^15 - 1 reaches its guard with the fill and must not carry
+    (monos, top, n), order = case
+    monos = monos + [tuple(PACK_LIMIT - 1 if i == top else 0 for i in range(n))]
+    lay = PackedLayout(n, order)
+    assert lay.support_counts(lay.pack_all(monos)) == tuple(sum(e[i] > 0 for e in monos) for i in range(n))
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_support_counts_fill_a_field_and_no_more(order):
+    lay = PackedLayout(3, order)
+    unit = lay.field(1)[0]
+    assert lay.support_counts([]) == (0, 0, 0)
+    assert lay.support_counts([unit] * 0xFFFF) == (0, 0xFFFF, 0)
+    with pytest.raises(RingError):
+        lay.support_counts([unit] * 0x10000)
+
+
 heap_key_cases = st.tuples(
     st.integers(3, 12).flatmap(lambda n: st.lists(full_range_monomials(n), min_size=1, max_size=6)),
     st.sampled_from(["lex", "grevlex"]),
