@@ -209,6 +209,7 @@ def groebner_basis(
     Raises BudgetExceeded when more than `budget` S-pair reductions are
     attempted. With want_stats=True returns (basis, reductions_used).
     """
+    order_key(order)  # RingError for an unknown order, the zero ideal's too
     gens = [g for g in gens if g]
     if not gens:  # the zero ideal
         return ([], 0) if want_stats else []
@@ -302,7 +303,7 @@ def _reduce_int_basis(reducers: PackedBasis, lay: PackedLayout, ring: PolyRing) 
     """
     done: PackedBasis = {}
     out: List[MultiPoly] = []
-    for lead in sorted(lay.minimal(reducers), key=lay.key):
+    for lead in sorted(lay.minimal(reducers), key=lay.heap_key, reverse=True):
         h, c, tail, _ = reducers[lead]
         r, mult = _divide_int(dict(tail), done, lay)
         lc = c * mult
@@ -443,6 +444,6 @@ class Ideal:
         order's layout, and the leads are recoded into the lex layout of
         `MonomialIdeal`, which under lex keeps them as they are."""
         lay = _layout(self.ring, order)
-        source, key = self.ring.layout, lay.key
-        leads = [max(lay.recode(g._pk(), source), key=key) for g in self.groebner(order)]
+        source, key = self.ring.layout, lay.heap_key
+        leads = [min(lay.recode(g._pk(), source), key=key) for g in self.groebner(order)]
         return MonomialIdeal._of_packed(self.ring.n, leads, lay)

@@ -5,16 +5,17 @@ denominators stay factored, one (1 - t^w) per ambient variable. The
 series of a monomial ideal is its K-polynomial (`kpoly_monomial`) over
 those factors, and `hilbert_series` takes a polynomial `Ideal` to the
 K-polynomial of its initial ideal. `kpoly_monomial` recurses on minimal
-generator tuples: a short one takes a colon step by its last generator,
-a long one splits on its most frequent variable (Bigatti's pivot).
-Numerators stay in the packed form of `LaurentPoly` from that recursion
-to the checks: the recursion adds packed weights to Laurent keys and
-hands its memo entry over as the result, twists and reflections in
-`series_equal` and `reciprocity_check` are one int operation per term,
-and `Weight` objects are read as input and built only when a caller
-reads `LaurentPoly.terms`. Identities between series, such as equality
-and self-reciprocity, are decided exactly as identities between Laurent
-polynomials, after clearing the factored denominators.
+generator tuples by one exact-sequence step, K(J) = K(A) + s t^{w(m)}
+K(B : m), with two instances: a short tuple drops its last generator
+(the colon step), a long one splits on its most frequent variable
+(Bigatti's pivot). Numerators stay in the packed form of `LaurentPoly`
+from that recursion to the checks: the recursion adds packed weights to
+Laurent keys and hands its memo entry over as the result, twists and
+reflections in `series_equal` and `reciprocity_check` are one int
+operation per term, and `Weight` objects are read as input and built
+only when a caller reads `LaurentPoly.terms`. Identities between series,
+such as equality and self-reciprocity, are decided exactly as identities
+between Laurent polynomials, after clearing the factored denominators.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import mul
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .groebner import Ideal, MonomialIdeal
-from .multipoly import LaurentPoly, RingError, Weight, packed_weights
+from .multipoly import LaurentPoly, RingError, Weight, _add_shifted, packed_weights
 from .partitions import Partition
 
 PIVOT_AT = 12  # the most generators that take the colon step; see `kpoly_monomial`
@@ -35,34 +36,40 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     """Alternating Tor character of S/J by a memoized recursion on the
     canonical minimal generator tuples encountered.
 
-    A tuple of at most `PIVOT_AT` generators takes the colon step by its
-    last generator:
+    Each step is one short exact sequence for a monomial m,
 
-        K(f_1..f_m) = K(f_1..f_{m-1}) - t^{w(f_m)} K((f_1..f_{m-1}) : f_m).
+        K(J) = K(A) + s t^{w(m)} K(B : m),
 
-    A longer one splits on the variable x that divides the most
-    generators, the first on a tie, when it divides at least two
-    (Bigatti's pivot: A. M. Bigatti, "Computation of Hilbert-Poincare
-    series", J. Pure Appl. Algebra 119, 1997):
+    with B : m minimalized from the colons lcm(g, m) / m, g in B, and
+    either J = A + (m), B = A and s = -1, or A = J + (m), B = J and
+    s = +1. Its two instances differ only in the choice of (m, A, B, s):
 
-        K(J) = K(J + (x^e)) + t^{e w(x)} K(J : x^e),
+    - the colon step: m = f_k, the last of the generators f_1..f_k,
+      A = B = (f_1..f_{k-1}) and s = -1, from
+      0 -> S/(A : f_k)(-w(f_k)) -> S/A -> S/J -> 0;
+    - the pivot step (A. M. Bigatti, "Computation of Hilbert-Poincare
+      series", J. Pure Appl. Algebra 119, 1997): m = x^e, A = J + (x^e),
+      B = J and s = +1, from 0 -> S/(J : x^e)(-e w(x)) -> S/J ->
+      S/(J + x^e) -> 0.
 
-    from 0 -> S/(J : x^e)(-e w(x)) -> S/J -> S/(J + x^e) -> 0, with e the
-    least positive exponent of x in a generator. J + (x^e) is the
-    generators that x does not divide plus x^e, already an antichain. J :
-    x^e takes x out of every generator of exponent e. So each step lowers
-    the generator count or the number of (generator, variable) pairs of
-    the support, and the recursion is at most about generators times
-    variables deep; a pivot on x^1 would recurse once per unit of
-    exponent. The colon step peels one generator per call, so a long
-    tuple meets many colon ideals of nearly its own size, while a pivot
-    halves the problem by a variable. On short tuples the colon step is
-    the cheaper one. In-process on one pass of the benchmark's inputs,
-    pivoting at every size made the census K-polynomials, of at most 10
-    generators, ~1.5x slower, and on the groebner initial ideals (up to
-    125 generators) thresholds 8 and 12 were the fastest and 16 and 20
-    slower; 12 is the larger, and keeps every census ideal on the colon
-    step.
+    A tuple of at most `PIVOT_AT` generators takes the colon step. A
+    longer one takes the pivot step on the variable x that divides the
+    most generators, the first on a tie, when it divides at least two,
+    with e the least positive exponent of x in a generator; otherwise it
+    too takes the colon step. J + (x^e) is the generators that x does not
+    divide plus x^e, already an antichain, and J : x^e takes x out of
+    every generator of exponent e. So each step lowers the generator
+    count or the number of (generator, variable) pairs of the support,
+    and the recursion is at most about generators times variables deep; a
+    pivot on x^1 would recurse once per unit of exponent. The colon step
+    peels one generator per call, so a long tuple meets many colon ideals
+    of nearly its own size, while a pivot halves the problem by a
+    variable. On short tuples the colon step is the cheaper one.
+    In-process on one pass of the benchmark's inputs, pivoting at every
+    size made the census K-polynomials, of at most 10 generators, ~1.5x
+    slower, and on the groebner initial ideals (up to 125 generators)
+    thresholds 8 and 12 were the fastest and 16 and 20 slower; 12 is the
+    larger, and keeps every census ideal on the colon step.
 
     Generators are the ascending `J.packed` ints of `J.layout`, whose
     order is that of the exponent tuples, so nothing is packed here; a
@@ -73,13 +80,12 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
     `packed_weights` makes wide enough for the weight of every monomial
     of degree at most the sum of the generator degrees. That sum bounds
     the degree of the lcm of the generators, and under both steps every
-    numerator weight is the weight of a divisor of it: the shift, f or
-    x^e, times a divisor of the lcm of the colon ideal divides the lcm,
-    and the lcm of J + (x^e) divides it too. So no field leaves its
-    range. Adding a weight is adding its packed int to a key, and the
-    dict of the whole ideal is the result, with no decoding. The unit
-    ideal needs no special case: its one generator 1 gives
-    K = 1 - t^0 = 0.
+    numerator weight is the weight of a divisor of it: m times a divisor
+    of the lcm of B : m divides the lcm, and so does the lcm of A. So no
+    field leaves its range, and the one merge adds the packed weight of
+    m to each key with no guard test. The dict of the whole ideal is the
+    result, with no decoding. The unit ideal needs no special case: its
+    one generator 1 gives K = 1 - t^0 = 0.
     """
     if len(weights) != J.nvars:
         raise RingError("weight list does not cover the variables")
@@ -98,36 +104,16 @@ def kpoly_monomial(J: MonomialIdeal, weights: Sequence[Weight]) -> LaurentPoly:
         got = memo.get(gens)
         if got is not None:
             return got
-        if len(gens) > PIVOT_AT:
-            counts = lay.support_counts(gens)
-            most = max(counts)
-            if most > 1:
-                i = counts.index(most)
-                unit, mask, fshift = lay.field(i)
-                e = min([g & mask for g in gens if g & mask]) >> fshift
-                x = e * unit
-                out = dict(run(tuple(sorted([g for g in gens if not g & mask] + [x]))))
-                shift = e * var_weights[i]
-                for w, c in run(tuple(minimal([colon(g, x) for g in gens]))).items():
-                    w += shift
-                    c += out.get(w, 0)
-                    if c:
-                        out[w] = c
-                    else:
-                        del out[w]
-                memo[gens] = out
-                return out
-        f = gens[-1]
-        rest = gens[:-1]  # a slice of a sorted antichain is one
-        out = dict(run(rest))
-        shift = sum(map(mul, unpack(f), var_weights))
-        for w, c in run(tuple(minimal([colon(g, f) for g in rest]))).items():
-            w += shift
-            c = out.get(w, 0) - c
-            if c:
-                out[w] = c
-            else:
-                del out[w]
+        if len(gens) > PIVOT_AT and (most := max(counts := lay.support_counts(gens))) > 1:
+            unit, mask, fshift = lay.field(counts.index(most))
+            m = (min([g & mask for g in gens if g & mask]) >> fshift) * unit
+            A, B, s = tuple(sorted([g for g in gens if not g & mask] + [m])), gens, 1
+        else:
+            m, s = gens[-1], -1
+            A = B = gens[:-1]  # a slice of a sorted antichain is one
+        out = dict(run(A))
+        shift = sum(map(mul, unpack(m), var_weights))
+        _add_shifted(out, run(tuple(minimal([colon(g, m) for g in B]))), shift, s, 0)
         memo[gens] = out
         return out
 

@@ -221,19 +221,20 @@ class PackedLayout:
     exponent, a monomial of the wrong length or a degree of PACK_LIMIT
     or more raises RingError.
 
-    The max-first key is `m - ((m & flip) << 1)`, with `flip` the
-    variable fields under grevlex (degree first, then the reversed
-    exponents negated) and 0 under lex (the key is m itself). Its
-    negation `heap_key(m) = ((m & flip) << 1) - m` is the min-first heap
-    key, and the same map sends a heap key back to m. The heap key is
-    additive, heap_key(a + b) = heap_key(a) + heap_key(b) whenever a + b
-    is a valid monomial, because a valid sum carries out of no field: so
-    a product of terms keyed by heap keys is one int add as well, and the
-    least key of a term dict is the key of its lead. The degree field of
-    a heap key holds minus the degree, under both orders. Under both
-    orders a proper divisor packs to a smaller int: its degree is
-    smaller, and under lex its tuple is smaller too. Sorted lex ints are
-    the sorted tuples.
+    The one order key is the min-first heap key `heap_key(m) = ((m &
+    flip) << 1) - m`, with `flip` the variable fields under grevlex and
+    0 under lex. Its negation is the degree, then the reversed exponents
+    negated, under grevlex, and m itself under lex, so it sorts as
+    `order_key` on the unpacked tuples: the lead of a set of monomials
+    has the least heap key. The same map sends a heap key back to m. The
+    heap key is additive, heap_key(a + b) = heap_key(a) + heap_key(b)
+    whenever a + b is a valid monomial, because a valid sum carries out
+    of no field: so a product of terms keyed by heap keys is one int add
+    as well, and the least key of a term dict is the key of its lead.
+    The degree field of a heap key holds minus the degree, under both
+    orders. Under both orders a proper divisor packs to a smaller int:
+    its degree is smaller, and under lex its tuple is smaller too.
+    Sorted lex ints are the sorted tuples.
     """
 
     __slots__ = (
@@ -293,10 +294,6 @@ class PackedLayout:
         pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
         unpack, size, source_order = source._struct.unpack, source._struct.size, source._byteorder
         return [from_bytes(pack(*unpack(m.to_bytes(size, source_order))), byteorder) for m in ms]
-
-    def key(self, m: int) -> int:
-        """Sort key whose max is the leading monomial, as `order_key` on the unpacked tuples."""
-        return m - ((m & self.flip) << 1)
 
     def heap_key(self, m: int) -> int:
         """The min-first heap key of a packed monomial, and the monomial of a

@@ -120,6 +120,15 @@ def test_ideal_rejects_an_unknown_order_before_the_cache(order):
         I.set_groebner(order, [x])
 
 
+@pytest.mark.parametrize("want_stats", [False, True])
+@pytest.mark.parametrize("order", ["foo", ["lex"]])
+def test_the_zero_ideal_rejects_an_unknown_order(order, want_stats):
+    R = PolyRing(["x", "y"])
+    for gens in ([], [R.zero()]):
+        with pytest.raises(RingError):
+            groebner_basis(gens, order, want_stats=want_stats)
+
+
 def _sympy_expr(terms, x):
     """The sympy expression of (exponent tuple, coefficient) pairs in the symbols x."""
     return sum(c * sympy.Mul(*[v ** k for v, k in zip(x, e)]) for e, c in terms)

@@ -191,6 +191,26 @@ class TestKpolyMonomial:
             if len(J.gens) <= 14:
                 assert K == taylor_kpoly(J, weights)
 
+    def test_long_generator_tuples_with_no_shared_variable_take_the_colon_step(self):
+        # pure powers x_i^{a_i}: more than 12 generators, but no variable
+        # divides two, so no pivot applies and the colon step peels them
+        # off; K is the product of the factors 1 - t^{a_i w_i}
+        rng = random.Random(31)
+        for _ in range(6):
+            nv = rng.randint(13, 20)
+            exps = [rng.randint(1, 3) for _ in range(nv)]
+            J = MonomialIdeal(nv, [tuple(a if k == i else 0 for k in range(nv)) for i, a in enumerate(exps)])
+            assert len(J.gens) == nv and max(sum(e[i] > 0 for e in J.gens) for i in range(nv)) == 1
+            r = rng.randint(1, 3)
+            scales = rng.choice([(1,), (2,), (1, 2)])
+            weights = [Weight(tuple(rng.randint(-3, 3) for _ in range(r)), rng.choice(scales)) for _ in range(nv)]
+            expected = LaurentPoly.one(r)
+            for a, w in zip(exps, weights):
+                expected = expected - expected.twist(Weight(tuple(a * x for x in w.nums), w.scale))
+            K = kpoly_monomial(J, weights)
+            assert K == expected
+            assert K == tuple_kpoly(J, weights)
+
     def test_is_the_factors_times_the_standard_monomials(self):
         # for finite colength, K = prod_i (1 - t^{w_i}) * sum over m outside J
         # of t^{w(m)}; each exponent of such m is below the largest generator entry

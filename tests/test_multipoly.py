@@ -208,11 +208,11 @@ def test_packed_layout_matches_the_tuple_operations(case):
         unit, mask, shift = lay.field(i)
         assert unit == pack(lay, tuple(int(k == i) for k in range(len(monos[0]))))
         assert [(m & mask) >> shift for m in packed] == [e[i] for e in monos]
-    assert sorted(monos, key=lambda e: lay.key(pack(lay, e))) == sorted(monos, key=key)
+    assert sorted(monos, key=lambda e: -lay.heap_key(pack(lay, e))) == sorted(monos, key=key)
     for a, pa in zip(monos, packed):
         for b, pb in zip(monos, packed):
             assert ((pb - pa) & lay.guard == 0) == _mono_divides(a, b)
-            assert (lay.key(pa) < lay.key(pb)) == (key(a) < key(b))
+            assert (lay.heap_key(pa) > lay.heap_key(pb)) == (key(a) < key(b))
             product = pa + pb
             if sum(a) + sum(b) < PACK_LIMIT:
                 assert product & lay.guard == 0
@@ -274,7 +274,7 @@ def test_pack_all_is_pack_of_each_monomial(case):
     packed = lay.pack_all(monos)
     assert packed == [pack(lay, e) for e in monos]  # a batch packs as its monomials do one at a time
     assert lay.unpack_all(packed) == [lay.unpack(m) for m in packed] == monos
-    assert lay.unpack_all(sorted(packed, key=lay.key)) == sorted(monos, key=order_key(order))
+    assert lay.unpack_all(sorted(packed, key=lay.heap_key, reverse=True)) == sorted(monos, key=order_key(order))
 
 
 def full_range_monomials(n):
