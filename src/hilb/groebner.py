@@ -3,8 +3,13 @@
 Buchberger with the sugar selection strategy. Pairs are pruned once, when
 an element is added, by the Gebauer-Moller update (Gebauer & Moller, J.
 Symb. Comp. 1988, in the form of Becker & Weispfenning's UPDATE):
-criteria B, M and F on the packed lcm stored with each pair, then the
-coprime test. Division runs fraction-free over Z on content-stripped
+criterion B on the packed lcm stored with each pair, then criteria M and
+F and the coprime test by one minimalization of the new pairs' lcms
+(`_new_pairs`). Every basis divides by its shortest reducers first: a
+term's divisor is the element with the fewest tail terms whose lead
+divides it, ties in list order. A tail reduced during the run is divided
+again at the end only when a lead that arrived later divides one of its
+terms. Division runs fraction-free over Z on content-stripped
 polynomials, so the hot loop is pure integer arithmetic, and a result
 builds a `Fraction` only for a coefficient that is not an integer. Terms
 are dicts in the packed format of `multipoly` (`PackedLayout`,
@@ -29,7 +34,6 @@ blowups into a structured failure instead of an endless run.
 from __future__ import annotations
 
 import heapq
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection, Dict, Iterable, List, Sequence, Tuple
@@ -63,9 +67,33 @@ class BudgetExceeded(RuntimeError):
 # coefficient, its tail keyed by heap keys, and its degree gap, the
 # amount by which the tail's top degree exceeds the lead's (0 when none does)
 Reducer = Tuple[int, int, IntTerms, int]
-# the reducers of a basis by lead monomial, in list order: the first
-# element of each lead, since only that one is ever the first divisor
+# the reducers of a basis by lead monomial: the first element of each lead
+# in list order, ordered by `_shortest_first`, so the first whose lead
+# divides a term is its divisor
 PackedBasis = Dict[int, Reducer]
+
+
+def _shortest_first(reducers: PackedBasis) -> PackedBasis:
+    """The reducers ordered by tail length, fewest terms first, ties in
+    their order."""
+    return dict(sorted(reducers.items(), key=lambda item: len(item[1][2])))
+
+
+def _new_pairs(lcms: Sequence[int], coprime: Sequence[bool], lay: PackedLayout) -> List[int]:
+    """The old elements that pair with a new one under criteria M and F.
+
+    lcms[g] is the packed lcm of the new lead with old element g's, and
+    coprime[g] tells whether the two leads are coprime. Each minimal lcm
+    value gets one pair, with its oldest element, and none when any
+    element with that lcm has a coprime lead: the coprime test would drop
+    that pair. A pair whose lcm another lcm properly divides is dropped
+    by criterion M. Returned in ascending lcm order.
+    """
+    oldest: Dict[int, int] = {}
+    for g, m in enumerate(lcms):
+        oldest.setdefault(m, g)
+    drop = {m for m, c in zip(lcms, coprime) if c}
+    return [oldest[m] for m in lay.minimal(oldest) if m not in drop]
 
 
 def _primitive_int(d: IntTerms) -> Tuple[IntTerms, int]:
@@ -140,9 +168,10 @@ def _divide_int(work: IntTerms, basis: PackedBasis, lay: PackedLayout) -> Tuple[
     result = multiplier * (input reduced by the basis), multiplier a
     positive integer. The dict's own keys form the heap, so terms are
     visited leading first, and a product term's key is the sum of two
-    keys. The divisor tried for each term is the first basis element in
-    list order whose lead monomial divides it, found by a guard test of
-    the term's monomial against each lead. A shifted tail term reaches
+    keys. The divisor of each term is the first reducer of the basis whose
+    lead monomial divides it, found by a guard test of the term's monomial
+    against each lead: the one with the fewest tail terms, ties in list
+    order (`_shortest_first`). A shifted tail term reaches
     PACK_LIMIT exactly when its degree does, so one degree test per step
     guards a product, and only for a reducer whose tail out-degrees its
     lead. New terms sort below the term reduced, so no step touches a
@@ -223,10 +252,14 @@ def groebner_basis(
     basis: List[Reducer] = []
     leads: List[int] = []  # the lead monomial of each element
     reducers: PackedBasis = {}
+    # per lead, the basis size when it arrived and the one its tail was
+    # last fully divided by
+    history: Dict[int, Tuple[int, int]] = {}
     ecart: List[int] = []  # sugar minus lead degree, per element
     heap: List[Tuple[int, int, int, int]] = []  # (sugar, new, old, lcm): ties pop in creation order
 
-    def add_int(t: IntTerms, s: int):
+    def add_int(t: IntTerms, s: int, size: int):
+        nonlocal reducers
         lead, red = _reducer(t, lay)
         h, ec = len(basis), s - degree(lead)
         # Gebauer-Moller update (Becker & Weispfenning's UPDATE) on the lcms
@@ -240,27 +273,24 @@ def groebner_basis(
         if len(kept) < len(heap):
             heap[:] = kept
             heapq.heapify(heap)
-        # criteria M and F: keep a new pair only if no other new pair's lcm
-        # divides its lcm; of equal lcms this keeps a coprime pair if there
-        # is one, which the coprime test then drops, and else the one with
-        # the oldest element
-        new_lcms: List[int] = []  # of the new pairs kept so far
-        for g in reversed(range(h)):
+        # criteria M and F and the coprime test: one pair per minimal lcm
+        coprime = [m == lead + g for m, g in zip(lcms, leads)]
+        for g in _new_pairs(lcms, coprime, lay):
             m = lcms[g]
-            coprime = m == lead + leads[g]
-            if coprime or all((m - x) & guard for x in itertools.chain(lcms[:g], new_lcms)):
-                new_lcms.append(m)
-                if not coprime:
-                    heapq.heappush(heap, (degree(m) + max(ec, ecart[g]), h, g, m))
+            heapq.heappush(heap, (degree(m) + max(ec, ecart[g]), h, g, m))
         basis.append(red)
         leads.append(lead)
-        reducers.setdefault(lead, red)
         ecart.append(ec)
+        if lead not in reducers:
+            reducers[lead] = red
+            reducers = _shortest_first(reducers)
+            history[lead] = h, size
 
     packed = [(_int_terms(g, lay)[0], g.total_degree()) for g in gens]
-    # ascending leads; the least heap key is the lead's
+    # ascending leads; the least heap key is the lead's. An input generator
+    # is added undivided, reduced by a basis of size 0
     for t, s in sorted(packed, key=lambda ts: -min(ts[0])):
-        add_int(t, s)
+        add_int(t, s, 0)
 
     used = 0
     while heap:
@@ -283,33 +313,46 @@ def groebner_basis(
             continue
         r, _ = _divide_int(s, reducers, lay)
         if r:
-            add_int(r, pair_sugar)
+            add_int(r, pair_sugar, len(basis))
 
-    reduced = _reduce_int_basis(reducers, lay, ring)
+    reduced = _reduce_int_basis(reducers, lay, ring, history)
     if want_stats:
         return reduced, used
     return reduced
 
 
-def _reduce_int_basis(reducers: PackedBasis, lay: PackedLayout, ring: PolyRing) -> List[MultiPoly]:
-    """The reduced basis of a Groebner basis given by its reducers.
+def _reduce_int_basis(
+    reducers: PackedBasis, lay: PackedLayout, ring: PolyRing, history: Dict[int, Tuple[int, int]]
+) -> List[MultiPoly]:
+    """The reduced basis of a Groebner basis given by its reducers and, per
+    lead, the basis size when it arrived and the one its tail was last
+    fully divided by.
 
     Minimalizes to the elements with minimal leads, the first in list
     order where several share one, then reduces their tails in ascending
     lead order, each by the already reduced smaller elements only: a tail
     term sorts below its lead, and a lead that divides a monomial sorts
-    at or below it, so no larger lead divides a tail term. The output
-    keeps the leads, ascending.
+    at or below it, so no larger lead divides a tail term. A remainder is
+    reduced by every lead present when it was divided, so a tail is
+    divided only when a smaller minimal lead that arrived later divides
+    one of its terms, and is otherwise taken as it is. The output keeps
+    the leads, ascending.
     """
+    guard, flip = lay.guard, lay.flip
     done: PackedBasis = {}
     out: List[MultiPoly] = []
     for lead in sorted(lay.minimal(reducers), key=lay.heap_key, reverse=True):
-        h, c, tail, _ = reducers[lead]
-        r, mult = _divide_int(dict(tail), done, lay)
-        lc = c * mult
-        t = {h: lc, **r}
-        out.append(_poly(ring, lay, t, _quotients(t.values(), 1, lc)))
-        done[lead] = _reducer(t, lay)[1]
+        red = h, c, tail, _ = reducers[lead]
+        later = [g for g in done if history[g][0] >= history[lead][1]]
+        monos = [((k & flip) << 1) - k for k in tail] if later else ()
+        if any(not (m - g) & guard for g in later for m in monos):
+            tail, mult = _divide_int(dict(tail), done, lay)
+            c *= mult
+            red = _reducer({h: c, **tail}, lay)[1]
+        t = {h: c, **tail}
+        out.append(_poly(ring, lay, t, _quotients(t.values(), 1, c)))
+        done[lead] = red
+        done = _shortest_first(done)
     return out
 
 
@@ -416,15 +459,15 @@ class Ideal:
             for g in self.groebner(order):
                 lead, red = _reducer(_int_terms(g, lay)[0], lay)
                 reducers.setdefault(lead, red)
-            packed = self._packed[order] = (lay, reducers)
+            packed = self._packed[order] = (lay, _shortest_first(reducers))
         return packed
 
     def normal_form(self, p: MultiPoly, order="grevlex") -> MultiPoly:
         """Remainder of p under full division by the reduced basis of `order`.
 
-        Deterministic: each term is divided by the first basis element, in
-        list order, whose leading monomial divides it. p is read and the
-        result built on packed terms alone.
+        Deterministic: each term is divided by the basis element with the
+        fewest tail terms whose leading monomial divides it, ties in list
+        order. p is read and the result built on packed terms alone.
         """
         if p.ring != self.ring:
             raise RingError("polynomial outside the ring")

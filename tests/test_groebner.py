@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hilb.groebner import (
     BudgetExceeded,
     _int_terms,
+    _new_pairs,
     Ideal,
     MonomialIdeal,
     groebner_basis,
@@ -34,6 +35,67 @@ def test_pair_criteria_skip_the_same_pairs(order, size, reductions):
     F, _ = pyramid_potential(2)
     basis, used = groebner_basis(jacobian_ideal(F), order, want_stats=True)
     assert (len(basis), used) == (size, reductions)
+
+
+@st.composite
+def lcm_lists(draw):
+    """Exponent vectors of the new pairs' lcms, with repeats, and a coprime
+    flag for each: (n, vectors, flags)."""
+    n = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=10))
+    vecs += draw(st.lists(st.sampled_from(vecs), max_size=6))
+    vecs = draw(st.permutations(vecs))
+    return n, vecs, draw(st.lists(st.booleans(), min_size=len(vecs), max_size=len(vecs)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lcm_lists(), st.sampled_from(["grevlex", "lex"]))
+def test_new_pairs_keep_one_pair_per_minimal_lcm(case, order):
+    # criteria M and F: each minimal lcm value keeps one pair, with its
+    # oldest element, unless some element with that lcm is coprime; and
+    # the same pairs as a scan from the newest element down, which keeps
+    # a pair when no older lcm and no kept newer one divides its lcm
+    n, vecs, coprime = case
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    expected = [
+        g
+        for g, e in enumerate(vecs)
+        if vecs.index(e) == g
+        and not any(f != e and divides(f, e) for f in vecs)
+        and not any(c for f, c in zip(vecs, coprime) if f == e)
+    ]
+    lay = PackedLayout(n, order)
+    lcms = lay.pack_all(vecs)
+    scanned, kept_lcms = [], []
+    for g in reversed(range(len(lcms))):
+        if coprime[g] or all((lcms[g] - x) & lay.guard for x in lcms[:g] + kept_lcms):
+            kept_lcms.append(lcms[g])
+            if not coprime[g]:
+                scanned.append(g)
+    got = _new_pairs(lcms, coprime, lay)
+    assert sorted(got) == expected == sorted(scanned)
+    assert [lcms[g] for g in got] == sorted(lcms[g] for g in got)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_normal_forms_divide_by_the_shortest_reducers_first(order):
+    # the reducers of a basis are ordered by tail length, ties in list
+    # order, and each lead keeps its first element in list order
+    R = PolyRing(["x", "y", "z"])
+    x, y, z = R.gens()
+    basis = [x * y + y + z + 1, y * y + z, x * x + y - z, z * z * z + 2, y * y - z]
+    I = Ideal(R, [])
+    I.set_groebner(order, basis)
+    lay, reducers = I._packed_basis(order)
+    lengths = [len(g.terms) - 1 for g in basis[:4]]
+    expected = sorted(range(4), key=lambda i: lengths[i])
+    leads = [min(lay.recode(g._pk(), R.layout), key=lay.heap_key) for g in basis[:4]]
+    assert list(reducers) == [leads[i] for i in expected]
+    # y^2 + z, not the later y^2 - z
+    assert list(reducers[leads[1]][2].values()) == [1]
 
 
 def test_two_generator_lex_basis():

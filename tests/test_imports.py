@@ -18,7 +18,8 @@ only tests call is test code as well, unless a ROADMAP item will call it;
 perfbench's own tests do not count as callers. Matching is by name, not by
 owner: a method counts as used when any method of that name is, so
 `MonomialIdeal.colon` once passed with only tests calling it, because
-`PackedLayout.colon` has the same name. An `assert`
+`PackedLayout.colon` has the same name; the names that more than one
+owner defines are pinned in `SHARED_NAMES`. An `assert`
 vanishes under `python -O`, so a condition the library must check raises
 an error instead, and a `raise AssertionError` is an assertion by
 another name: the library raises its own errors, such as `RingError`.
@@ -51,6 +52,35 @@ AWAITING_CALLERS = {
 }
 
 
+# Definition names that more than one owner (a module for a top-level
+# definition, a class for a method) defines in the library, with their
+# owners. The dead-definition checks match names, not owners, so each
+# owner passes them when any of the others has a caller; a name that gains
+# a second owner fails `test_shared_definition_names_are_pinned` until its
+# callers are reviewed and it is added here. Callers, by owner:
+# - `_of_packed`: `Ideal.initial_ideal` builds a `MonomialIdeal`; groebner,
+#   localeq and multipoly build `MultiPoly`s.
+# - `_scaled`: the `__neg__` and `__mul__` of each of the two classes.
+# - `contains`: perfbench calls `MonomialIdeal.contains`; `Ideal.contains`
+#   has no caller outside tests.
+# - `gens`: localeq and perfbench read `MonomialIdeal.gens`; `PolyRing.gens`
+#   has no caller outside tests.
+# - `r`: kpoly reads `Weight.r` and `HilbertSeries.r`.
+# - `render`: localeq calls `MultiPoly.render` and `HilbertSeries.render`
+#   calls `LaurentPoly.render`; `HilbertSeries.render` has no caller
+#   outside tests.
+# - `terms`: perfbench reads the views of both classes.
+SHARED_NAMES = {
+    "_of_packed": ("groebner.MonomialIdeal", "multipoly.MultiPoly"),
+    "_scaled": ("multipoly.LaurentPoly", "multipoly.MultiPoly"),
+    "contains": ("groebner.Ideal", "groebner.MonomialIdeal"),
+    "gens": ("groebner.MonomialIdeal", "multipoly.PolyRing"),
+    "r": ("kpoly.HilbertSeries", "multipoly.Weight"),
+    "render": ("kpoly.HilbertSeries", "multipoly.LaurentPoly", "multipoly.MultiPoly"),
+    "terms": ("multipoly.LaurentPoly", "multipoly.MultiPoly"),
+}
+
+
 def unused_imports(source: str):
     """(line, name) of each imported name that the module never mentions."""
     tree = ast.parse(source)
@@ -76,17 +106,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def definitions(source: str):
-    """(line, name) of each top-level function and class, and of each
-    method of a top-level class whose name is not a dunder."""
+def owned_definitions(source: str):
+    """(class, line, name) of each top-level function and class, with class
+    None, and of each method of a top-level class whose name is not a
+    dunder, with the class's name."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in ast.parse(source).body:
         if isinstance(node, kinds):
-            yield node.lineno, node.name
+            yield None, node.lineno, node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, kinds) and not (item.name.startswith("__") and item.name.endswith("__")):
-                    yield item.lineno, item.name
+                    yield node.name, item.lineno, item.name
+
+
+def definitions(source: str):
+    """(line, name) of each definition of `owned_definitions`."""
+    return [(line, name) for _, line, name in owned_definitions(source)]
 
 
 def references(sources):
@@ -99,6 +135,27 @@ def references(sources):
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
+
+
+def owners(sources):
+    """Each definition name of the (module, source) pairs with more than
+    one owner, mapped to its sorted owners: the module for a top-level
+    definition, module.Class for a method."""
+    found = {}
+    for module, source in sources:
+        for cls, _, name in owned_definitions(source):
+            found.setdefault(name, set()).add(module if cls is None else f"{module}.{cls}")
+    return {name: tuple(sorted(o)) for name, o in found.items() if len(o) > 1}
+
+
+def test_the_check_finds_a_shared_definition_name():
+    a = "def f(): pass\nclass K:\n    def f(self): pass\n    def g(self): pass\n    def __init__(self): pass\n"
+    b = "class L:\n    def g(self): pass\n    def __init__(self): pass\nclass K: pass\n"
+    assert owners([("a", a), ("b", b)]) == {"f": ("a", "a.K"), "g": ("a.K", "b.L"), "K": ("a", "b")}
+
+
+def test_shared_definition_names_are_pinned():
+    assert owners((path.stem, path.read_text()) for path in LIBRARY) == SHARED_NAMES
 
 
 def dead_definitions(source: str, used):
