@@ -11,20 +11,32 @@ divides it, ties in list order. A tail reduced during the run is divided
 again at the end only when a lead that arrived later divides one of its
 terms. Division runs fraction-free over Z on content-stripped
 polynomials, so the hot loop is pure integer arithmetic, and a result
-builds a `Fraction` only for a coefficient that is not an integer. Terms
+builds a `Fraction` only for a coefficient that is not an integer. Its
+dict holds the live terms only: a term that cancels leaves it, an
+irreducible one moves to the result when it pops, and the loop ends when
+no live term is left (Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007). Terms
 are dicts in the packed format of `multipoly` (`PackedLayout`,
 `IntTerms`), keyed by the order's min-first heap key (`heap_key`), which
 is additive and its own inverse: a product is one int add, the division
-heap holds the dict's own keys, a lead is the least key, and a term's
+heap holds the dict's keys, a lead is the least key, and a term's
 monomial is recovered once, for the guard test against the flat list of
 leads. Leads, lcms, pair criteria and initial ideals stay on monomials.
-A shifted term reaches PACK_LIMIT exactly when its degree does, so each
-reduction step and S-pair makes one degree test, against the degree gap
-each basis element stores (nonzero only under lex). Both orders take one
-path without tuples: `_int_terms` recodes a polynomial's packed terms
-into the order's layout (`PackedLayout.recode`) and keys them, and
-`_poly` maps a result back and builds it packed. An exponent or degree
-of 2^15 or more raises RingError. The zero ideal has the empty basis.
+A shifted term reaches the layout's limit exactly when its degree does,
+so each reduction step and S-pair makes one degree test, against the
+degree gap each basis element stores (nonzero only under lex).
+
+Width rule: a basis run packs its fields in 8 bits, which hold degrees
+below 2^7 and halve the length of every packed int of the run.
+A degree that reaches 2^7 raises a private `RingError` subclass
+(`PackedLayout.overflow`), and `groebner_basis` reruns from its inputs
+in the 16-bit layout, whose choices are the same. Normal forms and
+initial ideals keep 16 bits. Both orders take one path without tuples:
+`_int_terms` recodes a polynomial's packed terms into the layout of the
+order and width (`PackedLayout.recode`, which checks the degree when it
+narrows) and keys them, and `_poly` maps a result back and builds it
+packed. An exponent or degree of 2^15 or more raises RingError. The zero
+ideal has the empty basis.
 `Ideal.normal_form` keys the basis of each order once and keeps it, and
 `Ideal.initial_ideal` reads one lead per element. A hard S-pair budget turns
 blowups into a structured failure instead of an endless run.
@@ -35,11 +47,12 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
 from .multipoly import (
-    PACK_LIMIT,
+    _INT,
     IntTerms,
     Monomial,
     MultiPoly,
@@ -47,8 +60,8 @@ from .multipoly import (
     PolyRing,
     RingError,
     _add_shifted,
+    _NarrowOverflow,
     order_key,
-    pack_overflow,
 )
 
 DEFAULT_SPAIR_BUDGET = 200_000
@@ -124,16 +137,18 @@ def _int_terms(p: MultiPoly, lay: PackedLayout) -> Tuple[IntTerms, int, int]:
     """The primitive integer terms of a nonzero p, keyed by their heap keys
     under `lay`, and the content of p = (num / den) * terms as (num, den).
 
-    p's own packed terms are recoded from its ring's layout into `lay`.
+    p's own packed terms are recoded from its ring's layout into `lay`,
+    which raises `lay.overflow()` for a degree of `lay.limit` or more.
     The coefficients of p are canonical, so den is 1 exactly when all of
-    them are `int`; they are then taken as they are, and only their
-    `int.denominator` is read.
+    them are `int`, which one C-level type scan finds, as in `_canonical`;
+    they are then taken as they are.
     """
     pk = p._pk()
     ms = lay.recode(pk, p.ring.layout)
     cs = list(pk.values())
-    den = lcm(*[c.denominator for c in cs])
-    if den != 1:
+    den = 1
+    if not {*map(type, cs)} <= _INT:
+        den = lcm(*[c.denominator for c in cs])
         cs = [c.numerator * (den // c.denominator) for c in cs]
     g = gcd(*cs)
     if g > 1:
@@ -163,49 +178,59 @@ def _quotients(values: Iterable[int], num: int, den: int) -> List[object]:
 
 def _divide_int(work: IntTerms, basis: PackedBasis, lay: PackedLayout) -> Tuple[IntTerms, int]:
     """Fraction-free full reduction of the terms `work`, keyed by heap keys,
-    which it takes over; returns (result, multiplier), keyed alike.
+    which it takes over; returns (result, multiplier), keyed alike, the
+    result's terms leading first.
 
     result = multiplier * (input reduced by the basis), multiplier a
-    positive integer. The dict's own keys form the heap, so terms are
+    positive integer. The dict's keys go onto a heap, so terms are
     visited leading first, and a product term's key is the sum of two
     keys. The divisor of each term is the first reducer of the basis whose
     lead monomial divides it, found by a guard test of the term's monomial
     against each lead: the one with the fewest tail terms, ties in list
-    order (`_shortest_first`). A shifted tail term reaches
-    PACK_LIMIT exactly when its degree does, so one degree test per step
+    order (`_shortest_first`). A shifted tail term reaches the layout's
+    `limit` exactly when its degree does, so one degree test per step
     guards a product, and only for a reducer whose tail out-degrees its
     lead. New terms sort below the term reduced, so no step touches a
-    term already popped: a cancelled term stays as a zero until it pops,
-    and each key is pushed once.
+    term already popped. `work` holds the live terms only: a term that
+    cancels leaves it, an irreducible one moves to the result when it
+    pops, and the loop ends when `work` is empty. A key created again
+    after it cancelled is pushed again, and the stale copy is skipped
+    when it pops. A reducer with lead coefficient 1 needs no gcd.
     """
-    guard, flip, degree = lay.guard, lay.flip, lay.degree
+    guard, flip, degree, limit = lay.guard, lay.flip, lay.degree, lay.limit
+    out: IntTerms = {}
     mult = 1
     heap = list(work)
     heapq.heapify(heap)
     steps = 0
-    while heap:
+    while work:
         h = heapq.heappop(heap)
-        c = work[h]
-        if not c:
+        c = work.pop(h, 0)
+        if not c:  # a stale key: its term cancelled
             continue
         m = ((h & flip) << 1) - h
         for ge in basis:
             if not (m - ge) & guard:
                 break
         else:
+            out[h] = c
             continue
         gh, gc, tail, gap = basis[ge]
-        if gap and degree(m) + gap >= PACK_LIMIT:
-            raise pack_overflow()
+        if gap and degree(m) + gap >= limit:
+            raise lay.overflow()
         shift = h - gh
-        d = gcd(c, gc)
-        a = gc // d
-        b = c // d
-        del work[h]
-        if a != 1:
-            for k in work:
-                work[k] *= a
-            mult *= a
+        if gc == 1:
+            b = c
+        else:
+            d = gcd(c, gc)
+            a = gc // d
+            b = c // d
+            if a != 1:
+                for k in work:
+                    work[k] *= a
+                for k in out:
+                    out[k] *= a
+                mult *= a
         for f, fc in tail.items():
             k = f + shift
             prev = work.get(k)
@@ -213,18 +238,23 @@ def _divide_int(work: IntTerms, basis: PackedBasis, lay: PackedLayout) -> Tuple[
                 work[k] = -b * fc
                 heapq.heappush(heap, k)
             else:
-                work[k] = prev - b * fc
+                v = prev - b * fc
+                if v:
+                    work[k] = v
+                else:
+                    del work[k]
         steps += 1
         if steps % 64 == 0 and mult.bit_length() > 64:
             g0 = mult
-            for v in work.values():
+            for v in chain(out.values(), work.values()):
                 g0 = gcd(g0, v)
                 if g0 == 1:
                     break
             if g0 > 1:
                 mult //= g0
                 work = {k: v // g0 for k, v in work.items()}
-    return {k: v for k, v in work.items() if v}, mult
+                out = {k: v // g0 for k, v in out.items()}
+    return out, mult
 
 
 def groebner_basis(
@@ -235,8 +265,11 @@ def groebner_basis(
 ):
     """Reduced Groebner basis of the given generators.
 
-    Raises BudgetExceeded when more than `budget` S-pair reductions are
-    attempted. With want_stats=True returns (basis, reductions_used).
+    Runs in the 8-bit layout of `order`, and once more from the inputs in
+    its 16-bit layout when a degree reaches 2^7; both runs make the same
+    choices, so the rerun changes no output. Raises BudgetExceeded when
+    more than `budget` S-pair reductions are attempted. With
+    want_stats=True returns (basis, reductions_used).
     """
     order_key(order)  # RingError for an unknown order, the zero ideal's too
     gens = [g for g in gens if g]
@@ -246,8 +279,22 @@ def groebner_basis(
     for g in gens:
         if g.ring != ring:
             raise RingError("generators live in different rings")
-    lay = _layout(ring, order)
-    guard, colon, degree = lay.guard, lay.colon, lay.degree
+    try:
+        reduced, used = _buchberger(gens, ring, PackedLayout(ring.n, order, 8), budget)
+    except _NarrowOverflow:
+        reduced, used = _buchberger(gens, ring, _layout(ring, order), budget)
+    if want_stats:
+        return reduced, used
+    return reduced
+
+
+def _buchberger(
+    gens: List[MultiPoly], ring: PolyRing, lay: PackedLayout, budget: int
+) -> Tuple[List[MultiPoly], int]:
+    """The reduced basis of the nonzero `gens` of `ring`, computed in the
+    layout `lay`, and the S-pair reductions used; `lay.overflow()` when a
+    degree reaches `lay.limit`."""
+    guard, colon, degree, limit = lay.guard, lay.colon, lay.degree, lay.limit
 
     basis: List[Reducer] = []
     leads: List[int] = []  # the lead monomial of each element
@@ -266,7 +313,7 @@ def groebner_basis(
         # of the new lead with each old one
         lcms = [lead + colon(g, lead) for g in leads]
         if any(m & guard for m in lcms):
-            raise pack_overflow()
+            raise lay.overflow()
         # criterion B: drop an old pair whose lcm the new lead divides,
         # unless the new lead's lcm with one of its elements equals it
         kept = [p for p in heap if (p[3] - lead) & guard or lcms[p[1]] == p[3] or lcms[p[2]] == p[3]]
@@ -300,10 +347,10 @@ def groebner_basis(
             raise BudgetExceeded(used, budget)
         hi, ci, tail_i, gap_i = basis[i]
         hj, cj, tail_j, gap_j = basis[j]
-        # the leads cancel, and a shifted tail term reaches PACK_LIMIT
+        # the leads cancel, and a shifted tail term reaches the limit
         # exactly when its degree does
-        if degree(t) + max(gap_i, gap_j) >= PACK_LIMIT:
-            raise pack_overflow()
+        if degree(t) + max(gap_i, gap_j) >= limit:
+            raise lay.overflow()
         ht = lay.heap_key(t)
         d = gcd(ci, cj)
         s: IntTerms = {}
@@ -315,10 +362,7 @@ def groebner_basis(
         if r:
             add_int(r, pair_sugar, len(basis))
 
-    reduced = _reduce_int_basis(reducers, lay, ring, history)
-    if want_stats:
-        return reduced, used
-    return reduced
+    return _reduce_int_basis(reducers, lay, ring, history), used
 
 
 def _reduce_int_basis(
@@ -339,20 +383,25 @@ def _reduce_int_basis(
     the leads, ascending.
     """
     guard, flip = lay.guard, lay.flip
+    # the reduced elements in ascending lead order, put in `_shortest_first`
+    # order only when a division is to read them
     done: PackedBasis = {}
+    ordered = True
     out: List[MultiPoly] = []
     for lead in sorted(lay.minimal(reducers), key=lay.heap_key, reverse=True):
         red = h, c, tail, _ = reducers[lead]
         later = [g for g in done if history[g][0] >= history[lead][1]]
         monos = [((k & flip) << 1) - k for k in tail] if later else ()
         if any(not (m - g) & guard for g in later for m in monos):
+            if not ordered:
+                done, ordered = _shortest_first(done), True
             tail, mult = _divide_int(dict(tail), done, lay)
             c *= mult
             red = _reducer({h: c, **tail}, lay)[1]
         t = {h: c, **tail}
         out.append(_poly(ring, lay, t, _quotients(t.values(), 1, c)))
         done[lead] = red
-        done = _shortest_first(done)
+        ordered = False
     return out
 
 

@@ -25,9 +25,12 @@ The packed term format is also what division and Buchberger
 (`groebner`), monomial ideals (`groebner.MonomialIdeal`) and their
 K-polynomial recursion (`kpoly`) and linear elimination
 (`localeq.simple_eliminate`) work on: a `PackedLayout` stores an
-exponent vector and its total degree as one int of 16-bit fields whose
-top bits are guards (Bachmann & Schoenemann, "Monomial representations
-for Groebner bases computations", ISSAC 1998), and `IntTerms` maps
+exponent vector and its total degree as one int of 16-bit fields (8-bit
+inside a Buchberger run, which reruns at 16 when a degree outgrows them)
+whose top bits are guards (Bachmann & Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998; Monagan &
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007), and `IntTerms` maps
 packed monomials to coefficients. Product is `+`, quotient is `-`,
 divisibility is one subtraction and a mask test, a colon or an lcm is a
 few int operations (`PackedLayout.colon`), the number of monomials each
@@ -200,26 +203,39 @@ def pack_overflow() -> RingError:
     return RingError(f"an exponent or degree reaches {PACK_LIMIT}, the packed field limit")
 
 
+class _NarrowOverflow(RingError):
+    """A degree reached the limit of a layout narrower than 16 bits; its
+    user reruns in the 16-bit layout, so this never reaches a caller."""
+
+
+_FORMATS = {8: "B", 16: "H"}  # the struct code of each field width
+
+
 class PackedLayout:
     """Monomials of one (nvars, order) pair packed into ints.
 
-    Each exponent and the total degree get one 16-bit field whose top
-    bit is a guard, clear in every valid monomial. Under grevlex,
-    variable i sits in field i and the degree field is on top; under lex,
-    variable 0 is the most significant field and the degree field is at
-    the bottom. Product is `+` and quotient is `-`; a divides b iff
-    `(b - a) & guard == 0`, because a field that goes negative borrows
-    and sets its guard. A product sets a guard iff its degree reaches
-    PACK_LIMIT, so callers test each new monomial against `guard`.
+    Each exponent and the total degree get one field of `bits` bits, 16
+    unless the constructor is given 8, whose top bit is a guard, clear in
+    every valid monomial: so every exponent and degree stays below
+    `limit`, 2^(bits - 1), which is PACK_LIMIT at 16 bits. Every ring and
+    every normal form packs at 16 bits; Buchberger runs at 8 and reruns
+    at 16 when a degree reaches 2^7 (`groebner.groebner_basis`). Under
+    grevlex, variable i sits in field i and the degree field is on top;
+    under lex, variable 0 is the most significant field and the degree
+    field is at the bottom. Product is `+` and quotient is `-`; a
+    divides b iff `(b - a) & guard == 0`, because a field that goes
+    negative borrows and sets its guard. A product sets a guard iff its
+    degree reaches `limit`, so callers test each new monomial against
+    `guard`, and raise `overflow()`.
 
-    The conversion is one `struct.Struct` of nvars + 1 unsigned 16-bit
-    fields, (e_0, ..., e_{n-1}, degree), read as a little-endian int
-    under grevlex and as a big-endian int under lex. `pack_all` and
+    The conversion is one `struct.Struct` of nvars + 1 unsigned fields,
+    (e_0, ..., e_{n-1}, degree), read as a little-endian int under
+    grevlex and as a big-endian int under lex. `pack_all` and
     `unpack_all` convert a whole polynomial in one pass, `unpack`
     converts one monomial, and `recode` moves packed monomials from one
     layout to another without tuples. A negative or non-integer
-    exponent, a monomial of the wrong length or a degree of PACK_LIMIT
-    or more raises RingError.
+    exponent, a monomial of the wrong length or a degree of `limit` or
+    more raises RingError.
 
     The one order key is the min-first heap key `heap_key(m) = ((m &
     flip) << 1) - m`, with `flip` the variable fields under grevlex and
@@ -234,32 +250,47 @@ class PackedLayout:
     The degree field of a heap key holds minus the degree, under both
     orders. Under both orders a proper divisor packs to a smaller int:
     its degree is smaller, and under lex its tuple is smaller too.
-    Sorted lex ints are the sorted tuples.
+    Sorted lex ints are the sorted tuples, and two layouts of one order
+    sort valid monomials alike, whatever their widths.
     """
 
     __slots__ = (
-        "order", "guard", "flip", "_struct", "_byteorder", "_nvars",
-        "_varguard", "_degmask", "_degshift", "_ones", "_down", "_fill",
+        "order", "bits", "limit", "guard", "flip", "_struct", "_byteorder", "_nvars",
+        "_varguard", "_mask", "_degmask", "_degshift", "_ones", "_down", "_fill",
     )
 
-    def __init__(self, nvars: int, order: str):
+    def __init__(self, nvars: int, order: str, bits: int = 16):
         order_key(order)  # RingError for an unknown order
+        if bits not in _FORMATS:
+            raise RingError(f"a packed field has 8 or 16 bits, not {bits!r}")
         self.order = order
-        self.guard = int.from_bytes(b"\x00\x80" * (nvars + 1), "little")
+        self.bits = bits
+        self.limit = 1 << bits - 1
+        self._mask = mask = (1 << bits) - 1
+        # one 1 at the foot of each of the nvars + 1 fields
+        feet = ((1 << bits * (nvars + 1)) - 1) // mask
+        self.guard = feet << bits - 1
         grevlex = order == "grevlex"
-        self.flip = (1 << 16 * nvars) - 1 if grevlex else 0
+        self.flip = (1 << bits * nvars) - 1 if grevlex else 0
         self._byteorder = "little" if grevlex else "big"
-        self._struct = Struct(f"{'<' if grevlex else '>'}{nvars + 1}H")
+        self._struct = Struct(f"{'<' if grevlex else '>'}{nvars + 1}{_FORMATS[bits]}")
         self._nvars = nvars
-        self._degshift = 16 * nvars if grevlex else 0
-        self._degmask = 0xFFFF << self._degshift
+        self._degshift = bits * nvars if grevlex else 0
+        self._degmask = mask << self._degshift
         self._varguard = self.guard & ~self._degmask
-        self._fill = (self._varguard >> 15) * 0x7FFF  # 2^15 - 1 in each variable field
+        self._fill = (self._varguard >> bits - 1) * (self.limit - 1)  # limit - 1 in each variable field
         # c * _ones holds the sum of the variable fields of c in field
         # nvars, and `>> _down` moves that field onto the degree field
-        ones = int.from_bytes(b"\x01\x00" * nvars, "little")
-        self._ones = ones << 16 if grevlex else ones
-        self._down = 0 if grevlex else 16 * nvars
+        ones = ((1 << bits * nvars) - 1) // mask
+        self._ones = ones << bits if grevlex else ones
+        self._down = 0 if grevlex else bits * nvars
+
+    def overflow(self) -> RingError:
+        """The error for a degree that reaches `limit`: RingError at 16
+        bits, and at 8 the private subclass that its user catches."""
+        if self.limit == PACK_LIMIT:
+            return pack_overflow()
+        return _NarrowOverflow(f"a degree reaches {self.limit}, the {self.bits}-bit field limit")
 
     def pack_all(self, monos: Collection[Monomial]) -> List[int]:
         """The packed int of each monomial, in order; `monos` is read twice,
@@ -267,8 +298,8 @@ class PackedLayout:
         pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
         try:
             degs = [sum(e) for e in monos]
-            if max(degs, default=0) >= PACK_LIMIT:
-                raise pack_overflow()
+            if max(degs, default=0) >= self.limit:
+                raise self.overflow()
             return [from_bytes(pack(*e, d), byteorder) for e, d in zip(monos, degs)]
         except (StructError, TypeError):
             raise RingError("a packed monomial has one nonnegative integer exponent per variable") from None
@@ -284,13 +315,19 @@ class PackedLayout:
     def recode(self, ms: Collection[int], source: "PackedLayout") -> Collection[int]:
         """The monomials `ms`, packed under `source`, packed under this layout,
         in order: `ms` itself when `source` packs as this layout does (the
-        same order), and RingError when the variable counts differ. Both
-        layouts hold the fields (e_0, ..., e_{n-1}, degree), so each
-        monomial is one struct unpack and pack."""
+        same order and width), and RingError when the variable counts
+        differ. Both layouts hold the fields (e_0, ..., e_{n-1}, degree),
+        so each monomial is one struct unpack and pack. Into a narrower
+        layout, a degree of this layout's `limit` or more raises
+        `overflow()`, read from the degree fields before any packing."""
         if source._nvars != self._nvars:
             raise RingError("recoding between layouts of different variable counts")
-        if source.order == self.order:
+        if source.order == self.order and source.bits == self.bits:
             return ms
+        if self.bits < source.bits:
+            degmask, top = source._degmask, self.limit << source._degshift
+            if any((m & degmask) >= top for m in ms):
+                raise self.overflow()
         pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
         unpack, size, source_order = source._struct.unpack, source._struct.size, source._byteorder
         return [from_bytes(pack(*unpack(m.to_bytes(size, source_order))), byteorder) for m in ms]
@@ -307,21 +344,21 @@ class PackedLayout:
     def top_degree(self, keys: Iterable[int]) -> int:
         """The largest total degree among the monomials of the heap keys
         `keys`, read from the negated degree field of each key; 0 for none."""
-        shift = self._degshift
-        return max((-(k >> shift) & 0xFFFF for k in keys), default=0)
+        shift, mask = self._degshift, self._mask
+        return max((-(k >> shift) & mask for k in keys), default=0)
 
     def colon(self, a: int, b: int) -> int:
         """The packed lcm(a, b) / b, the generator of (a) : b; the packed
         lcm(a, b) is `b + colon(a, b)`.
 
-        Each field of `(a | guard) - b` holds 2^15 + a_i - b_i, which neither
+        Each field of `(a | guard) - b` holds limit + a_i - b_i, which neither
         borrows nor carries, and keeps its guard bit iff a_i >= b_i. Those
         variable fields keep a_i - b_i, the others become 0, and the degree
         field is set to the sum of the variable fields.
         """
         t = (a | self.guard) - b
         g = t & self._varguard
-        c = t & (g - (g >> 15))
+        c = t & (g - (g >> self.bits - 1))
         return c | (c * self._ones) >> self._down & self._degmask
 
     def minimal(self, ms: Iterable[int]) -> List[int]:
@@ -342,28 +379,29 @@ class PackedLayout:
 
     def support_counts(self, ms: Collection[int]) -> Monomial:
         """For each variable, the number of the packed monomials `ms` that it
-        divides; RingError for 2^16 monomials or more.
+        divides; RingError for 2^bits monomials or more.
 
         A variable field of `m + fill` reaches its guard bit iff its exponent
         is at least 1, and carries out of no field, since an exponent is at
-        most 2^15 - 1. Shifted down by 15, the guard bits are one bit at the
-        foot of each variable field, so the sum of the shifted ints holds
-        each count in its variable's field, unpacked as a monomial.
+        most limit - 1. Shifted down by bits - 1, the guard bits are one bit
+        at the foot of each variable field, so the sum of the shifted ints
+        holds each count in its variable's field, unpacked as a monomial.
         """
-        if len(ms) >= 1 << 16:
-            raise RingError("support counts of 2^16 monomials or more overflow a field")
+        bits = self.bits
+        if len(ms) >= 1 << bits:
+            raise RingError(f"support counts of 2^{bits} monomials or more overflow a field")
         fill, varguard = self._fill, self._varguard
-        return self.unpack(sum([((m + fill) & varguard) >> 15 for m in ms]))
+        return self.unpack(sum([((m + fill) & varguard) >> bits - 1 for m in ms]))
 
     def field(self, i: int) -> Tuple[int, int, int]:
         """(unit, mask, shift) of variable i: unit is the packed e_i, and the
         exponent of variable i in a packed m is `(m & mask) >> shift`."""
-        nvars = self._nvars
+        nvars, bits = self._nvars, self.bits
         if self.order == "grevlex":
-            shift, degree = 16 * i, 1 << 16 * nvars
+            shift, degree = bits * i, 1 << bits * nvars
         else:
-            shift, degree = 16 * (nvars - i), 1
-        return (1 << shift) + degree, 0xFFFF << shift, shift
+            shift, degree = bits * (nvars - i), 1
+        return (1 << shift) + degree, self._mask << shift, shift
 
 
 IntTerms = Dict[int, int]  # packed monomial -> coefficient; elimination also holds Fractions

@@ -8,10 +8,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hilb.groebner
 from hilb.groebner import (
     BudgetExceeded,
+    _divide_int,
     _int_terms,
     _new_pairs,
+    _reducer,
+    _shortest_first,
     Ideal,
     MonomialIdeal,
     groebner_basis,
@@ -23,6 +27,7 @@ from hilb.multipoly import (
     PackedLayout,
     PolyRing,
     RingError,
+    _NarrowOverflow,
     order_key,
     poly_from_terms,
 )
@@ -49,8 +54,8 @@ def lcm_lists(draw):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(lcm_lists(), st.sampled_from(["grevlex", "lex"]))
-def test_new_pairs_keep_one_pair_per_minimal_lcm(case, order):
+@given(lcm_lists(), st.sampled_from(["grevlex", "lex"]), st.sampled_from([8, 16]))
+def test_new_pairs_keep_one_pair_per_minimal_lcm(case, order, bits):
     # criteria M and F: each minimal lcm value keeps one pair, with its
     # oldest element, unless some element with that lcm is coprime; and
     # the same pairs as a scan from the newest element down, which keeps
@@ -67,7 +72,7 @@ def test_new_pairs_keep_one_pair_per_minimal_lcm(case, order):
         and not any(f != e and divides(f, e) for f in vecs)
         and not any(c for f, c in zip(vecs, coprime) if f == e)
     ]
-    lay = PackedLayout(n, order)
+    lay = PackedLayout(n, order, bits)  # 8 bits in a Buchberger run
     lcms = lay.pack_all(vecs)
     scanned, kept_lcms = [], []
     for g in reversed(range(len(lcms))):
@@ -587,3 +592,183 @@ def test_reduced_basis_matches_sympy_in_many_variables(order):
         gens = [p for p in (poly_from_terms(R, t) for t in term_lists) if p]
         ours = sorted(sorted(g.terms.items()) for g in groebner_basis(gens, order))
         assert ours == _sympy_reduced_basis(term_lists, n, order)
+
+
+@pytest.fixture
+def run_widths(monkeypatch):
+    """The field width of each Buchberger run that `groebner_basis` starts."""
+    widths = []
+    run = hilb.groebner._buchberger
+
+    def recording(gens, ring, lay, budget):
+        widths.append(lay.bits)
+        return run(gens, ring, lay, budget)
+
+    monkeypatch.setattr(hilb.groebner, "_buchberger", recording)
+    return widths
+
+
+@pytest.fixture
+def checked_divisions(monkeypatch):
+    """Check each `_divide_int` call: its reducers come in `_shortest_first`
+    order, and every key it reads or returns is a valid monomial of its
+    layout, so none has outgrown the layout's fields unnoticed."""
+    divide = hilb.groebner._divide_int
+
+    def checking(work, basis, lay):
+        def valid(keys):
+            return not any(lay.heap_key(k) & lay.guard for k in keys)
+
+        assert list(basis) == list(_shortest_first(basis))
+        assert valid(work) and all(valid([h, *tail]) for h, _, tail, _ in basis.values())
+        out, mult = divide(work, basis, lay)
+        assert valid(out) and 0 not in out.values()
+        return out, mult
+
+    monkeypatch.setattr(hilb.groebner, "_divide_int", checking)
+
+
+# (term lists in x, y, order): inputs of degree below 2^7 whose run
+# reaches 2^7 at each of its three degree tests, and inputs of degree
+# 2^7 or more, which do not fit the 8-bit layout at all
+WIDENING_CASES = [
+    # the pair lcm x y^30 plus the degree gap 99 of x - y^100
+    ([[((1, 0), 1), ((0, 100), -1)], [((1, 30), 1), ((0, 0), -1)]], "lex"),
+    # the lcm x^70 y^70 of two coprime leads, before the pair is dropped
+    ([[((70, 0), 1), ((0, 1), -1)], [((0, 70), 1), ((1, 0), -1)]], "grevlex"),
+    # division of the S-polynomial's x y^100 by x - y^100
+    ([[((1, 0), 1), ((0, 100), -1)], [((2, 0), 1), ((0, 1), -1)]], "lex"),
+    # inputs past 2^7
+    ([[((1, 0), 1), ((0, 150), -1)], [((1, 1), 1), ((0, 0), -1)]], "lex"),
+    ([[((130, 0), 1), ((0, 2), -1)], [((1, 1), 1), ((0, 0), -1)]], "grevlex"),
+]
+
+
+@pytest.mark.parametrize("term_lists, order", WIDENING_CASES)
+def test_a_run_past_2_to_the_7_reruns_at_16_bits(term_lists, order, run_widths, checked_divisions):
+    R = PolyRing(["x", "y"])
+    gens = [poly_from_terms(R, t) for t in term_lists]
+    basis, used = groebner_basis(gens, order, want_stats=True)
+    assert run_widths == [8, 16]
+    assert sorted(sorted(g.terms.items()) for g in basis) == _sympy_reduced_basis(term_lists, 2, order)
+    # the rerun's S-pair count is the count of the one run at 16 bits
+    assert used == hilb.groebner._buchberger(gens, R, PackedLayout(2, order), used)[1]
+
+
+def test_the_jacobian_ideal_runs_at_8_bits_only(run_widths, checked_divisions):
+    F, _ = pyramid_potential(2)
+    gens = jacobian_ideal(F)
+    for order in ("grevlex", "lex"):
+        groebner_basis(gens, order)
+    assert run_widths == [8, 8]
+
+
+def _reference_division(terms, reducers, key):
+    """Fraction-free division of the tuple-keyed `terms` by `reducers`, a
+    list of (lead, lead coefficient, tail) scanned in order, largest term
+    first: (result, multiplier) with result = multiplier * remainder."""
+    work, out, mult, steps = dict(terms), {}, 1, 0
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for lead, lc, tail in reducers:
+            if all(a <= b for a, b in zip(lead, m)):
+                break
+        else:
+            out[m] = c
+            continue
+        q = tuple(b - a for a, b in zip(lead, m))
+        d = gcd(c, lc)
+        a, b = lc // d, c // d
+        mult *= a
+        work = {e: v * a for e, v in work.items()}
+        out = {e: v * a for e, v in out.items()}
+        for e, v in tail.items():
+            k = tuple(x + y for x, y in zip(e, q))
+            work[k] = work.get(k, 0) - b * v
+            if not work[k]:
+                del work[k]
+        steps += 1
+        if steps % 64 == 0 and mult.bit_length() > 64:
+            g = gcd(mult, *work.values(), *out.values())
+            mult //= g
+            work = {e: v // g for e, v in work.items()}
+            out = {e: v // g for e, v in out.items()}
+    return out, mult
+
+
+def _reference_reducers(term_lists, key):
+    """Each polynomial primitive with a positive lead coefficient, the first
+    of each lead, ordered by tail length, ties in list order."""
+    seen, out = set(), []
+    for t in term_lists:
+        g = gcd(*t.values())
+        lead = max(t, key=key)
+        g = g if t[lead] > 0 else -g
+        if lead not in seen:
+            seen.add(lead)
+            out.append((lead, t[lead] // g, {e: v // g for e, v in t.items() if e != lead}))
+    return sorted(out, key=lambda r: len(r[2]))
+
+
+def test_division_past_the_8_bit_limit_raises_the_narrow_error():
+    # x y^30 by x - y^100 under lex makes y^130
+    R = PolyRing(["x", "y"])
+    x, y = R.gens()
+    for bits, expected in ((8, None), (16, {(0, 130): 1})):
+        lay = PackedLayout(2, "lex", bits)
+        reducers = dict([_reducer(_int_terms(x - y ** 100, lay)[0], lay)])
+        work = _int_terms(x * y ** 30, lay)[0]
+        if expected is None:
+            with pytest.raises(_NarrowOverflow):
+                _divide_int(work, reducers, lay)
+        else:
+            out, mult = _divide_int(work, reducers, lay)
+            assert ({lay.unpack(lay.heap_key(h)): c for h, c in out.items()}, mult) == (expected, 1)
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_divide_int_matches_a_tuple_reference_division(order, bits):
+    # lead coefficients 1 and not, terms that cancel and come back, and
+    # long divisions whose multiplier passes 64 bits and loses its content
+    rng = random.Random(28)
+    R = PolyRing(["x", "y", "z"])
+    lay = PackedLayout(3, order, bits)
+    key = order_key(order)
+
+    def term_list(size, top):
+        t = {}
+        for _ in range(size):
+            e = tuple(rng.randint(0, top) for _ in range(3))
+            t[e] = t.get(e, 0) + rng.choice((-6, -3, -2, -1, 1, 1, 1, 2, 5))
+        return {e: c for e, c in t.items() if c} or {(0, 0, 1): 1}
+
+    def linear_form():
+        t = {(1, 0, 0): rng.randint(2, 7), (0, 1, 0): rng.randint(-7, 7), (0, 0, 1): rng.randint(-7, 7)}
+        return {e: c for e, c in t.items() if c}
+
+    for case in range(120):
+        if not case:  # x^40 by 4x - y, then y by y - 2z: 2^24 divides every term at step 64
+            basis = [{(1, 0, 0): 4, (0, 1, 0): -1}, {(0, 1, 0): 1, (0, 0, 1): -2}]
+            dividend = {(40, 0, 0): 1, (0, 0, 50): 1}
+        elif case % 4:
+            basis = [term_list(rng.randint(1, 4), 2) for _ in range(rng.randint(1, 4))]
+            dividend = term_list(rng.randint(1, 8), 3)
+        else:  # hundreds of steps by linear forms, most with lead coefficient above 1
+            basis = [linear_form(), term_list(3, 1)]
+            dividend = term_list(20, 8)
+        reducers = {}
+        for t in basis:
+            lead, red = _reducer(_int_terms(poly_from_terms(R, t.items()), lay)[0], lay)
+            reducers.setdefault(lead, red)
+        terms = _int_terms(poly_from_terms(R, dividend.items()), lay)[0]
+        expected = {lay.heap_key(k): c for k, c in terms.items()}
+        out, mult = _divide_int(terms, _shortest_first(reducers), lay)
+        ref, ref_mult = _reference_division(
+            {lay.unpack(m): c for m, c in expected.items()}, _reference_reducers(basis, key), key
+        )
+        assert mult == ref_mult
+        assert {lay.unpack(lay.heap_key(h)): c for h, c in out.items()} == ref
+        assert 0 not in out.values()
+        assert list(out) == sorted(out)  # leading first

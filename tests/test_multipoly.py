@@ -15,6 +15,7 @@ from hilb.multipoly import (
     RingError,
     Weight,
     _mul_packed,
+    _NarrowOverflow,
     order_key,
     poly_from_terms,
 )
@@ -185,64 +186,106 @@ def test_ring_axioms(p, q, r):
     assert p - p == R3.zero()
 
 
-# entries near 2^12 make packed subtraction borrow across fields; n = 8
-# such entries stay below PACK_LIMIT, and two of them can reach it
-packed_entries = st.one_of(st.integers(0, 3), st.integers(4000, 4095))
-packed_cases = st.tuples(
-    st.integers(0, 8).flatmap(
-        lambda n: st.lists(st.tuples(*[packed_entries] * n), min_size=2, max_size=6)
-    ),
-    st.sampled_from(["lex", "grevlex"]),
-)
+# the packed-layout properties hold at both field widths: 16 bits, the
+# width of every ring, and 8, the width of a Buchberger run
+WIDTHS = (8, 16)
+
+
+def limit_of(bits):
+    """The bound of every exponent and degree in a layout of `bits` bits."""
+    return 1 << bits - 1
+
+
+def near_eighth(bits):
+    """Entries just below limit / 8 (2^12 at 16 bits): they make packed
+    subtraction borrow across fields, n = 8 of them stay below the limit,
+    and two such monomials can reach it."""
+    top = limit_of(bits) // 8
+    return st.integers(top - min(96, top // 4), top - 1)
+
+
+def packed_cases(bits):
+    packed_entries = st.one_of(st.integers(0, 3), near_eighth(bits))
+    return st.tuples(
+        st.integers(0, 8).flatmap(
+            lambda n: st.lists(st.tuples(*[packed_entries] * n), min_size=2, max_size=6)
+        ),
+        st.sampled_from(["lex", "grevlex"]),
+    )
 
 
 @seeded
-@given(packed_cases)
-def test_packed_layout_matches_the_tuple_operations(case):
-    monos, order = case
-    lay = PackedLayout(len(monos[0]), order)
-    key = order_key(order)
-    packed = [pack(lay, e) for e in monos]
-    assert [lay.unpack(m) for m in packed] == monos
-    for i in range(len(monos[0])):
-        unit, mask, shift = lay.field(i)
-        assert unit == pack(lay, tuple(int(k == i) for k in range(len(monos[0]))))
-        assert [(m & mask) >> shift for m in packed] == [e[i] for e in monos]
-    assert sorted(monos, key=lambda e: -lay.heap_key(pack(lay, e))) == sorted(monos, key=key)
-    for a, pa in zip(monos, packed):
-        for b, pb in zip(monos, packed):
-            assert ((pb - pa) & lay.guard == 0) == _mono_divides(a, b)
-            assert (lay.heap_key(pa) > lay.heap_key(pb)) == (key(a) < key(b))
-            product = pa + pb
-            if sum(a) + sum(b) < PACK_LIMIT:
-                assert product & lay.guard == 0
-                assert product == pack(lay, _mono_mul(a, b))
-            else:
-                assert product & lay.guard
+@given(data=st.data())
+def test_packed_layout_matches_the_tuple_operations(data):
+    for bits in WIDTHS:
+        monos, order = data.draw(packed_cases(bits))
+        lay = PackedLayout(len(monos[0]), order, bits)
+        assert (lay.bits, lay.limit) == (bits, limit_of(bits))
+        key = order_key(order)
+        packed = [pack(lay, e) for e in monos]
+        assert [lay.unpack(m) for m in packed] == monos
+        for i in range(len(monos[0])):
+            unit, mask, shift = lay.field(i)
+            assert unit == pack(lay, tuple(int(k == i) for k in range(len(monos[0]))))
+            assert [(m & mask) >> shift for m in packed] == [e[i] for e in monos]
+        assert sorted(monos, key=lambda e: -lay.heap_key(pack(lay, e))) == sorted(monos, key=key)
+        for a, pa in zip(monos, packed):
+            for b, pb in zip(monos, packed):
+                assert ((pb - pa) & lay.guard == 0) == _mono_divides(a, b)
+                assert (lay.heap_key(pa) > lay.heap_key(pb)) == (key(a) < key(b))
+                product = pa + pb
+                if sum(a) + sum(b) < lay.limit:
+                    assert product & lay.guard == 0
+                    assert product == pack(lay, _mono_mul(a, b))
+                else:
+                    assert product & lay.guard
 
 
 @seeded
-@given(packed_cases)
-def test_recode_is_unpack_then_pack(case):
-    monos, order = case
-    n = len(monos[0])
-    src = PackedLayout(n, order)
-    dst = PackedLayout(n, "lex" if order == "grevlex" else "grevlex")
-    ms = src.pack_all(monos)
-    there = dst.recode(ms, src)
-    assert there == dst.pack_all(src.unpack_all(ms))
-    assert src.recode(there, dst) == ms
-    assert src.recode(ms, src) is ms
-    # an equal layout that is another object recodes to the same ints
-    assert PackedLayout(n, order).recode(ms, src) == ms
-    with pytest.raises(RingError):
-        PackedLayout(n + 1, order).recode(ms, src)
+@given(data=st.data())
+def test_recode_is_unpack_then_pack(data):
+    for bits in WIDTHS:
+        monos, order = data.draw(packed_cases(bits))
+        n = len(monos[0])
+        src = PackedLayout(n, order, bits)
+        ms = src.pack_all(monos)
+        for dst in (PackedLayout(n, o, b) for o in ("lex", "grevlex") for b in (8, 16)):
+            if (dst.order, dst.bits) == (order, bits):
+                continue
+            if max(map(sum, monos)) >= dst.limit:
+                # only a narrower layout can miss a degree; it checks before packing
+                assert dst.bits < bits
+                with pytest.raises(RingError):
+                    dst.recode(ms, src)
+                continue
+            there = dst.recode(ms, src)
+            assert there == dst.pack_all(src.unpack_all(ms))
+            assert src.recode(there, dst) == ms
+        assert src.recode(ms, src) is ms
+        # an equal layout that is another object recodes to the same ints
+        assert PackedLayout(n, order, bits).recode(ms, src) == ms
+        with pytest.raises(RingError):
+            PackedLayout(n + 1, order, bits).recode(ms, src)
 
 
-def packable_monomials(n):
-    """Small entries with up to two spikes near 2^12 or 2^15: two spikes
-    near 2^15 reach PACK_LIMIT, and one may with the small entries."""
-    spike = st.one_of(st.integers(4000, 4095), st.integers(PACK_LIMIT - 64, PACK_LIMIT - 1))
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_recode_into_8_bits_raises_the_narrow_error_at_its_limit(order):
+    wide, narrow = PackedLayout(2, order), PackedLayout(2, order, 8)
+    assert narrow.unpack_all(narrow.recode(wide.pack_all([(127, 0), (3, 124)]), wide)) == [(127, 0), (3, 124)]
+    # 128 does not fit the 7 bits below the guard, 256 not even the 8 of the field
+    for e in [(128, 0), (64, 64), (256, 0), (0, PACK_LIMIT - 1)]:
+        with pytest.raises(_NarrowOverflow):
+            narrow.recode(wide.pack_all([(1, 1), e]), wide)
+    # a 16-bit layout raises the plain error that a caller sees
+    assert type(wide.overflow()) is RingError
+    assert isinstance(narrow.overflow(), RingError)
+
+
+def packable_monomials(bits, n):
+    """Small entries with up to two spikes near limit / 8 or the limit:
+    two spikes near the limit reach it, and one may with the small entries."""
+    limit = limit_of(bits)
+    spike = st.one_of(near_eighth(bits), st.integers(limit - min(64, limit // 8), limit - 1))
     spikes = st.lists(st.tuples(st.integers(0, n - 1), spike), max_size=2)
     small = st.lists(st.integers(0, 3), min_size=n, max_size=n)
 
@@ -255,163 +298,212 @@ def packable_monomials(n):
     return st.tuples(small, spikes).map(place)
 
 
-packed_batches = st.tuples(
-    st.integers(1, 20).flatmap(lambda n: st.lists(packable_monomials(n), max_size=8)),
-    st.sampled_from(["lex", "grevlex"]),
-)
+def packed_batches(bits):
+    return st.tuples(
+        st.integers(1, 20).flatmap(lambda n: st.lists(packable_monomials(bits, n), max_size=8)),
+        st.sampled_from(["lex", "grevlex"]),
+    )
 
 
 @seeded
-@given(packed_batches)
-def test_pack_all_is_pack_of_each_monomial(case):
-    monos, order = case
-    n = len(monos[0]) if monos else 3
-    lay = PackedLayout(n, order)
-    if max(map(sum, monos), default=0) >= PACK_LIMIT:
-        with pytest.raises(RingError):
-            lay.pack_all(monos)
-        return
-    packed = lay.pack_all(monos)
-    assert packed == [pack(lay, e) for e in monos]  # a batch packs as its monomials do one at a time
-    assert lay.unpack_all(packed) == [lay.unpack(m) for m in packed] == monos
-    assert lay.unpack_all(sorted(packed, key=lay.heap_key, reverse=True)) == sorted(monos, key=order_key(order))
+@given(data=st.data())
+def test_pack_all_is_pack_of_each_monomial(data):
+    for bits in WIDTHS:
+        monos, order = data.draw(packed_batches(bits))
+        n = len(monos[0]) if monos else 3
+        lay = PackedLayout(n, order, bits)
+        if max(map(sum, monos), default=0) >= lay.limit:
+            with pytest.raises(RingError):
+                lay.pack_all(monos)
+            continue
+        packed = lay.pack_all(monos)
+        assert packed == [pack(lay, e) for e in monos]  # a batch packs as its monomials do one at a time
+        assert lay.unpack_all(packed) == [lay.unpack(m) for m in packed] == monos
+        assert lay.unpack_all(sorted(packed, key=lay.heap_key, reverse=True)) == sorted(monos, key=order_key(order))
 
 
-def full_range_monomials(n):
-    """Entries up to 2^15 - 1, small ones often equal; a monomial whose
-    degree reaches PACK_LIMIT is scaled down below it."""
-    entries = st.one_of(st.integers(0, 2), st.integers(0, PACK_LIMIT - 1))
+def full_range_monomials(bits, n):
+    """Entries up to limit - 1, small ones often equal; a monomial whose
+    degree reaches the limit is scaled down below it."""
+    limit = limit_of(bits)
+    entries = st.one_of(st.integers(0, 2), st.integers(0, limit - 1))
 
     def fit(e):
         total = sum(e)
-        return tuple(x * (PACK_LIMIT - 1) // total for x in e) if total >= PACK_LIMIT else e
+        return tuple(x * (limit - 1) // total for x in e) if total >= limit else e
 
     return st.tuples(*[entries] * n).map(fit)
 
 
-colon_cases = st.tuples(
-    st.integers(1, 20).flatmap(lambda n: st.tuples(full_range_monomials(n), full_range_monomials(n))),
-    st.sampled_from(["lex", "grevlex"]),
-)
+def colon_cases(bits):
+    return st.tuples(
+        st.integers(1, 20).flatmap(
+            lambda n: st.tuples(full_range_monomials(bits, n), full_range_monomials(bits, n))
+        ),
+        st.sampled_from(["lex", "grevlex"]),
+    )
 
 
 @seeded
-@given(colon_cases)
-def test_packed_colon_and_lcm_match_the_tuple_ones(case):
-    (a, b), order = case
-    lay = PackedLayout(len(a), order)
-    pa, pb = pack(lay, a), pack(lay, b)
-    colon = lay.colon(pa, pb)
-    assert colon == pack(lay, _mono_colon(a, b))
-    assert lay.unpack(colon) == _mono_colon(a, b)
-    assert lay.degree(colon) == sum(_mono_colon(a, b))
-    lcm = pb + colon
-    if sum(_mono_lcm(a, b)) < PACK_LIMIT:
-        assert lcm == pack(lay, _mono_lcm(a, b))
-        assert lay.unpack(lcm) == _mono_lcm(a, b)
-        assert lay.degree(lcm) == sum(_mono_lcm(a, b))
-    else:
-        assert lcm & lay.guard
+@given(data=st.data())
+def test_packed_colon_and_lcm_match_the_tuple_ones(data):
+    for bits in WIDTHS:
+        (a, b), order = data.draw(colon_cases(bits))
+        lay = PackedLayout(len(a), order, bits)
+        pa, pb = pack(lay, a), pack(lay, b)
+        colon = lay.colon(pa, pb)
+        assert colon == pack(lay, _mono_colon(a, b))
+        assert lay.unpack(colon) == _mono_colon(a, b)
+        assert lay.degree(colon) == sum(_mono_colon(a, b))
+        lcm = pb + colon
+        if sum(_mono_lcm(a, b)) < lay.limit:
+            assert lcm == pack(lay, _mono_lcm(a, b))
+            assert lay.unpack(lcm) == _mono_lcm(a, b)
+            assert lay.degree(lcm) == sum(_mono_lcm(a, b))
+        else:
+            assert lcm & lay.guard
 
 
-support_cases = st.tuples(
-    st.integers(1, 18).flatmap(
-        lambda n: st.tuples(st.lists(full_range_monomials(n), max_size=12), st.integers(0, n - 1), st.just(n))
-    ),
-    st.sampled_from(["lex", "grevlex"]),
-)
+def minimal_cases(bits):
+    return st.tuples(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.one_of(st.tuples(*[st.integers(0, 2)] * n), full_range_monomials(bits, n)), max_size=10
+            )
+        ),
+        st.sampled_from(["lex", "grevlex"]),
+    )
 
 
 @seeded
-@given(support_cases)
-def test_support_counts_are_the_tuple_counts(case):
-    # a field at 2^15 - 1 reaches its guard with the fill and must not carry
-    (monos, top, n), order = case
-    monos = monos + [tuple(PACK_LIMIT - 1 if i == top else 0 for i in range(n))]
-    lay = PackedLayout(n, order)
-    assert lay.support_counts(lay.pack_all(monos)) == tuple(sum(e[i] > 0 for e in monos) for i in range(n))
+@given(data=st.data())
+def test_minimal_keeps_the_monomials_no_other_divides(data):
+    for bits in WIDTHS:
+        monos, order = data.draw(minimal_cases(bits))
+        lay = PackedLayout(len(monos[0]) if monos else 2, order, bits)
+        kept = lay.minimal(lay.pack_all(monos) * 2)
+        assert kept == sorted(kept)
+        expected = {a for a in monos if not any(b != a and _mono_divides(b, a) for b in monos)}
+        assert sorted(lay.unpack_all(kept)) == sorted(expected)
+
+
+def support_cases(bits):
+    return st.tuples(
+        st.integers(1, 18).flatmap(
+            lambda n: st.tuples(
+                st.lists(full_range_monomials(bits, n), max_size=12), st.integers(0, n - 1), st.just(n)
+            )
+        ),
+        st.sampled_from(["lex", "grevlex"]),
+    )
+
+
+@seeded
+@given(data=st.data())
+def test_support_counts_are_the_tuple_counts(data):
+    for bits in WIDTHS:
+        # a field at limit - 1 reaches its guard with the fill and must not carry
+        (monos, top, n), order = data.draw(support_cases(bits))
+        lay = PackedLayout(n, order, bits)
+        monos = monos + [tuple(lay.limit - 1 if i == top else 0 for i in range(n))]
+        assert lay.support_counts(lay.pack_all(monos)) == tuple(sum(e[i] > 0 for e in monos) for i in range(n))
 
 
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 def test_support_counts_fill_a_field_and_no_more(order):
-    lay = PackedLayout(3, order)
-    unit = lay.field(1)[0]
-    assert lay.support_counts([]) == (0, 0, 0)
-    assert lay.support_counts([unit] * 0xFFFF) == (0, 0xFFFF, 0)
-    with pytest.raises(RingError):
-        lay.support_counts([unit] * 0x10000)
+    for bits in WIDTHS:
+        lay = PackedLayout(3, order, bits)
+        unit, full = lay.field(1)[0], (1 << bits) - 1
+        assert lay.support_counts([]) == (0, 0, 0)
+        assert lay.support_counts([unit] * full) == (0, full, 0)
+        with pytest.raises(RingError):
+            lay.support_counts([unit] * (full + 1))
 
 
-heap_key_cases = st.tuples(
-    st.integers(3, 12).flatmap(lambda n: st.lists(full_range_monomials(n), min_size=1, max_size=6)),
-    st.sampled_from(["lex", "grevlex"]),
-)
+def heap_key_cases(bits):
+    return st.tuples(
+        st.integers(3, 12).flatmap(lambda n: st.lists(full_range_monomials(bits, n), min_size=1, max_size=6)),
+        st.sampled_from(["lex", "grevlex"]),
+    )
 
 
 @seeded
-@given(heap_key_cases)
-def test_heap_keys_add_and_invert_and_put_the_lead_first(case):
-    # the facts Groebner division on heap-keyed term dicts rests on
-    monos, order = case
-    lay = PackedLayout(len(monos[0]), order)
-    packed = [pack(lay, e) for e in monos]
-    keys = [lay.heap_key(m) for m in packed]
-    assert [lay.heap_key(k) for k in keys] == packed
-    for a, pa, ka in zip(monos, packed, keys):
-        for b, pb, kb in zip(monos, packed, keys):
-            if sum(a) + sum(b) < PACK_LIMIT:
-                assert lay.heap_key(pa + pb) == ka + kb
-    lead = max(monos, key=order_key(order))
-    assert min(keys) == lay.heap_key(pack(lay, lead))
-    assert lay.top_degree(keys) == max(map(sum, monos))
+@given(data=st.data())
+def test_heap_keys_add_and_invert_and_put_the_lead_first(data):
+    for bits in WIDTHS:
+        # the facts Groebner division on heap-keyed term dicts rests on
+        monos, order = data.draw(heap_key_cases(bits))
+        lay = PackedLayout(len(monos[0]), order, bits)
+        packed = [pack(lay, e) for e in monos]
+        keys = [lay.heap_key(m) for m in packed]
+        assert [lay.heap_key(k) for k in keys] == packed
+        for a, pa, ka in zip(monos, packed, keys):
+            for b, pb, kb in zip(monos, packed, keys):
+                if sum(a) + sum(b) < lay.limit:
+                    assert lay.heap_key(pa + pb) == ka + kb
+        lead = max(monos, key=order_key(order))
+        assert min(keys) == lay.heap_key(pack(lay, lead))
+        assert lay.top_degree(keys) == max(map(sum, monos))
 
 
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 def test_packing_rejects_what_a_field_cannot_hold(order):
-    lay = PackedLayout(3, order)
-    assert lay.unpack(pack(lay, (PACK_LIMIT - 1, 0, 0))) == (PACK_LIMIT - 1, 0, 0)
-    assert lay.pack_all([]) == [] and lay.unpack_all([]) == []
-    bad = [(PACK_LIMIT, 0, 0), (0, 0, PACK_LIMIT), (PACK_LIMIT // 2, PACK_LIMIT // 2, 0), (1, -1, 0)]
-    bad += [(1.5, 0, 0), (F(1, 2), F(1, 2), 0), (F(1), 0, 0), (1, 2), (1, 2, 3, 4)]
-    for e in bad:
+    for bits in WIDTHS:
+        lay = PackedLayout(3, order, bits)
+        limit = lay.limit
+        assert lay.unpack(pack(lay, (limit - 1, 0, 0))) == (limit - 1, 0, 0)
+        assert lay.pack_all([]) == [] and lay.unpack_all([]) == []
+        bad = [(limit, 0, 0), (0, 0, limit), (limit // 2, limit // 2, 0), (1, -1, 0), (2 * limit, 0, 0)]
+        bad += [(1.5, 0, 0), (F(1, 2), F(1, 2), 0), (F(1), 0, 0), (1, 2), (1, 2, 3, 4)]
+        for e in bad:
+            with pytest.raises(RingError):
+                pack(lay, e)
+            with pytest.raises(RingError):
+                lay.pack_all([(1, 2, 3), e])
         with pytest.raises(RingError):
-            pack(lay, e)
-        with pytest.raises(RingError):
-            lay.pack_all([(1, 2, 3), e])
+            PackedLayout(3, ["lex"], bits)
+
+
+@pytest.mark.parametrize("bits", [0, 7, 12, 32, "16"])
+def test_a_field_has_8_or_16_bits(bits):
     with pytest.raises(RingError):
-        PackedLayout(3, ["lex"])
+        PackedLayout(3, "lex", bits)
 
 
-def packable_terms(n):
+def packable_terms(bits, n):
     """Up to four terms, a base monomial times small ones: each packs, small
-    parts let product terms cancel, and two bases can reach PACK_LIMIT."""
-    top = PACK_LIMIT // max(n, 1) - 4
+    parts let product terms cancel, and two bases can reach the limit."""
+    top = limit_of(bits) // max(n, 1) - 4
     base = st.tuples(*[st.sampled_from([0, top // 2, top])] * n)
     small = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(-3, 3)), max_size=4)
     return st.tuples(base, small).map(lambda bs: [(_mono_mul(bs[0], e), c) for e, c in bs[1]])
 
 
-packed_products = st.integers(0, 8).flatmap(
-    lambda n: st.tuples(st.just(n), packable_terms(n), packable_terms(n), st.sampled_from(["lex", "grevlex"]))
-)
+def packed_products(bits):
+    return st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n), packable_terms(bits, n), packable_terms(bits, n), st.sampled_from(["lex", "grevlex"])
+        )
+    )
 
 
 @seeded
-@given(packed_products)
-def test_packed_product_matches_the_tuple_product(case):
-    n, terms_a, terms_b, order = case
-    R = PolyRing([f"x{i}" for i in range(n)])
-    a, b = poly_from_terms(R, terms_a), poly_from_terms(R, terms_b)
-    lay = PackedLayout(n, order)
-    # (a + b) * (a - b) cancels its cross terms
-    for f, g in ((a, b), (a + b, a - b)):
-        pf, pg = ({pack(lay, e): c for e, c in p.terms.items()} for p in (f, g))
-        if f and g and f.total_degree() + g.total_degree() >= PACK_LIMIT:
-            with pytest.raises(RingError):
-                _mul_packed(pf, pg, lay.guard)
-        else:
-            expected = [(pack(lay, e), c) for e, c in (f * g).terms.items()]
-            assert list(_mul_packed(pf, pg, lay.guard).items()) == expected
+@given(data=st.data())
+def test_packed_product_matches_the_tuple_product(data):
+    for bits in WIDTHS:
+        n, terms_a, terms_b, order = data.draw(packed_products(bits))
+        R = PolyRing([f"x{i}" for i in range(n)])
+        a, b = poly_from_terms(R, terms_a), poly_from_terms(R, terms_b)
+        lay = PackedLayout(n, order, bits)
+        # (a + b) * (a - b) cancels its cross terms
+        for f, g in ((a, b), (a + b, a - b)):
+            pf, pg = ({pack(lay, e): c for e, c in p.terms.items()} for p in (f, g))
+            if f and g and f.total_degree() + g.total_degree() >= lay.limit:
+                with pytest.raises(RingError):
+                    _mul_packed(pf, pg, lay.guard)
+            else:
+                expected = [(pack(lay, e), c) for e, c in (f * g).terms.items()]
+                assert list(_mul_packed(pf, pg, lay.guard).items()) == expected
 
 
 @seeded
