@@ -7,19 +7,21 @@ the extra dimension, from Hom(I, S/I) on the minimal generators of I.
 
 Every polynomial here is built packed under its ring's grevlex
 `PackedLayout`, a monomial as the sum of its variables' packed units,
-and read packed: the weight check, and elimination, which keeps the
-coefficients as they are. The Haiman equations have `int`
-coefficients, and the elimination pivots on them are all units, so the
-local equations and the eliminated expressions stay integer. A non-unit
-pivot divides exactly through `Fraction`.
+and read packed: the weight check, which reads only the nonzero fields
+of each monomial, and elimination, which rewrites its own copies of the
+equations in place and keeps the coefficients as they are, then moves
+the survivors into their smaller ring by struct, without tuples. The
+Haiman equations have `int` coefficients, and the elimination pivots on
+them are all units, so the local equations and the eliminated
+expressions stay integer. A non-unit pivot divides exactly through
+`Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
-from operator import mul, or_
+from operator import or_
 from typing import Dict, List, Sequence, Tuple
 
 from .multipoly import (
@@ -60,8 +62,9 @@ class HaimanPresentation:
     the ring of the variables or one that is not weight-homogeneous. For
     the weight check each variable weight is one int of signed fields
     (`packed_weights`, wide enough for the largest term degree), so the
-    weight of a term is one exact sum over the nonzero exponents that its
-    packed monomial unpacks to.
+    weight of a term is one exact sum over the nonzero variable fields of
+    its packed monomial, read one field at a time from the lowest set bit
+    and never unpacked to a tuple.
     """
 
     def __init__(
@@ -91,12 +94,33 @@ class HaimanPresentation:
 
 
 def _check_weight_homogeneous(equations: Sequence[MultiPoly], weights: Sequence[Weight]):
-    """RingError unless every term of each equation has one torus weight."""
+    """RingError unless every term of each equation has one torus weight.
+
+    A term's weight is summed over its nonzero variable fields alone: the
+    lowest set bit of the packed monomial names a field, whose exponent k
+    adds k times that variable's packed weight and is then cleared from
+    the monomial. The degree field, on top of the grevlex layout, is
+    masked off first. An equation stops at its first term whose weight
+    differs from its first term's.
+    """
     *_, packed = packed_weights(weights, max((eq.total_degree() for eq in equations), default=0))
     for eq in equations:
-        exps = eq.ring.layout.unpack_all(eq._pk())
-        if len({sum(map(mul, compress(packed, e), compress(e, e))) for e in exps}) > 1:
-            raise RingError(f"equation not weight-homogeneous: {eq.render()}")
+        bits = eq.ring.layout.bits
+        fmask, vmask = (1 << bits) - 1, (1 << bits * eq.ring.n) - 1
+        first = None
+        for m in eq._pk():
+            m &= vmask
+            w = 0
+            while m:
+                i = ((m & -m).bit_length() - 1) // bits
+                s = i * bits
+                k = (m >> s) & fmask
+                m -= k << s
+                w += k * packed[i]
+            if first is None:
+                first = w
+            elif w != first:
+                raise RingError(f"equation not weight-homogeneous: {eq.render()}")
 
 
 def haiman_equations(lam: Partition) -> HaimanPresentation:
@@ -167,14 +191,18 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     with no division, so integer equations stay integer; any other pivot
     divides exactly through Fraction. Each equation and each eliminated
     expression keeps its support mask, the bitwise or of its packed
-    monomials, so whether it holds x is one mask test. The pivot is
-    applied by rewriting only the entries that hold x, and in them only
-    the terms that hold x: a term c*x^k*m becomes c*m*(f/a)^k, with the
-    powers of f/a computed once per pivot, and every other term is copied
-    unchanged. At the end, equal equations are dropped on their packed
-    terms, whether an eliminated variable is left is one mask test per
-    monomial, and the survivors are renumbered and packed under the new
-    ring's layout.
+    monomials, so whether it holds x is one mask test. Elimination takes
+    its own copy of each equation's packed terms once, at entry, so the
+    input presentation is never mutated, and applies a pivot in place: in
+    each entry that holds x it pops only the terms that hold x, and a
+    term c*x^k*m is merged back as c*m*(f/a)^k, with the powers of f/a
+    computed once per pivot; every other term stays where it is. At the
+    end, equal equations are dropped on their packed terms, whether an
+    eliminated variable is left is one mask test per monomial, and the
+    survivors are renumbered by `PackedLayout.projection`: one struct
+    unpack that skips the eliminated fields and one pack under the new
+    ring's layout per monomial. The degree field is copied, which is
+    exact because no eliminated exponent is left.
 
     The pivot rule reads the variable order, so the survivors depend on
     the orientation of the partition, not only on its S_r-class: the
@@ -188,39 +216,31 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     min_glo = set(ideal_of_partition(lam).gens)
     lay = pres.ring.layout
     guard = lay.guard
+    fields = [lay.field(x) for x in range(nvars)]
     alive = [True] * nvars
-    eqs: List[IntTerms] = [eq._pk() for eq in pres.equations]  # replaced, never mutated
+    eqs: List[IntTerms] = [dict(eq._pk()) for eq in pres.equations]  # own copies, rewritten in place
     masks = [reduce(or_, eq, 0) for eq in eqs]  # support mask of each equation
     subs: Dict[int, IntTerms] = {}  # eliminated var index -> expression (full ring)
     sub_masks: Dict[int, int] = {}
 
     def substitute_everywhere(x: int, expr: IntTerms):
-        unit_x, xmask, shift = lay.field(x)
+        unit_x, xmask, shift = fields[x]
         powers: List[IntTerms] = [{0: 1}]  # powers[k] is expr^k; the packed monomial 1 is 0
 
-        def rewrite(p: IntTerms) -> IntTerms:
-            out: IntTerms = {}
-            for e, c in p.items():
+        def rewrite(p: IntTerms):
+            for e in [e for e in p if e & xmask]:
                 k = (e & xmask) >> shift
-                if not k:  # copied as it is; a sum can only vanish on a term already there
-                    c += out.get(e, 0)
-                    if c:
-                        out[e] = c
-                    else:
-                        del out[e]
-                    continue
                 while len(powers) <= k:
                     powers.append(_mul_packed(powers[-1], expr, guard))
-                _add_shifted(out, powers[k], e - k * unit_x, c, guard)
-            return out
+                _add_shifted(p, powers[k], e - k * unit_x, p.pop(e), guard)
 
         for k, mask in enumerate(masks):
             if mask & xmask:
-                eqs[k] = rewrite(eqs[k])
+                rewrite(eqs[k])
                 masks[k] = reduce(or_, eqs[k], 0)
         for v, mask in sub_masks.items():
             if mask & xmask:
-                subs[v] = rewrite(subs[v])
+                rewrite(subs[v])
                 sub_masks[v] = reduce(or_, subs[v], 0)
 
     def run_pass(targets: List[int]):
@@ -229,7 +249,7 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
             for x in targets:
                 if not alive[x]:
                     continue
-                unit_x, xmask, _ = lay.field(x)
+                unit_x, xmask, _ = fields[x]
                 for qi, eq in enumerate(eqs):
                     a = eq.get(unit_x)
                     if a is not None and not any(e & xmask for e in eq if e != unit_x):
@@ -257,14 +277,13 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     survivors = [k for k in range(nvars) if alive[k]]
     new_vars = [variables[k] for k in survivors]
     new_ring = PolyRing([_var_name(v) for v in new_vars])
-    new_lay = new_ring.layout
-    gone = reduce(or_, (lay.field(k)[1] for k in range(nvars) if not alive[k]), 0)
+    to_new = new_ring.layout.projection(lay, survivors)
+    gone = reduce(or_, (fields[k][1] for k in range(nvars) if not alive[k]), 0)
 
     def project(p: IntTerms) -> MultiPoly:
         if any(m & gone for m in p):
             raise RingError("eliminated variable reappeared")
-        monos = [tuple([e[k] for k in survivors]) for e in lay.unpack_all(p)]
-        return MultiPoly._of_packed(new_ring, dict(zip(new_lay.pack_all(monos), p.values())))
+        return MultiPoly._of_packed(new_ring, dict(zip(to_new(p), p.values())))
 
     # the projection is injective on terms free of `gone`, so equal
     # equations are equal before it

@@ -232,8 +232,9 @@ class PackedLayout:
     (e_0, ..., e_{n-1}, degree), read as a little-endian int under
     grevlex and as a big-endian int under lex. `pack_all` and
     `unpack_all` convert a whole polynomial in one pass, `unpack`
-    converts one monomial, and `recode` moves packed monomials from one
-    layout to another without tuples. A negative or non-integer
+    converts one monomial, `recode` moves packed monomials from one
+    layout to another without tuples, and `projection` drops the fields
+    of variables that are absent. A negative or non-integer
     exponent, a monomial of the wrong length or a degree of `limit` or
     more raises RingError.
 
@@ -331,6 +332,32 @@ class PackedLayout:
         pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
         unpack, size, source_order = source._struct.unpack, source._struct.size, source._byteorder
         return [from_bytes(pack(*unpack(m.to_bytes(size, source_order))), byteorder) for m in ms]
+
+    def projection(self, source: "PackedLayout", kept: Sequence[int]) -> Callable[[Iterable[int]], List[int]]:
+        """The map that sends monomials packed under `source` in the
+        variables `kept` of `source` (ascending indices) to the same
+        monomials packed under this layout, in order; RingError unless
+        `kept` ascends through indices of `source` and this layout has
+        len(kept) variables and the order and width of `source`. Each
+        monomial is one unpack, by a struct that skips the fields of the
+        other variables, and one pack. The degree field is copied, so the
+        caller must know that every other exponent is 0."""
+        keep = set(kept)
+        if (
+            (source.order, source.bits, len(kept)) != (self.order, self.bits, self._nvars)
+            or list(kept) != sorted(keep)
+            or not keep <= set(range(source._nvars))
+        ):
+            raise RingError("projecting onto variables that this layout does not hold")
+        code, skip = _FORMATS[self.bits], f"{self.bits // 8}x"
+        fields = "".join(code if i in keep else skip for i in range(source._nvars))
+        pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
+        unpack, size = Struct(f"{'<' if byteorder == 'little' else '>'}{fields}{code}").unpack, source._struct.size
+
+        def project(ms: Iterable[int]) -> List[int]:
+            return [from_bytes(pack(*unpack(m.to_bytes(size, byteorder))), byteorder) for m in ms]
+
+        return project
 
     def heap_key(self, m: int) -> int:
         """The min-first heap key of a packed monomial, and the monomial of a

@@ -6,10 +6,14 @@ variable sent to itself, dividing by the pivot coefficient through
 Fraction, and renumbers the survivors by substituting them into a smaller
 ring with zero placeholders for the eliminated variables. It shares no
 packed code with the library, which works on packed monomials, rewrites
-only the terms that hold x, and divides only at a pivot other than +-1;
-both must agree exactly. On the Haiman equations every pivot is a unit,
-so every coefficient stays an int; hand-built presentations cover the
-other pivots, and packed degrees of 2^15 raise RingError.
+its own copy of each equation in place, popping only the terms that hold
+x, divides only at a pivot other than +-1, and projects onto the
+survivors by struct, copying each degree field; both must agree exactly.
+Elimination leaves its input presentation untouched, and each projected
+polynomial repacks from its exponent tuples to the ints it holds. On the
+Haiman equations every pivot is a unit, so every coefficient stays an
+int; hand-built presentations cover the other pivots, and packed degrees
+of 2^15 raise RingError.
 """
 
 from fractions import Fraction
@@ -130,6 +134,30 @@ def test_simple_eliminate_matches_full_homomorphism_reference(r, n):
     for lam in enumerate_partitions(r, n):
         raw = haiman_equations(lam)
         _assert_matches_reference(raw, simple_eliminate(raw))
+
+
+@pytest.mark.parametrize("r,n", CLASSES)
+def test_simple_eliminate_leaves_its_input_untouched(r, n):
+    """Elimination rewrites its own copies of the equations in place."""
+    for lam in enumerate_partitions(r, n):
+        raw = haiman_equations(lam)
+        before = [dict(eq._pk()) for eq in raw.equations]
+        first = simple_eliminate(raw)
+        assert [eq._pk() for eq in raw.equations] == before
+        again = simple_eliminate(raw)
+        assert again.variables == first.variables
+        assert again.equations == first.equations
+        assert again.eliminated == first.eliminated
+
+
+@pytest.mark.parametrize("r,n", CLASSES)
+def test_step0_polynomials_repack_to_their_packed_terms(r, n):
+    """The projection copies each degree field; packing the exponent tuples
+    again, degrees summed, gives the same ints."""
+    for lam in enumerate_partitions(r, n):
+        out = step0(lam)
+        for p in [*out.equations, *out.eliminated.values()]:
+            assert out.ring.layout.pack_all(list(p.terms)) == list(p._pk())
 
 
 def _coefficients(pres):

@@ -330,8 +330,31 @@ def weighted_monomials(draw):
     return weights, monos
 
 
+@st.composite
+def wide_weighted_monomials(draw):
+    """(weights, monomials) in 40 to 44 variables: each monomial has one to
+    three nonzero exponents, some of 256 or more (both bytes of a field),
+    and one monomial holds the top variable, whose packed unit is a
+    multi-digit int. Sometimes the top variable's weight is the first
+    one's, bumped in the last field, with one power of each."""
+    nvars = draw(st.integers(40, 44))
+    r = draw(st.integers(1, 3))
+    weights = draw(st.lists(weights_of_rank(r), min_size=nvars, max_size=nvars))
+    exps = st.sampled_from([1, 2, 3, 255, 256, 300, 1000])
+    supports = st.dictionaries(st.integers(0, nvars - 1), exps, min_size=1, max_size=3)
+    tops = draw(st.lists(supports, min_size=1, max_size=5))
+    tops[0][nvars - 1] = draw(exps)
+    monos = [tuple(d.get(i, 0) for i in range(nvars)) for d in tops]
+    if draw(st.booleans()):
+        bump = Weight((0,) * (r - 1) + (draw(st.sampled_from([-1, 1])),), draw(st.sampled_from([1, 2, 4])))
+        weights[-1] = weights[0] + bump
+        k = draw(exps)
+        monos += [(k,) + (0,) * (nvars - 1), (0,) * (nvars - 1) + (k,)]
+    return weights, monos
+
+
 @seeded
-@given(weighted_monomials())
+@given(st.one_of(weighted_monomials(), wide_weighted_monomials()))
 def test_packed_weight_check_agrees_with_dense_weights(case):
     weights, monos = case
     ring = PolyRing([f"x{i}" for i in range(len(weights))])
@@ -354,6 +377,27 @@ def test_packed_weight_check_sees_the_last_field():
     with pytest.raises(RingError):
         _check_weight_homogeneous([x**2 + y**2], weights)
     _check_weight_homogeneous([x**2, 3 * y**3], weights)
+
+
+@pytest.mark.parametrize("k", [1, 255, 256, 300])
+def test_packed_weight_check_on_the_top_field_of_a_wide_ring(k):
+    # 41 variables, x0 and the top one x40 of one weight w: x0^(2k) x1,
+    # x40^(2k) x1 and x0^k x40^k x1 are of one weight; with x40 bumped in
+    # its last field, the three weights differ
+    n = 41
+    ring = PolyRing([f"x{i}" for i in range(n)])
+    x0, x1, top = ring.var(0), ring.var(1), ring.var(n - 1)
+    w = Weight.of(-3, 5)
+    middle = [Weight.of(i, -i) for i in range(1, n - 1)]
+    eq = x0 ** (2 * k) * x1 + top ** (2 * k) * x1 + x0**k * top**k * x1
+    assert max(ring.layout.unpack(m)[n - 1] for m in eq._pk()) == 2 * k
+    for weights, homogeneous in ([w, *middle, w], True), ([w, *middle, Weight.of(-3, 6)], False):
+        assert len({mono_weight(e, weights) for e in eq.terms}) == (1 if homogeneous else 3)
+        if homogeneous:
+            _check_weight_homogeneous([eq], weights)
+        else:
+            with pytest.raises(RingError):
+                _check_weight_homogeneous([eq], weights)
 
 
 def test_packed_weight_fields_hold_a_difference_of_weights():

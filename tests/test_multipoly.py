@@ -268,6 +268,33 @@ def test_recode_is_unpack_then_pack(data):
             PackedLayout(n + 1, order, bits).recode(ms, src)
 
 
+@seeded
+@given(data=st.data())
+def test_projection_is_unpack_then_pack_of_the_kept_entries(data):
+    for bits in WIDTHS:
+        monos, order = data.draw(packed_cases(bits))
+        n = len(monos[0])
+        kept = data.draw(st.lists(st.integers(0, n - 1), unique=True).map(sorted)) if n else []
+        # the caller's promise: every other exponent is 0
+        monos = [tuple(k if i in kept else 0 for i, k in enumerate(e)) for e in monos]
+        src, dst = PackedLayout(n, order, bits), PackedLayout(len(kept), order, bits)
+        ms = src.pack_all(monos)
+        assert dst.projection(src, kept)(ms) == dst.pack_all([tuple(e[i] for i in kept) for e in monos])
+        other = "lex" if order == "grevlex" else "grevlex"
+        for bad in (
+            PackedLayout(len(kept) + 1, order, bits),
+            PackedLayout(len(kept), order, 24 - bits),
+            PackedLayout(len(kept), other, bits),
+        ):
+            with pytest.raises(RingError):
+                bad.projection(src, kept)
+        if len(kept) > 1:
+            with pytest.raises(RingError):
+                dst.projection(src, kept[::-1])
+        with pytest.raises(RingError):
+            PackedLayout(1, order, bits).projection(src, [n])
+
+
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 def test_recode_into_8_bits_raises_the_narrow_error_at_its_limit(order):
     wide, narrow = PackedLayout(2, order), PackedLayout(2, order, 8)
