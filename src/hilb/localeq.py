@@ -58,13 +58,15 @@ class HaimanPresentation:
     The ring is that of the first equation, or else of the first
     eliminated expression, when its names are the variables', so that the
     presentation and its polynomials share one ring object; otherwise it
-    is a new ring. Construction raises RingError for an equation outside
-    the ring of the variables or one that is not weight-homogeneous. For
-    the weight check each variable weight is one int of signed fields
-    (`packed_weights`, wide enough for the largest term degree), so the
-    weight of a term is one exact sum over the nonzero variable fields of
-    its packed monomial, read one field at a time from the lowest set bit
-    and never unpacked to a tuple.
+    is a new ring. `names` are the variables' names, `_var_name` of each,
+    from a caller that has formatted them for its ring already; they are
+    formatted here when it is not given. Construction raises RingError
+    for an equation outside the ring of the variables or one that is not
+    weight-homogeneous. For the weight check each variable weight is one
+    int of signed fields (`packed_weights`, wide enough for the largest
+    term degree), so the weight of a term is one exact sum over the
+    nonzero variable fields of its packed monomial, read one field at a
+    time from the lowest set bit and never unpacked to a tuple.
     """
 
     def __init__(
@@ -73,12 +75,15 @@ class HaimanPresentation:
         variables: Sequence[HaimanVar],
         equations: Sequence[MultiPoly],
         eliminated: Dict[HaimanVar, MultiPoly] | None = None,
+        *,
+        names: Tuple[str, ...] | None = None,
     ):
         self.lam = lam
         self.variables = list(variables)
         self.equations = list(equations)
         self.eliminated = dict(eliminated or {})
-        names = tuple(map(_var_name, self.variables))
+        if names is None:
+            names = tuple(map(_var_name, self.variables))
         polys = [*self.equations, *self.eliminated.values()]
         # the polynomials' own ring object when it has these names, so that
         # ring checks on them and on `ring.var(k)` are identity tests
@@ -138,7 +143,8 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
     glo = sorted(glove(lam))
     glo_set = set(glo)
     variables: List[HaimanVar] = [(i, j) for i in cells for j in glo]
-    ring = PolyRing([_var_name(v) for v in variables])
+    names = tuple(map(_var_name, variables))
+    ring = PolyRing(names)
     unit = {v: ring.layout.field(k)[0] for k, v in enumerate(variables)}  # the packed variable
     shifted: Dict[int, List[Tuple[Cell, Cell, bool]]] = {}  # b -> (k, k + e_b, in lam) per cell
 
@@ -175,7 +181,7 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
             if eq:
                 equations.append(eq)
 
-    return HaimanPresentation(lam, variables, equations)
+    return HaimanPresentation(lam, variables, equations, names=names)
 
 
 def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
@@ -190,19 +196,26 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     2^15 or more raises RingError. A unit pivot a = +-1 sends x to a*f
     with no division, so integer equations stay integer; any other pivot
     divides exactly through Fraction. Each equation and each eliminated
-    expression keeps its support mask, the bitwise or of its packed
-    monomials, so whether it holds x is one mask test. Elimination takes
-    its own copy of each equation's packed terms once, at entry, so the
-    input presentation is never mutated, and applies a pivot in place: in
-    each entry that holds x it pops only the terms that hold x, and a
-    term c*x^k*m is merged back as c*m*(f/a)^k, with the powers of f/a
-    computed once per pivot; every other term stays where it is. At the
-    end, equal equations are dropped on their packed terms, whether an
-    eliminated variable is left is one mask test per monomial, and the
-    survivors are renumbered by `PackedLayout.projection`: one struct
-    unpack that skips the eliminated fields and one pack under the new
-    ring's layout per monomial. The degree field is copied, which is
-    exact because no eliminated exponent is left.
+    expression keeps a support mask, so whether it holds x is one mask
+    test. The mask is a superset of the support: each variable that a
+    term holds has a nonzero field in it. It starts as the bitwise or of
+    the packed monomials. A pivot on x clears x's field of the mask of
+    each entry it rewrites and ors in, per popped term, the mask of the
+    power of f/a merged with it: the term with x divided out holds no
+    variable that the mask lacks, and a term that cancels leaves its bits
+    behind. Elimination takes its own copy of each equation's packed terms
+    once, at entry, so the input presentation is never mutated, and
+    applies a pivot in place: in each entry that holds x it pops only the
+    terms that hold x, and a term c*x^k*m is merged back as c*m*(f/a)^k,
+    with the powers of f/a computed once per pivot; every other term stays
+    where it is. At the end, equal equations are dropped on their packed
+    terms, whether an eliminated variable is left is one mask test per
+    monomial, and the survivors are renumbered by
+    `PackedLayout.projection`: one struct unpack that skips the eliminated
+    fields and one pack under the new ring's layout per monomial. The
+    degree field is copied, which is exact because no eliminated exponent
+    is left. The survivors' names are read from the input ring, not
+    formatted again.
 
     The pivot rule reads the variable order, so the survivors depend on
     the orientation of the partition, not only on its S_r-class: the
@@ -226,22 +239,26 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
     def substitute_everywhere(x: int, expr: IntTerms):
         unit_x, xmask, shift = fields[x]
         powers: List[IntTerms] = [{0: 1}]  # powers[k] is expr^k; the packed monomial 1 is 0
+        pmasks = [0]  # pmasks[k] is the support mask of powers[k]
 
-        def rewrite(p: IntTerms):
+        def rewrite(p: IntTerms, mask: int) -> int:
+            """Apply the pivot to p in place; the new support mask."""
+            mask &= ~xmask
             for e in [e for e in p if e & xmask]:
                 k = (e & xmask) >> shift
                 while len(powers) <= k:
-                    powers.append(_mul_packed(powers[-1], expr, guard))
+                    powers.append(q := _mul_packed(powers[-1], expr, guard))
+                    pmasks.append(reduce(or_, q, 0))
                 _add_shifted(p, powers[k], e - k * unit_x, p.pop(e), guard)
+                mask |= pmasks[k]
+            return mask
 
         for k, mask in enumerate(masks):
             if mask & xmask:
-                rewrite(eqs[k])
-                masks[k] = reduce(or_, eqs[k], 0)
+                masks[k] = rewrite(eqs[k], mask)
         for v, mask in sub_masks.items():
             if mask & xmask:
-                rewrite(subs[v])
-                sub_masks[v] = reduce(or_, subs[v], 0)
+                sub_masks[v] = rewrite(subs[v], mask)
 
     def run_pass(targets: List[int]):
         while True:
@@ -276,7 +293,8 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
 
     survivors = [k for k in range(nvars) if alive[k]]
     new_vars = [variables[k] for k in survivors]
-    new_ring = PolyRing([_var_name(v) for v in new_vars])
+    new_names = tuple(pres.ring.names[k] for k in survivors)
+    new_ring = PolyRing(new_names)
     to_new = new_ring.layout.projection(lay, survivors)
     gone = reduce(or_, (fields[k][1] for k in range(nvars) if not alive[k]), 0)
 
@@ -295,7 +313,7 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
             seen.add(key)
             new_eqs.append(project(eq))
     eliminated = {variables[k]: project(expr) for k, expr in subs.items()}
-    return HaimanPresentation(lam, new_vars, new_eqs, eliminated)
+    return HaimanPresentation(lam, new_vars, new_eqs, eliminated, names=new_names)
 
 
 def step0(lam: Partition) -> HaimanPresentation:

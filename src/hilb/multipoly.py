@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain
 from operator import index, lshift, neg, or_, sub
 from struct import Struct
 from struct import error as StructError
@@ -432,6 +432,7 @@ class PackedLayout:
 
 
 IntTerms = Dict[int, int]  # packed monomial -> coefficient; elimination also holds Fractions
+_ONE: IntTerms = {0: 1}  # the polynomial 1, packed; read, never mutated
 
 
 def _add_shifted(out: IntTerms, terms: IntTerms, shift: int, c, guard: int) -> None:
@@ -646,43 +647,71 @@ class MultiPoly:
         The images all live in one target ring, that of images[0], which
         may differ from this one; RingError when an image's ring is neither
         that object nor equal to it, or when there is no image to take the
-        target from. Reads the packed terms of this polynomial, with its
-        exponents unpacked once, and of the images, and builds its result
-        packed in the target ring; a degree of PACK_LIMIT or more raises
-        RingError. Each image keeps its packed form, so a list of images
-        sent to many calls is packed once.
+        target from. Reads the packed terms of this polynomial and of the
+        images, and builds its result packed in the target ring; a degree
+        of PACK_LIMIT or more raises RingError. Each image keeps its packed
+        form, so a list of images sent to many calls is packed once.
+
+        A term's variables are its nonzero fields, read one at a time from
+        the lowest set bit of its packed monomial with the degree field
+        masked off. A factor of exponent 1 is the image's packed terms as
+        they are; its powers are built and kept, per call, only for an
+        exponent of 2 or more. The last factor with more than one term is
+        multiplied straight into the result, once per term of the product
+        of the earlier ones.
         """
         if len(images) != self.ring.n:
             raise RingError("every variable needs an image")
         if not images:
             raise RingError("no image to take the target ring from")
         target = images[0].ring
-        if any(p.ring is not target and p.ring != target for p in images):
-            raise RingError("images live in different rings")
+        for p in images:
+            if p.ring is not target and p.ring != target:
+                raise RingError("images live in different rings")
         guard = target.layout.guard
+        bits = self.ring.layout.bits
+        fmask, vmask = (1 << bits) - 1, (1 << bits * self.ring.n) - 1
         powers: Dict[int, List[IntTerms]] = {}  # i -> [1, images[i], images[i]^2, ...], packed
         out: IntTerms = {}
-        pk = self._pk()
-        for e, c in zip(self.ring.layout.unpack_all(pk), pk.values()):
+        for m, c in self._pk().items():
             # a factor with one term scales and shifts every monomial of the
-            # product alike, so it is applied after the multi-term factors
-            term, shift = None, 0
-            for i, k in compress(enumerate(e), e):
-                pw = powers.get(i)
-                if pw is None:
-                    pw = powers[i] = [{0: 1}, images[i]._pk()]
-                while len(pw) <= k:
-                    pw.append(_mul_packed(pw[-1], pw[1], guard))
-                if len(pw[k]) == 1:
-                    (m, d), = pw[k].items()
+            # product alike, so it is applied to the shift and the scalar c
+            m &= vmask
+            pre, last, shift = None, _ONE, 0
+            while m:
+                i = ((m & -m).bit_length() - 1) // bits
+                s = i * bits
+                k = (m >> s) & fmask
+                m -= k << s
+                if k == 1:
+                    f = images[i]._pk()
+                else:
+                    pw = powers.get(i)
+                    if pw is None:
+                        pw = powers[i] = [_ONE, images[i]._pk()]
+                    while len(pw) <= k:
+                        pw.append(_mul_packed(pw[-1], pw[1], guard))
+                    f = pw[k]
+                if len(f) == 1:
+                    (u, d), = f.items()
                     # tested at each step: three valid shifts can carry out of the top field
-                    shift += m
+                    shift += u
                     if shift & guard:
                         raise pack_overflow()
                     c = c * d
+                elif last is _ONE:
+                    last = f
                 else:
-                    term = pw[k] if term is None else _mul_packed(term, pw[k], guard)
-            _add_shifted(out, {0: 1} if term is None else term, shift, c, guard)
+                    pre = last if pre is None else _mul_packed(pre, last, guard)
+                    last = f
+            if pre is None:
+                _add_shifted(out, last, shift, c, guard)
+            else:
+                for e, d in pre.items():
+                    e += shift
+                    if e & guard:  # e + shift + a monomial of last could carry out with its guard clear
+                        raise pack_overflow()
+                    _add_shifted(out, last, e, c * d, guard)
         return MultiPoly._of_packed(target, out)
 
     def render(self, order: str = "grevlex") -> str:

@@ -236,6 +236,55 @@ def test_substitute_agrees_on_every_form(a, fa, images):
     )
 
 
+# a source ring of 40 to 44 variables: the top variable's field sits just
+# below the degree field, in the high limbs of a multi-digit int
+WIDE = {n: PolyRing([f"x{i}" for i in range(n)]) for n in (40, 41, 44)}
+T3 = PolyRing(["u", "v", "w"])
+
+
+def multi_term(ring, max_exp=2):
+    """Raw terms of two or three monomials, all with nonzero coefficients."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * ring.n)
+    return st.dictionaries(exps, mixed.filter(bool), min_size=2, max_size=3)
+
+
+@st.composite
+def wide_substitutions(draw):
+    """(n, terms, images): raw terms in WIDE[n] that read three or four of
+    its variables, the top one always among them and held by the first
+    term, at exponents up to 3, and one raw image in T3 per variable. The
+    images of the variables read have two or three terms, and one in four
+    at most one, so that many terms have three or more multi-term factors;
+    every other variable goes to a variable of T3."""
+    n = draw(st.sampled_from(sorted(WIDE)))
+    read = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=3, unique=True)) + [n - 1]
+    images = [{tuple(int(j == i % T3.n) for j in range(T3.n)): 1} for i in range(n)]
+    for i in read:
+        few = draw(st.integers(0, 3)) == 0
+        images[i] = draw(raw_terms(T3, max_terms=1) if few else multi_term(T3))
+    powers = st.lists(st.integers(1, 3) | st.just(0), min_size=len(read), max_size=len(read))
+    rows = draw(st.lists(st.tuples(powers, mixed), min_size=1, max_size=4))
+    rows[0][0][-1] = draw(st.integers(1, 3))
+    terms = {}
+    for ks, c in rows:
+        e = [0] * n
+        for i, k in zip(read, ks):
+            e[i] = k
+        terms[tuple(e)] = c
+    return n, terms, images
+
+
+@seeded
+@given(wide_substitutions(), form, form)
+def test_substitute_from_a_wide_ring_agrees_with_the_reference(case, fa, fi):
+    n, a, images = case
+    p = in_form(WIDE[n], a, fa)
+    agree(
+        p.substitute([in_form(T3, img, fi) for img in images]),
+        ref_substitute(ref_of(a), [ref_of(img) for img in images], T3.n),
+    )
+
+
 @seeded
 @given(
     st.lists(st.tuples(raw_terms(S2, max_terms=3), form), min_size=1, max_size=3),

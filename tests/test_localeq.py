@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hilb.localeq
 from hilb.groebner import Ideal
 from hilb.multipoly import MultiPoly, PolyRing, RingError, Weight
 from hilb.partitions import Partition, adjacent_pairs, canonicalize_S3, enumerate_partitions, glove, parse_chain
@@ -19,6 +20,7 @@ from hilb.localeq import (
     jacobian_ideal,
     pyramid_layer_vars,
     pyramid_potential,
+    simple_eliminate,
     step0,
     var_weight,
 )
@@ -121,6 +123,37 @@ def test_a_presentation_shares_its_ring_object_with_its_polynomials():
         for pres in (haiman_equations(lam), step0(lam)):
             polys = [*pres.equations, *pres.eliminated.values()]
             assert polys and all(p.ring is pres.ring for p in polys)
+
+
+def test_each_haiman_variable_is_named_once_per_item(monkeypatch):
+    # the raw ring formats each variable's name once, and the survivors'
+    # ring and both presentations' checks reuse those names
+    calls = Counter()
+
+    def counting(v):
+        calls[v] += 1
+        return _var_name(v)
+
+    monkeypatch.setattr(hilb.localeq, "_var_name", counting)
+    for lam in (LAM_121, LAM_131, Partition(2, [(0, 0), (1, 0), (0, 1)])):
+        calls.clear()
+        raw = haiman_equations(lam)
+        pres = simple_eliminate(raw)
+        assert calls == Counter(raw.variables)
+        for p in (raw, pres):
+            assert p.ring.names == tuple(map(_var_name, p.variables))
+
+
+def test_an_equation_outside_the_variables_ring_is_rejected():
+    # a ring of other names, or of the same names in another order
+    pres = haiman_equations(LAM_121)
+    eq = pres.equations[0]
+    for names in (["x%d" % k for k in range(pres.ring.n)], pres.ring.names[::-1]):
+        other = MultiPoly._of_packed(PolyRing(names), dict(eq._pk()))
+        with pytest.raises(RingError):
+            HaimanPresentation(LAM_121, pres.variables, [other])
+        with pytest.raises(RingError):
+            HaimanPresentation(LAM_121, pres.variables, [eq, other])
 
 
 def test_step0_back_substitution_consistent():

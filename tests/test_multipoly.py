@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import le
 
@@ -577,6 +578,58 @@ def test_substitute_tests_every_one_term_shift():
     k = PACK_LIMIT - 1
     with pytest.raises(RingError):
         (x * y * z).substitute([x**k, y**k, z**k])
+
+
+def test_substitute_tests_each_term_of_the_earlier_factors_shifted():
+    # x, y and w go to two-term images, z to one term: the product of the
+    # images of x and y has degree 2^15 - 2, shifted by z's image 2^16 - 3,
+    # which sets the degree field's guard; tested only once the last
+    # factor's terms are added, the degree 3 * 2^15 - 4 would carry out of
+    # the top field with its guard clear
+    x, y, z, w = PolyRing(["x", "y", "z", "w"]).gens()
+    a, b, c, d, e, f, g = PolyRing(list("abcdefg")).gens()
+    half, top = PACK_LIMIT // 2 - 1, PACK_LIMIT - 1
+    images = [a**half + b**half, c**half + d**half, e**top, f**top + g**top]
+    assert (images[0] * images[1]).total_degree() == PACK_LIMIT - 2
+    with pytest.raises(RingError):
+        (x * y * z * w).substitute(images)
+    # below the limit, the fused step gives the product of the images
+    images = [a ** (half - 1) + b ** (half - 1), c ** (half - 1) + d ** (half - 1), 2 * e, f - g]
+    image = (x * y * z * w).substitute(images)
+    assert image == images[0] * images[1] * images[2] * images[3]
+    assert image.total_degree() == PACK_LIMIT - 2
+
+
+def test_substitute_reads_and_builds_packed_terms_only(monkeypatch):
+    # a source and images built packed, by arithmetic, are read packed: no
+    # tuple is packed or unpacked, in a ring of 3 variables or of 41
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    u, v = S2.gens()
+    wide = PolyRing([f"x{i}" for i in range(41)])
+    x, y, z = R3.gens()
+    x0, x7, top = wide.var(0), wide.var(7), wide.var(40)
+    cases = [
+        (3 * x**2 * y * z - x * z**3 + F(1, 2) * y - 7, [u + v, (u - 2 * v) ** 2, u * v]),
+        (x0**3 * x7 * top**2 - 2 * top + 1, [u - v if i in (0, 7, 40) else u for i in range(41)]),
+    ]
+    for p, images in cases:
+        for q in (p, *images):
+            q._pk()
+    for cls, name in ((PackedLayout, "pack_all"), (PackedLayout, "unpack_all")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    got = [p.substitute(images) for p, images in cases]
+    assert calls == {}
+    monkeypatch.undo()
+    assert got[0] == 3 * (u + v) ** 2 * (u - 2 * v) ** 2 * u * v - (u + v) * (u * v) ** 3 + F(1, 2) * (u - 2 * v) ** 2 - 7
+    assert got[1] == (u - v) ** 6 - 2 * (u - v) + 1
 
 
 def test_integer_input_keeps_int_coefficients():
