@@ -60,8 +60,8 @@ from .multipoly import (
     PolyRing,
     RingError,
     _add_shifted,
+    _check_order,
     _NarrowOverflow,
-    order_key,
 )
 
 DEFAULT_SPAIR_BUDGET = 200_000
@@ -271,7 +271,7 @@ def groebner_basis(
     more than `budget` S-pair reductions are attempted. With
     want_stats=True returns (basis, reductions_used).
     """
-    order_key(order)  # RingError for an unknown order, the zero ideal's too
+    _check_order(order)  # before the zero ideal returns, so its order is checked too
     gens = [g for g in gens if g]
     if not gens:  # the zero ideal
         return ([], 0) if want_stats else []
@@ -412,9 +412,9 @@ class MonomialIdeal:
     `PackedLayout.minimal` and kept ascending in `packed`, so their order
     is that of the exponent tuples; `gens` is the sorted tuple view. A
     monomial is packed once, and membership is a guard test against each
-    generator. A monomial of the wrong length raises RingError, and so
-    does a negative or non-integer entry or a degree of 2^15 or more,
-    from the packing.
+    generator. A monomial of the wrong length, a negative, bool or
+    non-integer entry or a degree of 2^15 or more raises RingError, from
+    the packing (`PackedLayout.pack_all`).
     """
 
     __slots__ = ("nvars", "layout", "packed")
@@ -422,7 +422,7 @@ class MonomialIdeal:
     def __init__(self, nvars: int, gens: Iterable[Monomial]):
         self.nvars = nvars
         self.layout = PackedLayout(nvars, "lex")
-        self.packed = tuple(self.layout.minimal(self._pack_all(list(gens))))
+        self.packed = tuple(self.layout.minimal(self.layout.pack_all(list(gens))))
 
     @classmethod
     def _of_packed(cls, nvars: int, ms: Collection[int], source: PackedLayout) -> "MonomialIdeal":
@@ -435,17 +435,12 @@ class MonomialIdeal:
         self.packed = tuple(layout.minimal(layout.recode(ms, source)))
         return self
 
-    def _pack_all(self, monos: Sequence[Monomial]) -> List[int]:
-        if any(len(e) != self.nvars for e in monos):
-            raise RingError("monomial length mismatch")
-        return self.layout.pack_all(monos)
-
     @property
     def gens(self) -> Tuple[Monomial, ...]:
         return tuple(self.layout.unpack_all(self.packed))
 
     def contains(self, mono: Monomial) -> bool:
-        [m] = self._pack_all([mono])
+        [m] = self.layout.pack_all([mono])
         guard = self.layout.guard
         return any(not (m - g) & guard for g in self.packed)
 
@@ -483,14 +478,14 @@ class Ideal:
         self._packed: Dict[object, Tuple[PackedLayout, PackedBasis]] = {}
 
     def groebner(self, order="grevlex") -> List[MultiPoly]:
-        order_key(order)  # RingError for an unknown order, before the cache lookup
+        _check_order(order)  # before the cache lookup, which would hash it
         if order not in self._gb:
             self._gb[order] = groebner_basis(self.gens, order)
         return self._gb[order]
 
     def set_groebner(self, order, basis: List[MultiPoly]):
         """Install a reduced basis computed elsewhere, such as by `groebner_basis`."""
-        order_key(order)
+        _check_order(order)  # before it keys the caches
         basis = list(basis)
         if any(g.ring != self.ring for g in basis):
             raise RingError("basis element outside the ring")
@@ -500,7 +495,7 @@ class Ideal:
     def _packed_basis(self, order) -> Tuple[PackedLayout, PackedBasis]:
         """The reduced basis of `order` as reducers under its layout, built on
         the first call for an order and kept."""
-        order_key(order)  # RingError for an unknown order, before the cache lookup
+        _check_order(order)  # before the cache lookup, which would hash it
         packed = self._packed.get(order)
         if packed is None:
             lay = _layout(self.ring, order)
@@ -526,9 +521,6 @@ class Ideal:
         terms, num, den = _int_terms(p, lay)
         work, mult = _divide_int(terms, reducers, lay)
         return _poly(p.ring, lay, work, _quotients(work.values(), num, den * mult))
-
-    def contains(self, p: MultiPoly, order="grevlex") -> bool:
-        return not self.normal_form(p, order)
 
     def initial_ideal(self, order="grevlex") -> MonomialIdeal:
         """The ideal of the leads of the reduced basis of `order`: the lead of

@@ -143,15 +143,15 @@ class HilbertSeries:
     def r(self) -> int:
         return self.numerator.r
 
-    def render(self, var: str = "t") -> str:
+    def render(self) -> str:
         mult: Dict[Weight, int] = {}
         for w in self.denom_weights:
             mult[w] = mult.get(w, 0) + 1
         factors = []
         for w in mult:  # sorted, as `denom_weights` is
-            base = f"(1 - {LaurentPoly.char(w).render(var)})"
+            base = f"(1 - {LaurentPoly.char(w).render()})"
             factors.append(base if mult[w] == 1 else f"{base}^{mult[w]}")
-        return f"({self.numerator.render(var)}) / " + " ".join(factors)
+        return f"({self.numerator.render()}) / " + " ".join(factors)
 
     __repr__ = render
 

@@ -11,15 +11,18 @@ unpacks only when its `terms` are read. Coefficients are exact rationals
 of one canonical type, decided by `_canonical` alone, which both
 `MultiPoly` constructors call: an integer is an `int` whatever type it
 arrives with, any other rational is a `Fraction` (whose denominator is
-then above 1), a float is read as its exact `Fraction`, and a value that
-is not a rational number raises RingError. The two types compare and
-hash alike, so equality and term sets do not see the type. The cells of
-a partition are exponent tuples too; the tuple operations that they and
-the Haiman variables need (quotient, shift) are the `_mono_*` functions
-below. The monomial orders are lex and grevlex. Monomial entries,
-variable indices and weight entries from outside go through
-`exponents`, `_integer` or `PackedLayout`, which raise RingError for a
-non-integer entry instead of truncating it.
+then above 1), a float is read as its exact `Fraction`, and a bool or
+a value that is not a rational number raises RingError. The two types
+compare and hash alike, so equality and term sets do not see the type.
+The cells of a partition are exponent tuples too; the tuple operations
+that they and the Haiman variables need (quotient, shift) are the
+`_mono_*` functions below. The monomial orders are lex and grevlex, and `PackedLayout` is
+their one implementation: `_check_order` checks an order's name, and a
+polynomial renders, as division sorts, by the layout's heap key.
+Monomial entries, variable indices, weight entries and Laurent
+coefficients from outside go through `exponents`, `_integer` or
+`PackedLayout`, which raise RingError for a bool or a non-integer entry
+instead of reading it as a number or truncating it.
 
 The packed term format is also what division and Buchberger
 (`groebner`), monomial ideals (`groebner.MonomialIdeal`) and their
@@ -56,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from operator import index, lshift, neg, or_, sub
+from operator import index, lshift, or_, sub
 from struct import Struct
 from struct import error as StructError
 from typing import Callable, Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -109,13 +112,19 @@ class PolyRing:
         return MultiPoly(self, {exps: coeff})
 
 
-def exponents(entries: Iterable[int]) -> Monomial:
-    """The entries as a tuple of ints; RingError for a non-integer entry,
-    which `int` would truncate."""
+_INT = {int}
+
+
+def exponents(entries: Iterable[int]) -> Tuple[int, ...]:
+    """The entries, such as exponents or weight numerators, as a tuple of
+    ints, each read by `_integer` unless a C-level type scan finds only
+    ints; RingError for a bool or a non-integer entry, and for entries
+    that do not come as a sequence."""
     try:
-        return tuple(map(index, entries))
+        e = tuple(entries)
     except TypeError:
-        raise RingError(f"exponents must be integers: {entries!r}") from None
+        raise RingError(f"integer entries come as a sequence: {entries!r}") from None
+    return e if {*map(type, e)} <= _INT else tuple([_integer(x, "an entry is an integer") for x in e])
 
 
 def _integer(k, what: str) -> int:
@@ -141,21 +150,18 @@ def _var_index(i, n: int) -> int:
 def _coefficient(c):
     """The canonical coefficient of a value c, for `_canonical` and the
     scalar operators of `MultiPoly`: an `int` when c is an integer and a
-    `Fraction` otherwise. A float is read exactly; RingError for a value
-    that is not a rational number."""
+    `Fraction` otherwise. A float is read exactly; RingError for a bool
+    or a value that is not a rational number."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
         try:
-            if isinstance(c, str):  # `Fraction` would parse it
+            if isinstance(c, (str, bool)):  # `Fraction` would parse a str and read a bool as 0 or 1
                 raise TypeError
             c = Fraction(c)
         except (TypeError, ValueError, OverflowError):
             raise RingError(f"a coefficient is a rational number: {c!r}") from None
     return c.numerator if c.denominator == 1 else c
-
-
-_INT = {int}
 
 
 def _canonical(terms: dict) -> dict:
@@ -179,21 +185,11 @@ def _mono_shift(e: Monomial, i: int, delta: int = 1) -> Monomial:
     return e[:i] + (e[i] + delta,) + e[i + 1 :]
 
 
-def grevlex_key(e: Monomial):
-    return (sum(e), tuple(map(neg, e[::-1])))
-
-
-def lex_key(e: Monomial):
-    return e
-
-
-def order_key(order: str) -> Callable[[Monomial], object]:
-    """Sort key whose max is the leading monomial; "lex" and "grevlex" are the orders."""
-    if order == "lex":
-        return lex_key
-    if order == "grevlex":
-        return grevlex_key
-    raise RingError(f"unknown monomial order {order!r}")
+def _check_order(order) -> None:
+    """RingError unless `order` names a monomial order, "lex" or "grevlex";
+    an unhashable value is compared, not hashed, so it raises RingError too."""
+    if order != "lex" and order != "grevlex":
+        raise RingError(f"unknown monomial order {order!r}")
 
 
 PACK_LIMIT = 1 << 15  # every exponent and every total degree stays below this
@@ -234,20 +230,24 @@ class PackedLayout:
     `unpack_all` convert a whole polynomial in one pass, `unpack`
     converts one monomial, `recode` moves packed monomials from one
     layout to another without tuples, and `projection` drops the fields
-    of variables that are absent. A negative or non-integer
+    of variables that are absent. A negative, bool or non-integer
     exponent, a monomial of the wrong length or a degree of `limit` or
-    more raises RingError.
+    more raises RingError, and so does an order other than "lex" and
+    "grevlex" (`_check_order`).
 
-    The one order key is the min-first heap key `heap_key(m) = ((m &
-    flip) << 1) - m`, with `flip` the variable fields under grevlex and
-    0 under lex. Its negation is the degree, then the reversed exponents
-    negated, under grevlex, and m itself under lex, so it sorts as
-    `order_key` on the unpacked tuples: the lead of a set of monomials
-    has the least heap key. The same map sends a heap key back to m. The
-    heap key is additive, heap_key(a + b) = heap_key(a) + heap_key(b)
-    whenever a + b is a valid monomial, because a valid sum carries out
-    of no field: so a product of terms keyed by heap keys is one int add
-    as well, and the least key of a term dict is the key of its lead.
+    The one order key of the library is the min-first heap key
+    `heap_key(m) = ((m & flip) << 1) - m`, with `flip` the variable
+    fields under grevlex and 0 under lex. Its negation is the degree,
+    then the reversed exponents negated, under grevlex, and m itself
+    under lex, so it sorts the unpacked tuples as the definitions of the
+    two orders do (the tests keep those tuple keys as the reference): the
+    lead of a set of monomials has the least heap key, and
+    `MultiPoly.render` lists the terms by it. The same map sends a heap
+    key back to m. The heap key is additive, heap_key(a + b) =
+    heap_key(a) + heap_key(b) whenever a + b is a valid monomial, because
+    a valid sum carries out of no field: so a product of terms keyed by
+    heap keys is one int add as well, and the least key of a term dict
+    is the key of its lead.
     The degree field of a heap key holds minus the degree, under both
     orders. Under both orders a proper divisor packs to a smaller int:
     its degree is smaller, and under lex its tuple is smaller too.
@@ -261,7 +261,7 @@ class PackedLayout:
     )
 
     def __init__(self, nvars: int, order: str, bits: int = 16):
-        order_key(order)  # RingError for an unknown order
+        _check_order(order)
         if bits not in _FORMATS:
             raise RingError(f"a packed field has 8 or 16 bits, not {bits!r}")
         self.order = order
@@ -294,10 +294,13 @@ class PackedLayout:
         return _NarrowOverflow(f"a degree reaches {self.limit}, the {self.bits}-bit field limit")
 
     def pack_all(self, monos: Collection[Monomial]) -> List[int]:
-        """The packed int of each monomial, in order; `monos` is read twice,
-        so a list or the keys of a term dict, not an iterator."""
+        """The packed int of each monomial, in order; `monos` is read three
+        times, so a list or the keys of a term dict, not an iterator. One
+        C-level type scan finds a bool, which the struct would pack."""
         pack, byteorder, from_bytes = self._struct.pack, self._byteorder, int.from_bytes
         try:
+            if bool in {*map(type, chain.from_iterable(monos))}:
+                raise TypeError
             degs = [sum(e) for e in monos]
             if max(degs, default=0) >= self.limit:
                 raise self.overflow()
@@ -631,10 +634,6 @@ class MultiPoly:
         pk = self._pk()
         return self.ring.layout.degree(max(pk)) if pk else 0
 
-    def sorted_terms(self, order: str = "grevlex"):
-        key = order_key(order)
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
     def derivative(self, i: int) -> "MultiPoly":
         unit, mask, shift = self.ring.layout.field(_var_index(i, self.ring.n))
         return MultiPoly._of_packed(
@@ -714,15 +713,19 @@ class MultiPoly:
                     _add_shifted(out, last, e, c * d, guard)
         return MultiPoly._of_packed(target, out)
 
-    def render(self, order: str = "grevlex") -> str:
+    def render(self) -> str:
+        """The terms lead first, by the heap key of the ring's grevlex layout."""
+        names, lay, pk = self.ring.names, self.ring.layout, self._pk()
+
         def mono(e: Monomial) -> str:
             return " ".join(
                 name if k == 1 else f"{name}^{k}" if k < 10 else f"{name}^{{{k}}}"
-                for name, k in zip(self.ring.names, e)
+                for name, k in zip(names, e)
                 if k
             )
 
-        return _render_terms((c, mono(e)) for e, c in self.sorted_terms(order))
+        ms = sorted(pk, key=lay.heap_key)
+        return _render_terms((pk[m], mono(e)) for m, e in zip(ms, lay.unpack_all(ms)))
 
     __repr__ = render
 
@@ -741,20 +744,15 @@ class Weight:
 
     The input type of torus weights: `LaurentPoly` and `kpoly` read
     Weights passed in and return them only through `LaurentPoly.terms`.
-    Entries and scale are read by `_integer`, so a bool or a non-integer
-    raises RingError, and the weight is kept on its least scale, so equal
-    weights have equal fields.
+    Entries and scale are read by `exponents` and `_integer`, so a bool
+    or a non-integer raises RingError, and the weight is kept on its
+    least scale, so equal weights have equal fields.
     """
 
     __slots__ = ("nums", "scale")
 
     def __init__(self, nums: Iterable[int], scale: int = 1):
-        try:
-            nums = tuple(nums)
-        except TypeError:
-            raise RingError(f"weight entries come as a sequence: {nums!r}") from None
-        if not {*map(type, nums)} <= _INT:  # a bool is not an int here
-            nums = tuple([_integer(x, "a weight entry is an integer") for x in nums])
+        nums = exponents(nums)
         if type(scale) is not int:
             scale = _integer(scale, "a weight scale is an integer")
         if scale < 1 or scale & (scale - 1):
@@ -862,14 +860,6 @@ def _pack_terms(scale: int, terms: Sequence[Tuple[Sequence[int], int]]) -> Tuple
     return scale, bits, {_key(v, bits): c for v, c in terms}
 
 
-def _laurent_coeff(c) -> int:
-    """c as a Laurent coefficient; RingError unless it is an integer."""
-    try:
-        return index(c)
-    except TypeError:
-        raise RingError(f"Laurent coefficients must be integers: {c!r}") from None
-
-
 class LaurentPoly:
     """Integer combination of torus characters t^w, w in (1/D)Z^r.
 
@@ -897,7 +887,7 @@ class LaurentPoly:
         for w, c in (terms or {}).items():
             if w.r != r:
                 raise RingError("weight rank mismatch")
-            if c := _laurent_coeff(c):
+            if c := _integer(c, "a Laurent coefficient is an integer"):
                 view[w] = c
         scale = max((w.scale for w in view), default=1)
         vectors = [([x * (scale // w.scale) for x in w.nums], c) for w, c in view.items()]
@@ -926,8 +916,8 @@ class LaurentPoly:
         return cls._of_nums(r, 1, [((0,) * r, 1)])
 
     @classmethod
-    def char(cls, w: Weight, coeff: int = 1) -> "LaurentPoly":
-        return cls(w.r, {w: coeff})
+    def char(cls, w: Weight) -> "LaurentPoly":
+        return cls(w.r, {w: 1})
 
     @property
     def terms(self) -> Dict[Weight, int]:
@@ -942,7 +932,7 @@ class LaurentPoly:
         """other as a Laurent polynomial of this rank: an integer c is the
         constant c; RingError for any other scalar."""
         if not isinstance(other, LaurentPoly):
-            return LaurentPoly.one(self.r)._scaled(_laurent_coeff(other))
+            return LaurentPoly.one(self.r)._scaled(_integer(other, "a Laurent coefficient is an integer"))
         if self.r != other.r:
             raise RingError("rank mismatch")
         return other
@@ -1014,8 +1004,15 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
-            return self._scaled(_laurent_coeff(other))
-        return self._pair(other, _times)
+            return self._scaled(_integer(other, "a Laurent coefficient is an integer"))
+
+        def times(a: IntTerms, b: IntTerms, zero: int) -> IntTerms:
+            """The shorter operand's keys, less the key of 0, shift the longer one."""
+            if len(a) > len(b):
+                a, b = b, a
+            return _mul_packed({k - zero: c for k, c in a.items()}, b, 0)
+
+        return self._pair(other, times)
 
     __rmul__ = __mul__
 
@@ -1028,7 +1025,7 @@ class LaurentPoly:
         one int subtraction per term."""
         return self._pair(LaurentPoly._of_nums(self.r, scale, [(nums, c)]), _mirrored)
 
-    def render(self, var: str = "t") -> str:
+    def render(self) -> str:
         def mono(w: Weight) -> str:
             factors = []
             for i, x in enumerate(w.nums):
@@ -1036,11 +1033,11 @@ class LaurentPoly:
                     continue
                 exp = Fraction(x, w.scale)
                 if exp == 1:
-                    factors.append(f"{var}_{i + 1}")
+                    factors.append(f"t_{i + 1}")
                 elif exp.denominator == 1 and 0 < exp < 10:
-                    factors.append(f"{var}_{i + 1}^{exp}")
+                    factors.append(f"t_{i + 1}^{exp}")
                 else:
-                    factors.append(f"{var}_{i + 1}^{{{exp}}}")
+                    factors.append(f"t_{i + 1}^{{{exp}}}")
             return " ".join(factors)
 
         terms = sorted(self.terms.items(), key=lambda t: (-sum(t[0].sort_key()), t[0].sort_key()))
@@ -1049,22 +1046,14 @@ class LaurentPoly:
     __repr__ = render
 
 
-# The `combine` arguments of `LaurentPoly._pair`. Each passes guard 0 to
-# `_add_shifted`: `_pair` tests the guards of the result.
+# The `combine` arguments of `LaurentPoly._pair`, beside the product in
+# `LaurentPoly.__mul__`. Each passes guard 0 to `_add_shifted` or
+# `_mul_packed`: `_pair` tests the guards of the result.
 
 
 def _plus(a: IntTerms, b: IntTerms, zero: int) -> IntTerms:
     out = dict(a)
     _add_shifted(out, b, 0, 1, 0)
-    return out
-
-
-def _times(a: IntTerms, b: IntTerms, zero: int) -> IntTerms:
-    if len(a) < len(b):
-        a, b = b, a
-    out: IntTerms = {}
-    for k, c in b.items():
-        _add_shifted(out, a, k - zero, c, 0)
     return out
 
 

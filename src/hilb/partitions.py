@@ -16,7 +16,6 @@ check.
 from __future__ import annotations
 
 import itertools
-from operator import index
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import MonomialIdeal
@@ -86,10 +85,8 @@ class Partition:
         PartitionError unless perm lists 0..r-1 in some order as integers;
         a bool, which `index` would read as 0 or 1, is not one."""
         try:
-            if any(isinstance(p, bool) for p in perm):
-                raise TypeError
-            perm = tuple(map(index, perm))
-        except TypeError:
+            perm = exponents(perm)
+        except RingError:
             raise PartitionError(f"{perm!r} is not a permutation of range({self.r})") from None
         if sorted(perm) != list(range(self.r)):
             raise PartitionError(f"{perm} is not a permutation of range({self.r})")

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilb.groebner import Ideal, groebner_basis
-from hilb.multipoly import MultiPoly, PolyRing, order_key
+from hilb.multipoly import MultiPoly, PolyRing
+from tuple_orders import order_key
 
 F = Fraction
 R3 = PolyRing(["x", "y", "z"])

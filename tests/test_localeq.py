@@ -169,7 +169,7 @@ def test_step0_back_substitution_consistent():
         else:
             images.append(pres.ring.var(pres.variables.index(v)))
     for eq in raw.equations:
-        assert J.contains(eq.substitute(images))
+        assert not J.normal_form(eq.substitute(images))
 
 
 def test_step0_131_back_substitution_is_exact():

@@ -17,9 +17,9 @@ from hilb.multipoly import (
     Weight,
     _mul_packed,
     _NarrowOverflow,
-    order_key,
     poly_from_terms,
 )
+from tuple_orders import grevlex_key, order_key
 
 F = Fraction
 
@@ -49,40 +49,42 @@ def pack(lay, e):
     return lay.pack_all([e])[0]
 
 
+def heap_key(order, e):
+    """The heap key of e packed under `order`: the lead of a set of
+    monomials has the least key."""
+    lay = PackedLayout(len(e), order)
+    return lay.heap_key(pack(lay, e))
+
+
 def test_lex_basic():
     # x^2 vs x y with x before y
-    key = order_key("lex")
-    assert key((2, 0)) > key((1, 1))
+    assert heap_key("lex", (2, 0)) < heap_key("lex", (1, 1))
 
 
 def test_grevlex_degree_first():
-    key = order_key("grevlex")
-    assert key((1, 1, 1)) < key((3, 0, 0))
+    assert heap_key("grevlex", (1, 1, 1)) > heap_key("grevlex", (3, 0, 0))
 
 
 def test_grevlex_tiebreak():
     # x^2 y beats x y^2: the last nonzero exponent of the difference is negative
-    key = order_key("grevlex")
-    assert key((2, 1)) > key((1, 2))
+    assert heap_key("grevlex", (2, 1)) < heap_key("grevlex", (1, 2))
 
 
 def test_order_multiplicative():
     rng = random.Random(5)
     for order in ("lex", "grevlex"):
-        key = order_key(order)
         for _ in range(100):
-            a = tuple(rng.randint(0, 4) for _ in range(3))
-            b = tuple(rng.randint(0, 4) for _ in range(3))
-            c = tuple(rng.randint(0, 4) for _ in range(3))
-            ac = tuple(x + y for x, y in zip(a, c))
-            bc = tuple(x + y for x, y in zip(b, c))
-            assert (key(ac) > key(bc), key(ac) == key(bc)) == (key(a) > key(b), key(a) == key(b))
+            a, b, c = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(3)]
+            ka, kb = heap_key(order, a), heap_key(order, b)
+            kac, kbc = heap_key(order, _mono_mul(a, c)), heap_key(order, _mono_mul(b, c))
+            assert (kac < kbc, kac == kbc) == (ka < kb, ka == kb)
 
 
-@pytest.mark.parametrize("order", ["weighted", ("weighted", (1, 2)), ("grevlex",)])
+@pytest.mark.parametrize("order", ["weighted", ("weighted", (1, 2)), ("grevlex",), ["lex"]])
 def test_unknown_orders_rejected(order):
-    with pytest.raises(RingError):
-        order_key(order)
+    for bits in WIDTHS:
+        with pytest.raises(RingError):
+            PackedLayout(2, order, bits)
 
 
 def test_substitute_square():
@@ -711,6 +713,39 @@ def test_poly_render():
     assert p.render() == "x_1^2 - 3/2 x_2"
 
 
+def ref_render(ring, terms):
+    """The text of the nonzero terms, listed by the tuple grevlex key, lead first."""
+    text = ""
+    for e, c in sorted(terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True):
+        mono = " ".join(n if k == 1 else f"{n}^{k}" if k < 10 else f"{n}^{{{k}}}" for n, k in zip(ring.names, e) if k)
+        piece = str(c) if not mono else mono if c == 1 else f"-{mono}" if c == -1 else f"{c} {mono}"
+        if not text:
+            text = piece
+        else:
+            text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return text or "0"
+
+
+@seeded
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 11)] * 3),
+        st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-3, 3), st.integers(2, 3))),
+        max_size=8,
+    )
+)
+def test_render_lists_the_terms_by_the_tuple_grevlex_key(terms):
+    # the packed heap key orders the text as the tuple reference does,
+    # for a polynomial built from tuples and one built packed
+    R = PolyRing(["x", "y", "z_1"])
+    x = R.gens()
+    packed = R.zero()
+    for e, c in terms.items():
+        packed = packed + c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]
+    expected = ref_render(R, {e: c for e, c in terms.items() if c})
+    assert MultiPoly(R, terms).render() == packed.render() == expected
+
+
 def test_weight_reduction():
     assert Weight((2, 4), 2) == Weight.of(1, 2)
     assert Weight((1, 3), 2).scale == 2
@@ -730,7 +765,7 @@ def test_weights_and_laurent_coefficients_must_be_integers():
     # a float scalar once raised AttributeError, and a zero float coefficient was dropped
     L, one = LaurentPoly.char(Weight.of(1, 0)), LaurentPoly.one(2)
     assert L + 2 == 2 + L == L + 2 * one and L - 1 == L - one and 1 - L == one - L
-    assert L * 3 == 3 * L == LaurentPoly.char(Weight.of(1, 0), 3) and L * 0 == LaurentPoly(2)
+    assert L * 3 == 3 * L == LaurentPoly.char(Weight.of(1, 0)) * 3 and L * 0 == LaurentPoly(2)
     for bad in (0.5, 2.0, 0.0, F(1, 2), "2", None):
         ops = (lambda: L + bad, lambda: bad + L, lambda: L - bad, lambda: bad - L, lambda: L * bad, lambda: bad * L)
         for op in ops:
@@ -751,7 +786,7 @@ def test_monomial_exponents_must_be_integers():
 
 
 def test_laurent_render():
-    L = LaurentPoly.char(Weight.of(2, -1), 1)
+    L = LaurentPoly.char(Weight.of(2, -1))
     assert L.render() == "t_1^2 t_2^{-1}"
 
 
@@ -775,7 +810,7 @@ def test_a_constant_equals_and_hashes_like_its_scalar():
         assert len({p, c}) == 1 and {p: 1}[c] == 1
     assert x != 0 and x + 3 != 3 and R.const(3) != 4
     L0, L1 = LaurentPoly(2), LaurentPoly.one(2)
-    laurent = [(L1, 1), (L1 * 5, 5), (L0, 0), (L1 - L1, 0), (LaurentPoly.char(Weight((0, 0), 2), -2), -2)]
+    laurent = [(L1, 1), (L1 * 5, 5), (L0, 0), (L1 - L1, 0), (LaurentPoly.char(Weight((0, 0), 2)) * -2, -2)]
     for p, c in laurent:
         assert p == c and c == p and hash(p) == hash(c)
         assert len({p, c}) == 1
@@ -825,8 +860,10 @@ def test_products_and_powers_raise_at_the_packed_limit():
 
 
 def test_tuple_built_polynomials_that_do_not_pack_raise_on_first_use():
-    # a degree of PACK_LIMIT, a negative entry, a non-integer entry and an
-    # entry too many: packing checks them, on the first use whatever it is
+    # a degree of PACK_LIMIT, a negative entry, a non-integer entry, an
+    # entry too many and a bool: packing checks them, on the first use
+    # whatever it is (MultiPoly(R, {(True, 0): 1}) packed to x, while its
+    # `terms` view kept the key (True, 0))
     R = PolyRing(["x", "y"])
     x, y = R.gens()
     uses = (
@@ -844,12 +881,59 @@ def test_tuple_built_polynomials_that_do_not_pack_raise_on_first_use():
         lambda p: p + 1,
         lambda p: x + p,
     )
-    for terms in ({(PACK_LIMIT, 0): 1}, {(-1, 0): 1}, {(1.5, 0): 1}, {(1, 2, 3): 1}):
+    for terms in ({(PACK_LIMIT, 0): 1}, {(-1, 0): 1}, {(1.5, 0): 1}, {(1, 2, 3): 1}, {(True, 0): 1}):
         for use in uses:
             p = MultiPoly(R, terms)
             for _ in range(2):  # and on every use after it
                 with pytest.raises(RingError):
                     use(p)
+
+
+def test_monomial_exponents_reject_bools():
+    # `operator.index` read True as 1: R.monomial((True, 0)) was x
+    R = PolyRing(["x", "y"])
+    for exps in [(True, 0), (1, False)]:
+        with pytest.raises(RingError):
+            R.monomial(exps)
+        with pytest.raises(RingError):
+            poly_from_terms(R, [(exps, 1)])
+    assert R.monomial((1, 0)) == R.var(0)
+
+
+def test_pack_all_rejects_bools():
+    # the struct packed True as 1 and False as 0
+    for order in ("lex", "grevlex"):
+        for bits in WIDTHS:
+            lay = PackedLayout(2, order, bits)
+            for monos in [[(True, 0)], [(0, 1), (1, False)]]:
+                with pytest.raises(RingError):
+                    lay.pack_all(monos)
+            assert lay.pack_all([(1, 0)]) == [lay.field(0)[0]]
+
+
+def test_a_bool_is_not_a_coefficient():
+    # R.var(0) * True was x, and R.const(1) == True held
+    R = PolyRing(["x", "y"])
+    x, one = R.var(0), R.const(1)
+    for op in (lambda: x * True, lambda: False * x, lambda: x + True, lambda: True - x, lambda: R.const(True)):
+        with pytest.raises(RingError):
+            op()
+    with pytest.raises(RingError):
+        MultiPoly(R, {(1, 0): True}).terms
+    assert (one == True) is False and (True == one) is False and one != True  # noqa: E712
+    assert x * 1 == x and one == 1
+
+
+def test_a_bool_is_not_a_laurent_coefficient():
+    # LaurentPoly.one(2) * True was the polynomial 1, and so equal to True
+    L, one = LaurentPoly.char(Weight.of(1, 0)), LaurentPoly.one(2)
+    for op in (lambda: one * True, lambda: False * L, lambda: L + True, lambda: True - L):
+        with pytest.raises(RingError):
+            op()
+    with pytest.raises(RingError):
+        LaurentPoly(2, {Weight.of(1, 0): True})
+    assert (one == True) is False and (True == one) is False and one != True  # noqa: E712
+    assert one * 1 == one == 1
 
 
 def test_weight_entries_and_scale_reject_bools():
@@ -957,7 +1041,7 @@ def test_a_numerator_at_the_field_limit_widens_and_never_wraps():
         ((top, bottom), (1, -1)),
     ]
     for nums, step in steps:
-        L = LaurentPoly.char(Weight.of(*nums), 7)
+        L = LaurentPoly.char(Weight.of(*nums)) * 7
         assert L._bits == 16
         moved = L.twist(Weight.of(*step))
         assert moved.terms == {Weight.of(*(x + y for x, y in zip(nums, step))): 7}

@@ -92,6 +92,14 @@ def test_cells_must_have_integer_coordinates():
     assert Partition(2, [(0, 0), (1, 0)]).n == 2
 
 
+def test_cells_reject_bool_coordinates():
+    # `operator.index` read True as 1: Partition(2, [(0, 0), (True, 0)])
+    # was {(0, 0), (1, 0)}
+    for cells in [[(0, 0), (True, 0)], [(False, 0)]]:
+        with pytest.raises(RingError):
+            Partition(2, cells)
+
+
 def test_glove_origin():
     lam = Partition(3, [(0, 0, 0)])
     assert glove(lam) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
