@@ -38,8 +38,9 @@ narrows) and keys them, and `_poly` maps a result back and builds it
 packed. An exponent or degree of 2^15 or more raises RingError. The zero
 ideal has the empty basis.
 `Ideal.normal_form` keys the basis of each order once and keeps it, and
-`Ideal.initial_ideal` reads one lead per element. A hard S-pair budget turns
-blowups into a structured failure instead of an endless run.
+`Ideal.initial_ideal` reads one lead per element. A hard S-pair budget, the
+module constant `SPAIR_BUDGET`, turns blowups into a structured failure
+(`BudgetExceeded`) instead of an endless run.
 `MonomialIdeal` holds its minimal generators as packed lex ints.
 """
 
@@ -64,7 +65,7 @@ from .multipoly import (
     _NarrowOverflow,
 )
 
-DEFAULT_SPAIR_BUDGET = 200_000
+SPAIR_BUDGET = 200_000  # the most S-pair reductions of one basis run; read at each run
 
 
 class BudgetExceeded(RuntimeError):
@@ -109,16 +110,13 @@ def _new_pairs(lcms: Sequence[int], coprime: Sequence[bool], lay: PackedLayout) 
     return [oldest[m] for m in lay.minimal(oldest) if m not in drop]
 
 
-def _primitive_int(d: IntTerms) -> Tuple[IntTerms, int]:
-    """d divided by the gcd g of its coefficients, and g."""
-    g = gcd(*d.values())
-    return ({e: v // g for e, v in d.items()} if g > 1 else d), g
-
-
 def _reducer(t: IntTerms, lay: PackedLayout) -> Tuple[int, Reducer]:
     """The lead monomial of the nonzero terms t, keyed by heap keys under
-    `lay`, and t as a primitive `Reducer`. The lead is taken out of t."""
-    t, _ = _primitive_int(t)
+    `lay`, and t divided by the gcd of its coefficients as a `Reducer`.
+    The lead is taken out of t, or of its quotient when the gcd is above 1."""
+    g = gcd(*t.values())
+    if g > 1:
+        t = {k: v // g for k, v in t.items()}
     h = min(t)
     c = t.pop(h)
     if c < 0:
@@ -260,16 +258,16 @@ def _divide_int(work: IntTerms, basis: PackedBasis, lay: PackedLayout) -> Tuple[
 def groebner_basis(
     gens: Iterable[MultiPoly],
     order="grevlex",
-    budget: int = DEFAULT_SPAIR_BUDGET,
     want_stats: bool = False,
 ):
     """Reduced Groebner basis of the given generators.
 
     Runs in the 8-bit layout of `order`, and once more from the inputs in
     its 16-bit layout when a degree reaches 2^7; both runs make the same
-    choices, so the rerun changes no output. Raises BudgetExceeded when
-    more than `budget` S-pair reductions are attempted. With
-    want_stats=True returns (basis, reductions_used).
+    choices, so the rerun changes no output. Raises BudgetExceeded when a
+    run attempts more than `SPAIR_BUDGET` S-pair reductions, the module
+    constant as it stands when the run starts. With want_stats=True
+    returns (basis, reductions_used).
     """
     _check_order(order)  # before the zero ideal returns, so its order is checked too
     gens = [g for g in gens if g]
@@ -280,21 +278,21 @@ def groebner_basis(
         if g.ring != ring:
             raise RingError("generators live in different rings")
     try:
-        reduced, used = _buchberger(gens, ring, PackedLayout(ring.n, order, 8), budget)
+        reduced, used = _buchberger(gens, ring, PackedLayout(ring.n, order, 8))
     except _NarrowOverflow:
-        reduced, used = _buchberger(gens, ring, _layout(ring, order), budget)
+        reduced, used = _buchberger(gens, ring, _layout(ring, order))
     if want_stats:
         return reduced, used
     return reduced
 
 
-def _buchberger(
-    gens: List[MultiPoly], ring: PolyRing, lay: PackedLayout, budget: int
-) -> Tuple[List[MultiPoly], int]:
+def _buchberger(gens: List[MultiPoly], ring: PolyRing, lay: PackedLayout) -> Tuple[List[MultiPoly], int]:
     """The reduced basis of the nonzero `gens` of `ring`, computed in the
     layout `lay`, and the S-pair reductions used; `lay.overflow()` when a
-    degree reaches `lay.limit`."""
+    degree reaches `lay.limit`, and BudgetExceeded past `SPAIR_BUDGET`
+    reductions."""
     guard, colon, degree, limit = lay.guard, lay.colon, lay.degree, lay.limit
+    budget = SPAIR_BUDGET
 
     basis: List[Reducer] = []
     leads: List[int] = []  # the lead monomial of each element

@@ -26,7 +26,7 @@ from operator import mul
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .groebner import Ideal, MonomialIdeal
-from .multipoly import LaurentPoly, RingError, Weight, _add_shifted, packed_weights
+from .multipoly import LaurentPoly, RingError, Weight, _add_shifted, _character, packed_weights
 from .partitions import Partition
 
 PIVOT_AT = 12  # the most generators that take the colon step; see `kpoly_monomial`
@@ -130,7 +130,7 @@ class HilbertSeries:
     def __init__(self, numerator: LaurentPoly, denom_weights: Sequence[Weight]):
         denom = tuple(denom_weights)
         for w in denom:
-            if w.is_zero():
+            if not any(w.nums):
                 raise RingError("denominator weights must be nonzero")
             if w.r != numerator.r:
                 raise RingError("weight rank mismatch")
@@ -144,14 +144,19 @@ class HilbertSeries:
         return self.numerator.r
 
     def render(self) -> str:
+        """The text (N) / (1 - t^w)^k ..., with one factor per distinct
+        weight in the order of `denom_weights`, each written as
+        `LaurentPoly.render` writes a character; (N) alone when there is
+        no factor."""
         mult: Dict[Weight, int] = {}
         for w in self.denom_weights:
             mult[w] = mult.get(w, 0) + 1
         factors = []
-        for w in mult:  # sorted, as `denom_weights` is
-            base = f"(1 - {LaurentPoly.char(w).render()})"
-            factors.append(base if mult[w] == 1 else f"{base}^{mult[w]}")
-        return f"({self.numerator.render()}) / " + " ".join(factors)
+        for w, k in mult.items():  # sorted, as `denom_weights` is
+            base = f"(1 - {_character(w.nums, w.scale)})"
+            factors.append(base if k == 1 else f"{base}^{k}")
+        text = f"({self.numerator.render()})"
+        return f"{text} / {' '.join(factors)}" if factors else text
 
     __repr__ = render
 

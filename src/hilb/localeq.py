@@ -32,12 +32,10 @@ from .multipoly import (
     RingError,
     Weight,
     _add_shifted,
-    _mono_quot,
-    _mono_shift,
     _mul_packed,
     packed_weights,
 )
-from .partitions import Cell, Partition, adjacent_pairs, glove, ideal_of_partition, pyramid
+from .partitions import Cell, Partition, _mono_quot, _mono_shift, adjacent_pairs, glove, ideal_of_partition, pyramid
 
 HaimanVar = Tuple[Cell, Cell]  # (sub, sup): i in lambda, j in glove
 
@@ -55,18 +53,18 @@ def var_weight(v: HaimanVar) -> Weight:
 class HaimanPresentation:
     """Variables, their torus weights, and weight-homogeneous equations.
 
-    The ring is that of the first equation, or else of the first
-    eliminated expression, when its names are the variables', so that the
-    presentation and its polynomials share one ring object; otherwise it
-    is a new ring. `names` are the variables' names, `_var_name` of each,
-    from a caller that has formatted them for its ring already; they are
-    formatted here when it is not given. Construction raises RingError
-    for an equation outside the ring of the variables or one that is not
-    weight-homogeneous. For the weight check each variable weight is one
-    int of signed fields (`packed_weights`, wide enough for the largest
-    term degree), so the weight of a term is one exact sum over the
-    nonzero variable fields of its packed monomial, read one field at a
-    time from the lowest set bit and never unpacked to a tuple.
+    The ring is the caller's `ring`, the one its polynomials were built
+    on, so that the presentation and its polynomials share one ring
+    object and ring checks on them and on `ring.var(k)` are identity
+    tests; without one, it is a new ring named by `_var_name` of each
+    variable. Construction raises RingError for a ring whose variable
+    count is not that of `variables`, for an equation outside the ring
+    and for one that is not weight-homogeneous. For the weight check
+    each variable weight is one int of signed fields (`packed_weights`,
+    wide enough for the largest term degree), so the weight of a term is
+    one exact sum over the nonzero variable fields of its packed
+    monomial, read one field at a time from the lowest set bit and never
+    unpacked to a tuple.
     """
 
     def __init__(
@@ -76,18 +74,17 @@ class HaimanPresentation:
         equations: Sequence[MultiPoly],
         eliminated: Dict[HaimanVar, MultiPoly] | None = None,
         *,
-        names: Tuple[str, ...] | None = None,
+        ring: PolyRing | None = None,
     ):
         self.lam = lam
         self.variables = list(variables)
         self.equations = list(equations)
         self.eliminated = dict(eliminated or {})
-        if names is None:
-            names = tuple(map(_var_name, self.variables))
-        polys = [*self.equations, *self.eliminated.values()]
-        # the polynomials' own ring object when it has these names, so that
-        # ring checks on them and on `ring.var(k)` are identity tests
-        self.ring = polys[0].ring if polys and polys[0].ring.names == names else PolyRing(names)
+        if ring is None:
+            ring = PolyRing([_var_name(v) for v in self.variables])
+        elif ring.n != len(self.variables):
+            raise RingError(f"a ring of {ring.n} variables for {len(self.variables)} Haiman variables")
+        self.ring = ring
         for eq in self.equations:
             if eq.ring != self.ring:
                 raise RingError("equation outside the presentation ring")
@@ -143,8 +140,7 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
     glo = sorted(glove(lam))
     glo_set = set(glo)
     variables: List[HaimanVar] = [(i, j) for i in cells for j in glo]
-    names = tuple(map(_var_name, variables))
-    ring = PolyRing(names)
+    ring = PolyRing([_var_name(v) for v in variables])
     unit = {v: ring.layout.field(k)[0] for k, v in enumerate(variables)}  # the packed variable
     shifted: Dict[int, List[Tuple[Cell, Cell, bool]]] = {}  # b -> (k, k + e_b, in lam) per cell
 
@@ -181,7 +177,7 @@ def haiman_equations(lam: Partition) -> HaimanPresentation:
             if eq:
                 equations.append(eq)
 
-    return HaimanPresentation(lam, variables, equations, names=names)
+    return HaimanPresentation(lam, variables, equations, ring=ring)
 
 
 def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
@@ -293,8 +289,7 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
 
     survivors = [k for k in range(nvars) if alive[k]]
     new_vars = [variables[k] for k in survivors]
-    new_names = tuple(pres.ring.names[k] for k in survivors)
-    new_ring = PolyRing(new_names)
+    new_ring = PolyRing([pres.ring.names[k] for k in survivors])
     to_new = new_ring.layout.projection(lay, survivors)
     gone = reduce(or_, (fields[k][1] for k in range(nvars) if not alive[k]), 0)
 
@@ -313,7 +308,7 @@ def simple_eliminate(pres: HaimanPresentation) -> HaimanPresentation:
             seen.add(key)
             new_eqs.append(project(eq))
     eliminated = {variables[k]: project(expr) for k, expr in subs.items()}
-    return HaimanPresentation(lam, new_vars, new_eqs, eliminated, names=new_names)
+    return HaimanPresentation(lam, new_vars, new_eqs, eliminated, ring=new_ring)
 
 
 def step0(lam: Partition) -> HaimanPresentation:
@@ -395,10 +390,6 @@ def cotangent_weights(lam: Partition) -> Tuple[List[Monomial], int]:
         if p == x and x not in killed  # one root per class
     )
     return weights, len(weights) - lam.r * lam.n
-
-
-def extra_dimension(lam: Partition) -> int:
-    return cotangent_weights(lam)[1]
 
 
 def pyramid_layer_vars(r: int, n: int) -> List[HaimanVar]:

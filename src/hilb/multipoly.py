@@ -14,9 +14,7 @@ arrives with, any other rational is a `Fraction` (whose denominator is
 then above 1), a float is read as its exact `Fraction`, and a bool or
 a value that is not a rational number raises RingError. The two types
 compare and hash alike, so equality and term sets do not see the type.
-The cells of a partition are exponent tuples too; the tuple operations
-that they and the Haiman variables need (quotient, shift) are the
-`_mono_*` functions below. The monomial orders are lex and grevlex, and `PackedLayout` is
+The monomial orders are lex and grevlex, and `PackedLayout` is
 their one implementation: `_check_order` checks an order's name, and a
 polynomial renders, as division sorts, by the layout's heap key.
 Monomial entries, variable indices, weight entries and Laurent
@@ -50,8 +48,11 @@ two, so half-integer weights are exact integer data. Its one working
 form is `IntTerms` too: one D per polynomial, and each term's numerator
 vector as one int of signed, guarded fields, so a twist or a product is
 an int add per term, and the `kpoly` recursion builds its result in this
-form directly. A `Weight`, numerators over a scale, is the input type
-and the key type of the `LaurentPoly.terms` view.
+form directly, and it renders from its numerators on its scale. A
+`Weight`, numerators over a scale, is a plain value read at the
+boundary: the input type of torus weights and the key type of the
+`LaurentPoly.terms` view, with no arithmetic of its own; sums and
+multiples of weights are `LaurentPoly` products.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from operator import index, lshift, or_, sub
+from operator import index, lshift, or_
 from struct import Struct
 from struct import error as StructError
 from typing import Callable, Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -172,17 +173,6 @@ def _canonical(terms: dict) -> dict:
     if {*map(type, values)} <= _INT and 0 not in values:
         return terms
     return {e: v for e, c in terms.items() if (v := _coefficient(c))}
-
-
-def _mono_quot(a: Monomial, b: Monomial) -> Monomial:
-    """a - b entrywise: the quotient a / b when b divides a, and otherwise
-    a difference of cells, such as the torus weight j - i of c_i^j."""
-    return tuple(map(sub, a, b))
-
-
-def _mono_shift(e: Monomial, i: int, delta: int = 1) -> Monomial:
-    """e + delta * e_i, for a monomial or a cell alike."""
-    return e[:i] + (e[i] + delta,) + e[i + 1 :]
 
 
 def _check_order(order) -> None:
@@ -549,7 +539,8 @@ class MultiPoly:
         """The packed terms of a polynomial of this ring or of a scalar."""
         if not isinstance(other, MultiPoly):
             other = self.ring.const(other)
-        self._check(other)
+        elif self.ring != other.ring:
+            raise RingError("ring context mismatch")
         return other._pk()
 
     def _scalar(self):
@@ -558,10 +549,6 @@ class MultiPoly:
         if len(pk) > 1:
             return None
         return pk.get(0) if pk else 0
-
-    def _check(self, other: "MultiPoly"):
-        if self.ring != other.ring:
-            raise RingError("ring context mismatch")
 
     def __bool__(self):
         return bool(self._pk())
@@ -742,11 +729,14 @@ def poly_from_terms(ring: PolyRing, pairs: Iterable[Tuple[Sequence[int], object]
 class Weight:
     """Vector in (1/D)Z^r: integer numerators over a power-of-two scale.
 
-    The input type of torus weights: `LaurentPoly` and `kpoly` read
-    Weights passed in and return them only through `LaurentPoly.terms`.
-    Entries and scale are read by `exponents` and `_integer`, so a bool
-    or a non-integer raises RingError, and the weight is kept on its
-    least scale, so equal weights have equal fields.
+    A plain value, read at the boundary: the input type of torus weights,
+    which `LaurentPoly` and `kpoly` read from `nums` and `scale` and
+    return only through `LaurentPoly.terms`. It has no arithmetic; the
+    weight of a monomial, a sum of weights, is the exponent of a
+    `LaurentPoly` product of characters. Entries and scale are read by
+    `exponents` and `_integer`, so a bool or a non-integer raises
+    RingError, and the weight is kept on its least scale, so equal
+    weights have equal fields.
     """
 
     __slots__ = ("nums", "scale")
@@ -771,30 +761,11 @@ class Weight:
     def r(self) -> int:
         return len(self.nums)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        if self.r != other.r:
-            raise RingError("weight rank mismatch")
-        scale = max(self.scale, other.scale)
-        a, b = scale // self.scale, scale // other.scale
-        return Weight([x * a + y * b for x, y in zip(self.nums, other.nums)], scale)
-
-    def __mul__(self, k: int) -> "Weight":
-        k = _integer(k, "a weight is scaled by an integer")
-        return Weight([k * x for x in self.nums], self.scale)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def __eq__(self, other):
         return isinstance(other, Weight) and self.nums == other.nums and self.scale == other.scale
 
     def __hash__(self):
         return hash((self.nums, self.scale))
-
-    def sort_key(self):
-        return tuple(Fraction(x, self.scale) for x in self.nums)
 
     def __repr__(self):
         if self.scale == 1:
@@ -1026,24 +997,34 @@ class LaurentPoly:
         return self._pair(LaurentPoly._of_nums(self.r, scale, [(nums, c)]), _mirrored)
 
     def render(self) -> str:
-        def mono(w: Weight) -> str:
-            factors = []
-            for i, x in enumerate(w.nums):
-                if not x:
-                    continue
-                exp = Fraction(x, w.scale)
-                if exp == 1:
-                    factors.append(f"t_{i + 1}")
-                elif exp.denominator == 1 and 0 < exp < 10:
-                    factors.append(f"t_{i + 1}^{exp}")
-                else:
-                    factors.append(f"t_{i + 1}^{{{exp}}}")
-            return " ".join(factors)
-
-        terms = sorted(self.terms.items(), key=lambda t: (-sum(t[0].sort_key()), t[0].sort_key()))
-        return _render_terms((c, mono(w)) for w, c in terms)
+        """The terms by descending total weight, then ascending weight
+        vector, sorted on their numerators over the one `scale`."""
+        r, bits, scale = self.r, self._bits, self.scale
+        terms = sorted(((_nums(k, r, bits), c) for k, c in self._keys.items()), key=lambda t: (-sum(t[0]), t[0]))
+        return _render_terms((c, _character(v, scale)) for v, c in terms)
 
     __repr__ = render
+
+
+def _character(nums: Sequence[int], scale: int) -> str:
+    """The text of the character t^w, w = nums / scale, "" for w = 0: each
+    nonzero entry as t_i, t_i^e for an integer 1 < e < 10, and otherwise
+    t_i^{e}, with e in lowest terms, as in "t_1^{-1} t_2^{3/2}"."""
+    factors = []
+    for i, x in enumerate(nums, 1):
+        if not x:
+            continue
+        g = min(x & -x, scale)  # gcd(x, scale): x & -x is the largest power of two dividing x
+        x, d = x // g, scale // g
+        if d > 1:
+            factors.append(f"t_{i}^{{{x}/{d}}}")
+        elif x == 1:
+            factors.append(f"t_{i}")
+        elif 0 < x < 10:
+            factors.append(f"t_{i}^{x}")
+        else:
+            factors.append(f"t_{i}^{{{x}}}")
+    return " ".join(factors)
 
 
 # The `combine` arguments of `LaurentPoly._pair`, beside the product in

@@ -3,6 +3,9 @@
 A partition is a finite downward-closed set of lattice points in
 Z_{>=0}^r. For r=3 these are plane partitions; layers along the last
 axis give the ascending-chain notation (1) < (2,1) used for display.
+Cells are int tuples, and this module owns the two operations on them
+that it and `localeq` use: the step `_mono_shift` and the difference
+`_mono_quot`.
 
 A partition holds its monomial ideal I_λ once it is asked for:
 `ideal_of_partition` builds it on first use and returns the same
@@ -16,13 +19,25 @@ check.
 from __future__ import annotations
 
 import itertools
+from operator import sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import MonomialIdeal
-from .multipoly import RingError, _mono_shift, exponents
+from .multipoly import RingError, exponents
 
 Cell = Tuple[int, ...]
 AdjacentPair = Tuple[Cell, Cell, int, Optional[int]]  # (p, q, a, b), see adjacent_pairs
+
+
+def _mono_quot(a: Cell, b: Cell) -> Cell:
+    """a - b entrywise: a difference of cells, such as the torus weight
+    j - i of the Haiman variable c_i^j or g - c of a cotangent node."""
+    return tuple(map(sub, a, b))
+
+
+def _mono_shift(c: Cell, i: int, delta: int = 1) -> Cell:
+    """c + delta * e_i."""
+    return c[:i] + (c[i] + delta,) + c[i + 1 :]
 
 
 class PartitionError(RingError):
@@ -143,10 +158,6 @@ def adjacent_pairs(points: Iterable[Cell]) -> List[AdjacentPair]:
     return out
 
 
-def _partitions_1d(n: int) -> List[Partition]:
-    return [Partition(1, [(i,) for i in range(n)])]
-
-
 def enumerate_partitions(r: int, n: int) -> List[Partition]:
     """All r-dimensional partitions of size exactly n, deterministically ordered.
 
@@ -160,7 +171,7 @@ def enumerate_partitions(r: int, n: int) -> List[Partition]:
     if n == 0:
         return [Partition(r, [])]
     if r == 1:
-        return _partitions_1d(n)
+        return [Partition(1, [(i,) for i in range(n)])]
 
     lower_cache: Dict[int, List[Partition]] = {}
 

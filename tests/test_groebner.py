@@ -355,12 +355,15 @@ def test_ideal_equal_equivalence_on_corpus():
     assert same == [[True, True, False, False]] * 2 + [[False, False, True, True]] * 2
 
 
-def test_budget_exceeded_is_loud():
+def test_budget_exceeded_is_loud(monkeypatch):
+    # the budget is read when a run starts, so lowering it reaches the next call
     R = PolyRing(["x", "y", "z"])
     x, y, z = R.gens()
     gens = [x + y + z, x * y + y * z + z * x, x * y * z - 1]
-    with pytest.raises(BudgetExceeded):
-        groebner_basis(gens, budget=1)
+    monkeypatch.setattr(hilb.groebner, "SPAIR_BUDGET", 1)
+    with pytest.raises(BudgetExceeded) as raised:
+        groebner_basis(gens)
+    assert (raised.value.used, raised.value.budget) == (2, 1)
 
 
 def test_monomial_ideal_rejects_a_monomial_of_the_wrong_length():
@@ -611,9 +614,9 @@ def run_widths(monkeypatch):
     widths = []
     run = hilb.groebner._buchberger
 
-    def recording(gens, ring, lay, budget):
+    def recording(gens, ring, lay):
         widths.append(lay.bits)
-        return run(gens, ring, lay, budget)
+        return run(gens, ring, lay)
 
     monkeypatch.setattr(hilb.groebner, "_buchberger", recording)
     return widths
@@ -663,7 +666,7 @@ def test_a_run_past_2_to_the_7_reruns_at_16_bits(term_lists, order, run_widths, 
     assert run_widths == [8, 16]
     assert sorted(sorted(g.terms.items()) for g in basis) == _sympy_reduced_basis(term_lists, 2, order)
     # the rerun's S-pair count is the count of the one run at 16 bits
-    assert used == hilb.groebner._buchberger(gens, R, PackedLayout(2, order), used)[1]
+    assert used == hilb.groebner._buchberger(gens, R, PackedLayout(2, order))[1]
 
 
 def test_the_jacobian_ideal_runs_at_8_bits_only(run_widths, checked_divisions):

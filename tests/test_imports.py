@@ -19,7 +19,13 @@ perfbench's own tests do not count as callers. Matching is by name, not by
 owner: a method counts as used when any method of that name is, so
 `MonomialIdeal.colon` once passed with only tests calling it, because
 `PackedLayout.colon` has the same name; the names that more than one
-owner defines are pinned in `SHARED_NAMES`. An `assert`
+owner defines are pinned in `SHARED_NAMES`. The dead-definition checks
+skip dunders: the interpreter calls them for an operator or a protocol
+(`a + b`, `==`, `hash`), not by name, so a name search cannot tell
+whether one is used, and `Weight.__add__` and `__mul__` once outlived
+their last library caller unseen. Instead the classes that may define
+operator dunders (`OPERATOR_DUNDERS`) are pinned in `OPERATOR_OWNERS`,
+so a class gains arithmetic only by a reviewed edit there. An `assert`
 vanishes under `python -O`, so a condition the library must check raises
 an error instead, and a `raise AssertionError` is an assertion by
 another name: the library raises its own errors, such as `RingError`.
@@ -45,7 +51,6 @@ AWAITING_CALLERS = {
     "hilbert_series": "item 3",
     "schur_K_G26": "item 3",
     "series_equal": "item 3",
-    "extra_dimension": "item 1",
     "poly_from_terms": "item 3",
     "permuted": "item 1",
     "parse_chain": "item 3",
@@ -66,8 +71,8 @@ AWAITING_CALLERS = {
 #   that a shared name still hides: perfbench's tests call it.
 # - `r`: kpoly reads `Weight.r` and `HilbertSeries.r`.
 # - `render`: localeq calls `MultiPoly.render` and `HilbertSeries.render`
-#   calls `LaurentPoly.render`; `HilbertSeries.render` has no caller
-#   outside tests.
+#   calls `LaurentPoly.render` on its numerator; `HilbertSeries.render`
+#   has no caller outside tests.
 # - `terms`: perfbench reads the views of both classes.
 SHARED_NAMES = {
     "_of_packed": ("groebner.MonomialIdeal", "multipoly.MultiPoly"),
@@ -77,6 +82,13 @@ SHARED_NAMES = {
     "render": ("kpoly.HilbertSeries", "multipoly.LaurentPoly", "multipoly.MultiPoly"),
     "terms": ("multipoly.LaurentPoly", "multipoly.MultiPoly"),
 }
+
+
+# The operator dunders, and the classes of the library that define any of
+# them: the two polynomial types. `Weight` is a plain value, and sums of
+# weights are `LaurentPoly` products.
+OPERATOR_DUNDERS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__pow__"}
+OPERATOR_OWNERS = ("multipoly.LaurentPoly", "multipoly.MultiPoly")
 
 
 def unused_imports(source: str):
@@ -154,6 +166,40 @@ def test_the_check_finds_a_shared_definition_name():
 
 def test_shared_definition_names_are_pinned():
     assert owners((path.stem, path.read_text()) for path in LIBRARY) == SHARED_NAMES
+
+
+def operator_owners(sources):
+    """Sorted module.Class of each top-level class of the (module, source)
+    pairs that defines an operator dunder, by `def` or by assignment, as
+    `__radd__ = __add__` does."""
+    found = set()
+    for module, source in sources:
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            if names & OPERATOR_DUNDERS:
+                found.add(f"{module}.{node.name}")
+    return tuple(sorted(found))
+
+
+def test_the_check_finds_an_operator_owner():
+    a = (
+        "class Plain:\n    def __eq__(self, o): pass\n    def __hash__(self): pass\n"
+        "class Sum:\n    def __add__(self, o): pass\n"
+        "def __mul__(a, b): pass\n"
+    )
+    b = "class Alias:\n    def _neg(self): pass\n    __neg__ = _neg\nclass Power:\n    __pow__ = None\n"
+    assert operator_owners([("a", a), ("b", b)]) == ("a.Sum", "b.Alias", "b.Power")
+
+
+def test_operator_dunders_are_pinned():
+    assert operator_owners((path.stem, path.read_text()) for path in LIBRARY) == OPERATOR_OWNERS
 
 
 def dead_definitions(source: str, used):

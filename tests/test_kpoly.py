@@ -14,6 +14,7 @@ from hilb.localeq import jacobian_ideal, pyramid_potential, var_weight
 from hilb.multipoly import PACK_LIMIT, LaurentPoly, PolyRing, RingError, Weight
 from hilb.partitions import Partition, enumerate_partitions, ideal_of_partition, parse_chain
 from test_localeq import mono_weight
+from test_multipoly import fractions, weight_of
 
 
 def weight_columns(weights):
@@ -127,7 +128,7 @@ class TestKpolyMonomial:
             for _ in range(nv):
                 while True:
                     w = Weight(tuple(rng.randint(-2, 3) for _ in range(2)), rng.choice((1, 2, 4)))
-                    if not w.is_zero():
+                    if any(w.nums):
                         break
                 weights.append(w)
             assert kpoly_monomial(J, weights) == taylor_kpoly(J, weights)
@@ -220,7 +221,7 @@ class TestKpolyMonomial:
             J = random_monomial_ideal(rng, nv, finite=True)
             weights = [Weight(tuple(rng.randint(-2, 3) for _ in range(2)), rng.choice((1, 2, 4))) for _ in range(nv)]
             box = itertools.product(*(range(k) for k in map(max, zip(*J.gens))))
-            expected = LaurentPoly(2, Counter(mono_weight(m, weights) for m in box if not J.contains(m)))
+            expected = LaurentPoly(2, Counter(weight_of(mono_weight(m, weights)) for m in box if not J.contains(m)))
             for w in weights:
                 expected = expected - expected.twist(w)
             assert kpoly_monomial(J, weights) == expected
@@ -293,7 +294,7 @@ class TestHilbertSeries:
             Weight.of(0, -1), Weight((1, -1), 2), Weight((2, 1), 4), Weight.of(1, 0),
         ]
         h = HilbertSeries(LaurentPoly.one(2), w)
-        assert h.denom_weights == tuple(sorted(w, key=lambda v: v.sort_key()))
+        assert h.denom_weights == tuple(sorted(w, key=fractions))
         # -3/4 < 0 < 1/4 < 1/2 = 1/2 = 2/4 < 1, ties broken by the second entry
         assert h.denom_weights == (w[3], w[4], w[0], w[5], w[6], w[2], w[1], w[7])
 
@@ -309,8 +310,23 @@ class TestHilbertSeries:
 
     def test_render_groups_factors(self):
         h = HilbertSeries(LaurentPoly.one(2), [Weight.of(1, 0), Weight.of(1, 0), Weight.of(0, 1)])
-        text = h.render()
-        assert "(1 - t_1)^2" in text and "(1 - t_2)" in text
+        assert h.render() == "(1) / (1 - t_2) (1 - t_1)^2"
+        # half-integer, negative and two-digit exponents, and a repeated factor
+        N = LaurentPoly.one(2) - LaurentPoly.char(Weight((3, -1), 2)) * 2 - LaurentPoly.char(Weight.of(12, 0))
+        w = [Weight((1, 1), 2), Weight.of(0, -1), Weight.of(10, 1), Weight((1, 1), 2), Weight((3, 0), 4)]
+        assert HilbertSeries(N, w).render() == (
+            "(-t_1^{12} - 2 t_1^{3/2} t_2^{-1/2} + 1)"
+            " / (1 - t_2^{-1}) (1 - t_1^{1/2} t_2^{1/2})^2 (1 - t_1^{3/4}) (1 - t_1^{10} t_2)"
+        )
+        ring = PolyRing(("x", "y"))
+        x, y = ring.gens()
+        h = hilbert_series(Ideal(ring, [x**2, x * y]), [Weight.of(1, 0), Weight.of(0, 1)])
+        assert h.render() == repr(h) == "(t_1^2 t_2 - t_1 t_2 - t_1^2 + 1) / (1 - t_2) (1 - t_1)"
+
+    def test_render_without_factors_is_the_numerator(self):
+        # once "(1) / ", with a slash before no factor
+        assert HilbertSeries(LaurentPoly.one(2), []).render() == "(1)"
+        assert HilbertSeries(LaurentPoly.char(Weight((1, -1), 2)) * -3, []).render() == "(-3 t_1^{1/2} t_2^{-1/2})"
 
 
 class TestSchurK:
@@ -385,12 +401,12 @@ class TestSeriesEqual:
 
     def test_different_denominators_same_function(self):
         # 1/(1 - t) == (1 + t)/(1 - t^2)
-        t = Weight.of(1)
+        t, t2 = Weight.of(1), Weight.of(2)
         h1 = HilbertSeries(LaurentPoly.one(1), [t])
-        h2 = HilbertSeries(LaurentPoly.one(1) + LaurentPoly.char(t), [2 * t])
+        h2 = HilbertSeries(LaurentPoly.one(1) + LaurentPoly.char(t), [t2])
         assert series_equal(h1, h2)
         assert series_equal(h2, h1)
-        h3 = HilbertSeries(LaurentPoly.one(1) - LaurentPoly.char(t), [2 * t])
+        h3 = HilbertSeries(LaurentPoly.one(1) - LaurentPoly.char(t), [t2])
         assert not series_equal(h1, h3)
 
 

@@ -1,5 +1,6 @@
 import string
 from collections import Counter
+from fractions import Fraction
 from operator import add
 
 import pytest
@@ -15,7 +16,6 @@ from hilb.localeq import (
     _check_weight_homogeneous,
     _var_name,
     cotangent_weights,
-    extra_dimension,
     haiman_equations,
     jacobian_ideal,
     pyramid_layer_vars,
@@ -25,6 +25,7 @@ from hilb.localeq import (
     var_weight,
 )
 from test_census_reference import reference_relations
+from test_multipoly import fractions, weight_of
 
 LAM_121 = parse_chain("(1) < (2,1)")
 LAM_131 = parse_chain("(1) < (3,1)")
@@ -75,7 +76,7 @@ def test_step0_on_a_line_of_six_points():
     lam = Partition(3, [(i, 0, 0) for i in range(6)])
     assert len(haiman_equations(lam).variables) == 78
     pres = step0(lam)
-    assert len(pres.variables) == 18 == 3 * lam.n + extra_dimension(lam)
+    assert len(pres.variables) == 18 == 3 * lam.n + cotangent_weights(lam)[1]
     assert pres.equations == []
 
 
@@ -156,6 +157,15 @@ def test_an_equation_outside_the_variables_ring_is_rejected():
             HaimanPresentation(LAM_121, pres.variables, [eq, other])
 
 
+def test_a_ring_of_another_variable_count_is_rejected():
+    pres = haiman_equations(LAM_121)
+    for names in (pres.ring.names[:-1], (*pres.ring.names, "x")):
+        with pytest.raises(RingError, match="variables"):
+            HaimanPresentation(LAM_121, pres.variables, [], ring=PolyRing(names))
+    # without a ring, the presentation names one by its variables
+    assert HaimanPresentation(LAM_121, pres.variables, pres.equations).ring == pres.ring
+
+
 def test_step0_back_substitution_consistent():
     # eliminated expressions must turn raw generators into members of the
     # eliminated ideal
@@ -200,9 +210,9 @@ def test_cotangent_131_132():
     assert extra == 6
     assert [Weight(w) for w in ws] == sorted(
         [var_weight(v) for v in step0(LAM_131).variables],
-        key=lambda w: w.sort_key(),
+        key=fractions,
     )
-    assert extra_dimension(LAM_132) == 6
+    assert cotangent_weights(LAM_132)[1] == 6
 
 
 def test_cotangent_1321_without_a_ring():
@@ -224,13 +234,13 @@ def test_cotangent_r2_always_smooth():
     # Hilb^n(A^2) is smooth
     for n in range(1, 10):
         for lam in enumerate_partitions(2, n):
-            assert extra_dimension(lam) == 0
+            assert cotangent_weights(lam)[1] == 0
 
 
 def test_cotangent_embedded_2d_partition_smooth():
     # a flat r=3 partition is a product with affine space: no extra directions
     flat = Partition(3, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)])
-    assert extra_dimension(flat) == 0
+    assert cotangent_weights(flat)[1] == 0
 
 
 PRINTED_F121 = """
@@ -269,14 +279,9 @@ def test_pyramid_potential_homogeneity():
     for n in (2, 3):
         F, variables = pyramid_potential(n)
         ws = [var_weight(v) for v in variables]
-        target = Weight.of(1, 1, 1)
         for e in F.terms:
-            w = None
-            for k, wt in zip(e, ws):
-                if k:
-                    w = wt * k if w is None else w + wt * k
             assert sum(e) == 3
-            assert w == target
+            assert mono_weight(e, ws) == (1, 1, 1)
 
 
 def test_pyramid_layer_vars_count():
@@ -300,7 +305,7 @@ def test_singular_census_colength_5():
     # the singular points of Hilb^n(A^3), and their S3-classes, by extra dimension
     points, classes, singular = {}, {}, set()
     for n in range(1, 8):
-        extras = {lam: extra_dimension(lam) for lam in enumerate_partitions(3, n)}
+        extras = {lam: cotangent_weights(lam)[1] for lam in enumerate_partitions(3, n)}
         by_class = {canonicalize_S3(lam)[0].cells: e for lam, e in extras.items() if e}
         points[n] = Counter(e for e in extras.values() if e)
         classes[n] = Counter(by_class.values())
@@ -334,10 +339,11 @@ def test_haiman_linear_parts_are_the_cotangent_relations():
 
 
 def mono_weight(e, weights):
-    """Reference torus weight of the monomial e, by `Weight` arithmetic."""
-    total = Weight((0,) * weights[0].r)
+    """Reference torus weight of the monomial e, summed as a tuple of
+    `Fraction`s: sum_k e_k w_k."""
+    total = (Fraction(0),) * weights[0].r
     for k, w in zip(e, weights):
-        total = total + w * k
+        total = tuple(t + k * x for t, x in zip(total, fractions(w)))
     return total
 
 
@@ -355,8 +361,8 @@ def weighted_monomials(draw):
     weights = draw(st.lists(weights_of_rank(r), min_size=1, max_size=4))
     monos = draw(st.lists(st.tuples(*[st.integers(0, 4)] * len(weights)), min_size=1, max_size=6))
     if draw(st.booleans()):
-        bump = Weight((0,) * (r - 1) + (draw(st.sampled_from([-1, 1])),), draw(st.sampled_from([1, 2, 4])))
-        weights.append(weights[0] + bump)
+        bump = (0,) * (r - 1) + (Fraction(draw(st.sampled_from([-1, 1])), draw(st.sampled_from([1, 2, 4]))),)
+        weights.append(weight_of(tuple(map(add, fractions(weights[0]), bump))))
         k = draw(st.integers(1, 4))
         monos = [e + (0,) for e in monos]
         monos += [(k,) + (0,) * (len(weights) - 1), (0,) * (len(weights) - 1) + (k,)]
@@ -379,8 +385,8 @@ def wide_weighted_monomials(draw):
     tops[0][nvars - 1] = draw(exps)
     monos = [tuple(d.get(i, 0) for i in range(nvars)) for d in tops]
     if draw(st.booleans()):
-        bump = Weight((0,) * (r - 1) + (draw(st.sampled_from([-1, 1])),), draw(st.sampled_from([1, 2, 4])))
-        weights[-1] = weights[0] + bump
+        bump = (0,) * (r - 1) + (Fraction(draw(st.sampled_from([-1, 1])), draw(st.sampled_from([1, 2, 4]))),)
+        weights[-1] = weight_of(tuple(map(add, fractions(weights[0]), bump)))
         k = draw(exps)
         monos += [(k,) + (0,) * (nvars - 1), (0,) * (nvars - 1) + (k,)]
     return weights, monos
