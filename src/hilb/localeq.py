@@ -332,13 +332,16 @@ def cotangent_weights(lam: Partition) -> Tuple[List[Monomial], int]:
     weight L - c'. On the packed lex ints of `ideal_of_partition(lam)`
     (the I_λ kept on lam, which later callers share), L/g is `colon(h, g)`
     and u is a cell iff it sets no `guard` bit; a coprime pair relates
-    nothing, as L/g = h. A pair is skipped when a generator k divides L
-    and lcm(g, k), lcm(h, k) are proper divisors of L: its syzygy is a
-    monomial combination of theirs (the chain criterion). Each class of the union-find (a parent list with path
-    halving) that holds no killed node gives its weight; extra dimension
-    is the count minus r * |lambda|. The criterion costs (generators)^3
-    int tests, and spares the cell scan of most pairs of a large partition
-    (it keeps 273 of the 5,460 pairs of the r=3 pyramid of 455 cells).
+    nothing, as L/g = h. Each class of the union-find (a parent list with
+    path halving) that holds no killed node gives its weight; extra
+    dimension is the count minus r * |lambda|.
+
+    Every noncoprime pair is scanned over every cell, so the cost grows as
+    (generators)^2 * |lambda|. That suits the partitions it serves: the
+    census's n <= 10 and the paper's n <= 7, with at most ten cells.
+    Large partitions pay for it: on one Xeon core, the r=3 pyramids of
+    120, 220 and 455 cells (45, 66 and 105 generators) take about 0.03,
+    0.12 and 0.65 s.
     """
     if not lam.cells:
         return [], 0
@@ -356,21 +359,14 @@ def cotangent_weights(lam: Partition) -> Tuple[List[Monomial], int]:
             parent[x] = x = parent[parent[x]]
         return x
 
-    quot = [[0] * len(gens) for _ in gens]  # quot[a][b] = lcm(g_a, g_b) / g_a
+    kills = []
     for a, g in enumerate(gens):
         for b in range(a + 1, len(gens)):
-            quot[a][b] = dg = colon(gens[b], g)
-            quot[b][a] = g + dg - gens[b]
-    kills = []
-    for a, qa in enumerate(quot):
-        for b in range(a + 1, len(gens)):
-            qb, dg = quot[b], qa[b]  # L/g, where L = lcm(g, h) = g + dg
-            dh = qb[a]  # L/h
-            if dg == gens[b]:  # coprime: L/g = h and L/h = g divide no cell
+            h = gens[b]
+            dg = colon(h, g)  # L/g, where L = lcm(g, h) = g + dg
+            if dg == h:  # coprime: L/g = h and L/h = g divide no cell
                 continue
-            # k | L iff qa[k] | dg; lcm(g, k) != L iff qa[k] != dg; k = a, b fail
-            if any(not (dg - p) & guard and p != dg and q != dh for p, q in zip(qa, qb)):
-                continue
+            dh = g + dg - h  # L/h
             for c in cells:
                 u, v = c - dg, c - dh
                 if u & guard:

@@ -80,9 +80,6 @@ class Partition:
     def sorted_cells(self) -> List[Cell]:
         return sorted(self.cells)
 
-    def __contains__(self, c: Cell) -> bool:
-        return tuple(c) in self.cells
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.r == other.r and self.cells == other.cells
 

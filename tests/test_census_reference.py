@@ -115,17 +115,18 @@ seeded = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def test_cotangent_weights_match_the_tuple_union_find():
-    classes = [(2, n) for n in range(9)] + [(3, n) for n in range(8)] + [(4, n) for n in range(6)]
+    # every census class (r=3 n<=10, r=4 n<=6), with r=2 n<=8 and r=5 n<=4
+    classes = [(2, n) for n in range(9)] + [(3, n) for n in range(11)] + [(4, n) for n in range(7)]
     classes += [(5, n) for n in range(5)]
     lams = [lam for r, n in classes for lam in enumerate_partitions(r, n)]
-    # 15, 45 and 56 generators, so the chain criterion skips most generator pairs
+    # 15, 45 and 56 generators: many more generator pairs than any census item
     lams += [pyramid(2, 14), pyramid(3, 8), pyramid(4, 5)]
     for lam in lams:
         ws, extra = cotangent_weights(lam)
         ref, ref_extra = reference_cotangent(lam)
         assert ws == ref
         assert extra == ref_extra
-    assert len(lams) == 67 + 182 + 101 + 67 + 3
+    assert len(lams) == 67 + 1124 + 241 + 67 + 3
 
 
 @seeded

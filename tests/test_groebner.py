@@ -786,3 +786,24 @@ def test_divide_int_matches_a_tuple_reference_division(order, bits):
         assert {lay.unpack(lay.heap_key(h)): c for h, c in out.items()} == ref
         assert 0 not in out.values()
         assert list(out) == sorted(out)  # leading first
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: groebner_basis([PolyRing(["x"]).var(0), PolyRing(["y"]).var(0)]), "generators live in different rings"),
+        (lambda: Ideal(PolyRing(["x"]), [PolyRing(["y"]).var(0)]), "generator outside the ring"),
+    ],
+    ids=["basis-across-rings", "ideal-outside-its-ring"],
+)
+def test_boundary_checks_raise_ring_errors(call, message):
+    with pytest.raises(RingError) as info:
+        call()
+    assert type(info.value) is RingError and str(info.value) == message
+
+
+def test_monomial_ideal_repr_and_hash():
+    J = MonomialIdeal(2, [(0, 1), (2, 0)])
+    assert repr(J) == "MonomialIdeal(2, [(0, 1), (2, 0)])"
+    same = MonomialIdeal(2, [(2, 0), (0, 1), (2, 1)])  # a redundant generator, another order
+    assert J == same and hash(J) == hash(same)

@@ -21,11 +21,14 @@ owner: a method counts as used when any method of that name is, so
 `PackedLayout.colon` has the same name; the names that more than one
 owner defines are pinned in `SHARED_NAMES`. The dead-definition checks
 skip dunders: the interpreter calls them for an operator or a protocol
-(`a + b`, `==`, `hash`), not by name, so a name search cannot tell
-whether one is used, and `Weight.__add__` and `__mul__` once outlived
-their last library caller unseen. Instead the classes that may define
-operator dunders (`OPERATOR_DUNDERS`) are pinned in `OPERATOR_OWNERS`,
-so a class gains arithmetic only by a reviewed edit there. An `assert`
+(`a + b`, `x in y`, `hash`), not by name, so a name search cannot tell
+whether one is used, and `Weight.__add__` and `__mul__`, then
+`Partition.__contains__`, once outlived their last caller unseen.
+Instead every library class may define only the value dunders in
+`PLAIN_DUNDERS` (construction, equality, hashing, repr and slots), and
+the classes that define any other dunder are pinned in
+`OPERATOR_OWNERS`, so a class gains arithmetic or a protocol only by a
+reviewed edit there. An `assert`
 vanishes under `python -O`, so a condition the library must check raises
 an error instead, and a `raise AssertionError` is an assertion by
 another name: the library raises its own errors, such as `RingError`.
@@ -84,10 +87,11 @@ SHARED_NAMES = {
 }
 
 
-# The operator dunders, and the classes of the library that define any of
-# them: the two polynomial types. `Weight` is a plain value, and sums of
-# weights are `LaurentPoly` products.
-OPERATOR_DUNDERS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__pow__"}
+# The dunders that any class of the library may define, and the classes
+# that define any other: the two polynomial types, with their arithmetic.
+# `Weight` is a plain value, and sums of weights are `LaurentPoly`
+# products; cell membership is `c in lam.cells`.
+PLAIN_DUNDERS = {"__init__", "__eq__", "__hash__", "__repr__", "__slots__"}
 OPERATOR_OWNERS = ("multipoly.LaurentPoly", "multipoly.MultiPoly")
 
 
@@ -170,8 +174,8 @@ def test_shared_definition_names_are_pinned():
 
 def operator_owners(sources):
     """Sorted module.Class of each top-level class of the (module, source)
-    pairs that defines an operator dunder, by `def` or by assignment, as
-    `__radd__ = __add__` does."""
+    pairs that defines a dunder outside `PLAIN_DUNDERS`, by `def` or by
+    assignment, as `__radd__ = __add__` does."""
     found = set()
     for module, source in sources:
         for node in ast.parse(source).body:
@@ -183,7 +187,7 @@ def operator_owners(sources):
                     names.add(item.name)
                 elif isinstance(item, ast.Assign):
                     names.update(t.id for t in item.targets if isinstance(t, ast.Name))
-            if names & OPERATOR_DUNDERS:
+            if any(n.startswith("__") and n.endswith("__") for n in names - PLAIN_DUNDERS):
                 found.add(f"{module}.{node.name}")
     return tuple(sorted(found))
 
@@ -195,7 +199,11 @@ def test_the_check_finds_an_operator_owner():
         "def __mul__(a, b): pass\n"
     )
     b = "class Alias:\n    def _neg(self): pass\n    __neg__ = _neg\nclass Power:\n    __pow__ = None\n"
-    assert operator_owners([("a", a), ("b", b)]) == ("a.Sum", "b.Alias", "b.Power")
+    c = (
+        "class Cells:\n    __slots__ = ('cells',)\n    def __init__(self): pass\n    def _show(self): pass\n    __repr__ = _show\n"
+        "class Member:\n    def __contains__(self, x): pass\n"
+    )
+    assert operator_owners([("a", a), ("b", b), ("c", c)]) == ("a.Sum", "b.Alias", "b.Power", "c.Member")
 
 
 def test_operator_dunders_are_pinned():

@@ -488,3 +488,24 @@ def test_recursions_leave_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: HilbertSeries(LaurentPoly.one(2), [Weight((1, 0, 0))]), "weight rank mismatch"),
+        (
+            lambda: series_equal(HilbertSeries(LaurentPoly.one(2), []), HilbertSeries(LaurentPoly.one(3), [])),
+            "rank mismatch",
+        ),
+        (
+            lambda: reciprocity_check(HilbertSeries(LaurentPoly.one(2), []), Partition(3, [(0, 0, 0)])),
+            "rank mismatch",
+        ),
+    ],
+    ids=["series-weight-rank", "series-equal-ranks", "reciprocity-rank"],
+)
+def test_boundary_checks_raise_ring_errors(call, message):
+    with pytest.raises(RingError) as info:
+        call()
+    assert type(info.value) is RingError and str(info.value) == message

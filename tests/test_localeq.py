@@ -497,3 +497,17 @@ def test_sparse_haiman_terms_match_the_dense_builder(r, top):
             # term order and coefficient types pinned, not only the term sets
             got = [[(e, type(c), c) for e, c in eq.terms.items()] for eq in pres.equations]
             assert got == [[(e, type(c), c) for e, c in eq.terms.items()] for eq in equations]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: haiman_equations(Partition(3, [])), "need a nonempty partition"),
+        (lambda: pyramid_potential(1), "pyramid potential needs n >= 2"),
+    ],
+    ids=["empty-partition", "pyramid-potential-1"],
+)
+def test_boundary_checks_raise_ring_errors(call, message):
+    with pytest.raises(RingError) as info:
+        call()
+    assert type(info.value) is RingError and str(info.value) == message

@@ -1112,3 +1112,37 @@ def test_a_numerator_at_the_field_limit_widens_and_never_wraps():
     for A, B in [(LaurentPoly.char(Weight.of(top, 1)), quarter), (quarter, LaurentPoly.char(Weight.of(1, bottom)))]:
         assert (A * B).terms == _ref_product(A.terms, B.terms)
         assert (A + B).terms == _ref_sum(A.terms, B.terms)
+
+
+_XY = PolyRing(["x", "y"])
+_XZ = PolyRing(["x", "z"])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PolyRing(["x", "x"]), "duplicate variable names"),
+        (lambda: _XY.monomial((1,)), "exponent length mismatch"),
+        (lambda: _XY.var(0) + _XZ.var(0), "ring context mismatch"),
+        (lambda: _XY.var(0).substitute([_XY.var(1)]), "every variable needs an image"),
+        (lambda: Weight((1, 2), 3), "scale must be a power of two"),
+        (lambda: LaurentPoly(2, {Weight((1, 0, 0)): 1}), "weight rank mismatch"),
+        (lambda: LaurentPoly.one(2) + LaurentPoly.one(3), "rank mismatch"),
+    ],
+    ids=["duplicate-names", "exponent-length", "across-rings", "image-count", "scale", "laurent-weight-rank", "laurent-ranks"],
+)
+def test_boundary_checks_raise_ring_errors(call, message):
+    with pytest.raises(RingError) as info:
+        call()
+    assert type(info.value) is RingError and str(info.value) == message
+
+
+def test_laurent_polys_of_different_ranks_are_unequal():
+    assert LaurentPoly.one(2) != LaurentPoly.one(3)
+    assert not LaurentPoly.one(3) == LaurentPoly.one(2)
+
+
+def test_reprs_of_rings_and_weights():
+    assert repr(_XY) == "PolyRing(['x', 'y'])"
+    assert repr(Weight((1, -2))) == "Weight(1, -2)"
+    assert repr(Weight((1, -2), 2)) == "Weight((1, -2), scale=2)"

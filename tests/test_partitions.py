@@ -13,6 +13,7 @@ from hilb.partitions import (
     enumerate_partitions,
     glove,
     ideal_of_partition,
+    layers_of,
     parse_chain,
     pyramid,
 )
@@ -267,3 +268,30 @@ def test_chain_notation_roundtrip():
     for text in ["(1,x)", "(-1)", "(0)", "(2,0)", "(1) ⊂ (2,-1)", "(1,)", "(1.5)"]:
         with pytest.raises(PartitionError):
             parse_chain(text)
+
+
+_PLANE = Partition(2, [(0, 0), (1, 0)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Partition(2, [(0,)]), "cell (0,) has wrong dimension"),
+        (lambda: Partition(2, [(0, -1)]), "cell (0, -1) has a negative coordinate"),
+        (lambda: enumerate_partitions(0, 1), "r must be >= 1"),
+        (lambda: enumerate_partitions(2, -1), "n must be >= 0"),
+        (lambda: canonicalize_S3(_PLANE), "canonicalize_S3 needs r=3"),
+        (lambda: layers_of(_PLANE), "layers need r=3"),
+        (lambda: parse_chain("(1) ⊂ 2,1"), "bad layer '2,1'"),
+    ],
+    ids=["cell-dimension", "negative-cell", "rank", "size", "canonicalize-rank", "layers-rank", "bad-layer"],
+)
+def test_boundary_checks_raise_partition_errors(call, message):
+    with pytest.raises(PartitionError) as info:
+        call()
+    assert type(info.value) is PartitionError and str(info.value) == message
+
+
+def test_partition_reprs():
+    assert repr(parse_chain("(1) ⊂ (2,1)")) == "Partition3('(1) ⊂ (2,1)')"
+    assert repr(_PLANE) == "Partition(r=2, n=2)"
