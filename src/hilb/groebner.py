@@ -406,13 +406,16 @@ def _reduce_int_basis(
 class MonomialIdeal:
     """Monomial ideal held by its minimal generators (a divisibility antichain).
 
-    The generators are `PackedLayout(nvars, "lex")` ints, minimalized by
-    `PackedLayout.minimal` and kept ascending in `packed`, so their order
-    is that of the exponent tuples; `gens` is the sorted tuple view. A
-    monomial is packed once, and membership is a guard test against each
-    generator. A monomial of the wrong length, a negative, bool or
-    non-integer entry or a degree of 2^15 or more raises RingError, from
-    the packing (`PackedLayout.pack_all`).
+    The generators are `PackedLayout(nvars, "lex")` ints, kept ascending
+    in `packed`, so their order is that of the exponent tuples; `gens` is
+    the sorted tuple view. The constructor and `_of_packed` (for leads of
+    a basis) minimalize what they are given by `PackedLayout.minimal`;
+    `_of_antichain` takes an ascending antichain as it is, which is how
+    `partitions.ideal_of_partition` builds I_λ. A monomial is packed
+    once, and membership is a guard test against each generator. A
+    monomial of the wrong length, a negative, bool or non-integer entry or
+    a degree of 2^15 or more raises RingError, from the packing
+    (`PackedLayout.pack_all`).
     """
 
     __slots__ = ("nvars", "layout", "packed")
@@ -423,15 +426,22 @@ class MonomialIdeal:
         self.packed = tuple(self.layout.minimal(self.layout.pack_all(list(gens))))
 
     @classmethod
+    def _of_antichain(cls, nvars: int, layout: PackedLayout, packed: Iterable[int]) -> "MonomialIdeal":
+        """The ideal whose minimal generators are `packed`, ascending ints of
+        `layout`, the lex layout of nvars variables; neither is checked."""
+        self = cls.__new__(cls)
+        self.nvars = nvars
+        self.layout = layout
+        self.packed = tuple(packed)
+        return self
+
+    @classmethod
     def _of_packed(cls, nvars: int, ms: Collection[int], source: PackedLayout) -> "MonomialIdeal":
         """The ideal of the monomials `ms` packed under `source`, a layout of
         nvars variables, recoded into the lex layout without tuples (as
         they are, under lex)."""
-        self = cls.__new__(cls)
-        self.nvars = nvars
-        self.layout = layout = PackedLayout(nvars, "lex")
-        self.packed = tuple(layout.minimal(layout.recode(ms, source)))
-        return self
+        layout = PackedLayout(nvars, "lex")
+        return cls._of_antichain(nvars, layout, layout.minimal(layout.recode(ms, source)))
 
     @property
     def gens(self) -> Tuple[Monomial, ...]:

@@ -329,27 +329,28 @@ def cotangent_weights(lam: Partition) -> Tuple[List[Monomial], int]:
     syzygies, and each cell c' relates the coefficients of x^c' on both
     sides: with u = c' - L/g and v = c' - L/h, a_{g,u} = a_{h,v} when both
     are cells, and the one that is a cell is 0 otherwise. Both nodes have
-    weight L - c'. On the packed lex ints of `ideal_of_partition(lam)`
-    (the I_λ kept on lam, which later callers share), L/g is `colon(h, g)`
-    and u is a cell iff it sets no `guard` bit; a coprime pair relates
-    nothing, as L/g = h. Each class of the union-find (a parent list with
-    path halving) that holds no killed node gives its weight; extra
-    dimension is the count minus r * |lambda|.
+    weight L - c'. The generators and the cells are the packed lex ints
+    that `ideal_of_partition(lam)` keeps on lam (the ideal, which later
+    callers share, and the cells it was built from, packed once), so
+    nothing is packed here. L/g is `colon(h, g)` and u is a cell iff it
+    sets no `guard` bit; a coprime pair relates nothing, as L/g = h. Each
+    class of the union-find (a parent list with path halving) that holds
+    no killed node gives its weight; extra dimension is the count minus
+    r * |lambda|.
 
     Every noncoprime pair is scanned over every cell, so the cost grows as
     (generators)^2 * |lambda|. That suits the partitions it serves: the
     census's n <= 10 and the paper's n <= 7, with at most ten cells.
-    Large partitions pay for it: on one Xeon core, the r=3 pyramids of
-    120, 220 and 455 cells (45, 66 and 105 generators) take about 0.03,
-    0.12 and 0.65 s.
+    Large partitions pay for it: the r=3 pyramids of 120, 220 and 455
+    cells have 45, 66 and 105 generators, and the last takes about twenty
+    times as long as the first.
     """
     if not lam.cells:
         return [], 0
     J = ideal_of_partition(lam)
-    lay, gens = J.layout, J.packed
+    lay, gens, cells = J.layout, J.packed, lam._packed
     colon, guard = lay.colon, lay.guard
     cell_tuples = list(lam.cells)
-    cells = lay.pack_all(cell_tuples)
     size = len(cells)
     row = {c: k for k, c in enumerate(cells)}  # node (gens[a], c) is a * size + row[c]
     parent = list(range(len(gens) * size))

@@ -10,8 +10,17 @@ that it and `localeq` use: the step `_mono_shift` and the difference
 A partition holds its monomial ideal I_λ once it is asked for:
 `ideal_of_partition` builds it on first use and returns the same
 `MonomialIdeal` after that, so the tangent space and the K-polynomial of
-one point share one ideal. The constructor checks cells from outside the
-library; the cell sets that the enumeration, `canonicalize_S3` and
+one point share one ideal. It packs the cells once, as lex ints of the
+ideal's layout, and keeps them on the partition beside the ideal for
+`localeq.cotangent_weights`. The minimal generators come straight from
+the packed cells by the down-step rule: a point g = c + e_b outside λ,
+c a cell, generates I_λ minimally iff g - e_b' is a cell for every axis
+b' with g_b' > 0. So the ideal needs no glove and no minimalization.
+
+The constructor, `enumerate_partitions` and `pyramid` read r and n by
+`multipoly._integer`, and raise PartitionError for a bool or a
+non-integer. The constructor checks cells from outside the library; the
+cell sets that the enumeration, `canonicalize_S3` and
 `Partition.permuted` build are partitions by construction and skip the
 check.
 """
@@ -19,11 +28,12 @@ check.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from operator import sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .groebner import MonomialIdeal
-from .multipoly import RingError, exponents
+from .multipoly import PackedLayout, RingError, _integer, exponents
 
 Cell = Tuple[int, ...]
 AdjacentPair = Tuple[Cell, Cell, int, Optional[int]]  # (p, q, a, b), see adjacent_pairs
@@ -44,12 +54,24 @@ class PartitionError(RingError):
     pass
 
 
+def _int_arg(k, what: str) -> int:
+    """k as an int by `multipoly._integer`; PartitionError, saying `what`,
+    for a bool or a non-integer."""
+    try:
+        return _integer(k, what)
+    except RingError as e:
+        raise PartitionError(*e.args) from None
+
+
 class Partition:
     """Finite downward-closed subset of Z_{>=0}^r."""
 
-    __slots__ = ("r", "cells", "_ideal")
+    __slots__ = ("r", "cells", "_ideal", "_packed")
 
     def __init__(self, r: int, cells: Iterable[Cell]):
+        r = _int_arg(r, "r is an integer")
+        if r < 0:
+            raise PartitionError("r must be >= 0")
         cells_set: FrozenSet[Cell] = frozenset(map(exponents, cells))
         for c in cells_set:
             if len(c) != r:
@@ -61,7 +83,7 @@ class Partition:
                     raise PartitionError(f"not downward closed at {c}")
         self.r = r
         self.cells = cells_set
-        self._ideal = None
+        self._ideal = self._packed = None
 
     @classmethod
     def _valid(cls, r: int, cells: FrozenSet[Cell]) -> "Partition":
@@ -70,7 +92,7 @@ class Partition:
         lam = cls.__new__(cls)
         lam.r = r
         lam.cells = cells
-        lam._ideal = None
+        lam._ideal = lam._packed = None
         return lam
 
     @property
@@ -116,16 +138,46 @@ def glove(lam: Partition) -> FrozenSet[Cell]:
     return frozenset(out)
 
 
+@cache
+def _lex_layout(r: int) -> Tuple[PackedLayout, Tuple[int, ...]]:
+    """The lex layout of r variables and its packed units e_b. A layout
+    never changes, so the ideals of all partitions of one rank share one."""
+    lay = PackedLayout(r, "lex")
+    return lay, tuple(lay.field(b)[0] for b in range(r))
+
+
 def ideal_of_partition(lam: Partition) -> MonomialIdeal:
-    """I_λ, spanned by the monomials outside λ. Its minimal generators are
-    the minimal glove points, since a minimal point outside a nonempty λ
-    steps down into λ; the empty partition gives the unit ideal.
+    """I_λ, spanned by the monomials outside λ; the empty partition gives
+    the unit ideal.
+
+    A monomial g outside λ is a minimal generator iff each g - e_b with
+    g_b > 0 lies in λ, so every minimal generator is some cell plus a
+    unit step. The cells are packed once under the lex layout of the
+    ideal (one per rank, shared by the ideals of that rank) and kept on
+    λ in `_packed`, in the order of `list(lam.cells)`. Each c + e_b that
+    is not a cell is tested by its down-steps: a field that is 0 borrows
+    and sets a guard bit, and every other down-step must land on a cell.
+    The generators, sorted, are an antichain, so the ideal takes them as
+    they are.
 
     Built on the first call for λ and kept on it: later calls return the
     same object."""
     J = lam._ideal
     if J is None:
-        J = lam._ideal = MonomialIdeal(lam.r, glove(lam) if lam.cells else [(0,) * lam.r])
+        lay, units = _lex_layout(lam.r)
+        cells = lay.pack_all(list(lam.cells))
+        have, guard = set(cells), lay.guard
+        gens = []
+        for g in {c + e for c in cells for e in units}.difference(have):
+            for e in units:
+                d = g - e
+                if not d & guard and d not in have:
+                    break
+            else:
+                gens.append(g)
+        gens.sort()
+        lam._packed = cells
+        J = lam._ideal = MonomialIdeal._of_antichain(lam.r, lay, gens if cells else [0])
     return J
 
 
@@ -161,6 +213,7 @@ def enumerate_partitions(r: int, n: int) -> List[Partition]:
     Built as chains of (r-1)-dimensional partitions along the last axis,
     each layer contained in the one below.
     """
+    r, n = _int_arg(r, "r is an integer"), _int_arg(n, "n is an integer")
     if r < 1:
         raise PartitionError("r must be >= 1")
     if n < 0:
@@ -216,6 +269,7 @@ def canonicalize_S3(lam: Partition) -> Tuple[Partition, Tuple[int, ...]]:
 
 def pyramid(r: int, n: int) -> Partition:
     """Cells with coordinate sum at most n-1."""
+    r, n = _int_arg(r, "r is an integer"), _int_arg(n, "n is an integer")
     cells = [
         c
         for c in itertools.product(*(range(n) for _ in range(r)))

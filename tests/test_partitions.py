@@ -229,13 +229,35 @@ def test_library_built_partitions_are_what_the_checking_constructor_builds():
                 assert mu.r == r and all(type(c) is tuple and len(c) == r for c in mu.cells)
 
 
+# beyond the census ranks: lines, plane partitions and r=5
+IDEAL_CLASSES = CENSUS_CLASSES + [(1, n) for n in range(6)] + [(2, n) for n in range(12)] + [(5, n) for n in range(5)]
+
+
 def test_the_ideal_is_built_once_per_partition():
-    for r, n in CENSUS_CLASSES:
-        for lam in enumerate_partitions(r, n):
-            J = ideal_of_partition(lam)
-            assert ideal_of_partition(lam) is J
-            assert J == (MonomialIdeal(r, glove(lam)) if n else MonomialIdeal(r, [(0,) * r]))
+    # the down-step rule against the glove, minimalized by MonomialIdeal, on
+    # the enumerated classes, r=0, the pyramids of the census reference test
+    # and a partition built by the checking constructor
+    lams = [lam for r, n in IDEAL_CLASSES for lam in enumerate_partitions(r, n)] + [
+        Partition(0, [()]),
+        Partition(0, []),
+        pyramid(2, 14),
+        pyramid(3, 8),
+        pyramid(4, 5),
+        Partition(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 0, 2)]),
+    ]
+    for lam in lams:
+        r = lam.r
+        J = ideal_of_partition(lam)
+        assert ideal_of_partition(lam) is J
+        assert J == (MonomialIdeal(r, glove(lam)) if lam.cells else MonomialIdeal(r, [(0,) * r]))
+        # the kept packed cells are the cells, in the order of the frozenset
+        assert J.layout.unpack_all(lam._packed) == list(lam.cells)
+    # one lex layout per rank, shared by the ideals of that rank
+    assert len({id(ideal_of_partition(lam).layout) for lam in lams if lam.r == 3}) == 1
     assert ideal_of_partition(Partition(3, [])).gens == ((0, 0, 0),)
+    # r=0: the one point's ideal is the zero ideal, the empty set's the unit ideal
+    assert ideal_of_partition(Partition(0, [()])).gens == ()
+    assert ideal_of_partition(Partition(0, [])).gens == ((),)
     # an equal partition built apart has its own ideal, equal to the first
     lam = parse_chain("(1) ⊂ (2,1)")
     twin = Partition(3, lam.cells)
@@ -271,6 +293,38 @@ def test_chain_notation_roundtrip():
 
 
 _PLANE = Partition(2, [(0, 0), (1, 0)])
+
+
+class _Two:
+    """An integer that is not an int, read through `__index__`."""
+
+    def __index__(self):
+        return 2
+
+
+def test_builders_read_r_and_n_as_integers():
+    # a bool was once read as 0 or 1, and a float or a str raised TypeError
+    table = [
+        (lambda: Partition(True, [(0,)]), "r is an integer: True"),
+        (lambda: Partition(1.0, [(0,)]), "r is an integer: 1.0"),
+        (lambda: Partition("1", [(0,)]), "r is an integer: '1'"),
+        (lambda: Partition(-1, []), "r must be >= 0"),
+        (lambda: pyramid(True, 3), "r is an integer: True"),
+        (lambda: pyramid(3, 2.0), "n is an integer: 2.0"),
+        (lambda: pyramid(3, False), "n is an integer: False"),
+        (lambda: enumerate_partitions(2.0, 2), "r is an integer: 2.0"),
+        (lambda: enumerate_partitions("3", 2), "r is an integer: '3'"),
+        (lambda: enumerate_partitions(3, True), "n is an integer: True"),
+        (lambda: enumerate_partitions(3, None), "n is an integer: None"),
+    ]
+    for call, message in table:
+        with pytest.raises(PartitionError) as info:
+            call()
+        assert type(info.value) is PartitionError and str(info.value) == message
+    # an integer that is not an int is read as one
+    for lam in [Partition(_Two(), [(0, 0)]), pyramid(_Two(), _Two()), *enumerate_partitions(_Two(), _Two())]:
+        assert type(lam.r) is int and lam.r == 2
+    assert len(pyramid(3, _Two()).cells) == 4 and len(enumerate_partitions(3, _Two())) == 3
 
 
 @pytest.mark.parametrize(
